@@ -30,23 +30,34 @@
 //! BFS scratch, so the shared state only sees one insert per distinct
 //! shape. The same factory drives incremental maintenance (`ned-index`'s
 //! `GraphMaintainer`): a delta's dirty set is just another node batch,
-//! and an edge flip that returns a neighborhood to a previously seen
-//! shape is a pure cache hit.
+//! read straight off the live adjacency overlay by one kept-alive
+//! [`BulkSignatureExtractor`], and an edge flip that returns a
+//! neighborhood to a previously seen shape is a pure cache hit.
 
 use crate::ned::NodeSignature;
 use crate::ted_star::PreparedTree;
-use ned_graph::{Graph, NodeId};
+use ned_graph::{Adjacency, Graph, NodeId};
 use ned_tree::ShapeTable;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 const CACHE_SHARDS: usize = 16;
 
+/// Nodes per worker chunk of a fanned-out extraction; a batch this small
+/// runs on one extractor.
+const CHUNK: usize = 256;
+
 /// Shared state of the bulk pipeline: the canonical shape table plus a
 /// root-class → prepared-tree cache. Create one per ingest pipeline (or
 /// keep one alive per maintained graph) and spawn a
 /// [`BulkSignatureExtractor`] per worker; see the [module docs](self).
+/// Clones are handles on the same shared state.
+#[derive(Clone)]
 pub struct SignatureFactory {
+    shared: Arc<Shared>,
+}
+
+struct Shared {
     table: Arc<ShapeTable>,
     cache: [Mutex<HashMap<u32, Arc<PreparedTree>>>; CACHE_SHARDS],
 }
@@ -61,30 +72,34 @@ impl SignatureFactory {
     /// An empty factory.
     pub fn new() -> Self {
         SignatureFactory {
-            table: Arc::new(ShapeTable::new()),
-            cache: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+            shared: Arc::new(Shared {
+                table: Arc::new(ShapeTable::new()),
+                cache: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+            }),
         }
     }
 
     /// The canonical shape table shared by this factory's extractors.
     pub fn shape_table(&self) -> &Arc<ShapeTable> {
-        &self.table
+        &self.shared.table
     }
 
     /// Number of distinct root classes cached so far (the signature-level
     /// deduplication win).
     pub fn cached_roots(&self) -> usize {
-        self.cache
+        self.shared
+            .cache
             .iter()
             .map(|s| s.lock().expect("factory shard poisoned").len())
             .sum()
     }
 
-    /// A per-worker extractor over `graph` sharing this factory's state.
-    pub fn extractor<'g, 'f>(&'f self, graph: &'g Graph) -> BulkSignatureExtractor<'g, 'f> {
+    /// A per-worker extractor sharing this factory's state. It reads any
+    /// graph it is handed and keeps its scratch between calls.
+    pub fn extractor(&self) -> BulkSignatureExtractor {
         BulkSignatureExtractor {
-            factory: self,
-            inner: ned_graph::BulkExtractor::new(graph, Arc::clone(&self.table)),
+            factory: self.clone(),
+            inner: ned_graph::BulkExtractor::new(Arc::clone(&self.shared.table)),
             kid_orders: Vec::new(),
             expand_classes: Vec::new(),
             expand_parent: Vec::new(),
@@ -96,9 +111,9 @@ impl SignatureFactory {
     /// Extracts the signatures of `nodes` (in order) on up to `threads`
     /// worker threads (`0` = all cores), sharing shapes across workers.
     /// Output is element-wise identical to [`crate::signatures`].
-    pub fn signatures(
+    pub fn signatures<G: Adjacency + Sync + ?Sized>(
         &self,
-        graph: &Graph,
+        graph: &G,
         nodes: &[NodeId],
         k: usize,
         threads: usize,
@@ -106,14 +121,13 @@ impl SignatureFactory {
         // Chunked fan-out: each chunk gets a private extractor (the BFS
         // scratch is per-worker state), sized so the O(n) visited-array
         // setup amortizes over many extractions.
-        const CHUNK: usize = 256;
         let chunks: Vec<&[NodeId]> = nodes.chunks(CHUNK).collect();
         let per_chunk: Vec<Vec<NodeSignature>> =
             crate::batch::par_map(chunks.len(), threads, |ci| {
-                let mut extractor = self.extractor(graph);
+                let mut extractor = self.extractor();
                 chunks[ci]
                     .iter()
-                    .map(|&v| extractor.extract(v, k))
+                    .map(|&v| extractor.extract(graph, v, k))
                     .collect()
             });
         per_chunk.into_iter().flatten().collect()
@@ -122,20 +136,19 @@ impl SignatureFactory {
     /// The interned root classes of `nodes` (in order) without
     /// materializing signatures — the cheap seed/diff pass for
     /// incremental maintenance (equal class ⇔ bit-identical signature).
-    pub fn root_classes(
+    pub fn root_classes<G: Adjacency + Sync + ?Sized>(
         &self,
-        graph: &Graph,
+        graph: &G,
         nodes: &[NodeId],
         k: usize,
         threads: usize,
     ) -> Vec<u32> {
-        const CHUNK: usize = 256;
         let chunks: Vec<&[NodeId]> = nodes.chunks(CHUNK).collect();
         let per_chunk: Vec<Vec<u32>> = crate::batch::par_map(chunks.len(), threads, |ci| {
-            let mut extractor = self.extractor(graph);
+            let mut extractor = self.extractor();
             chunks[ci]
                 .iter()
-                .map(|&v| extractor.root_class(v, k))
+                .map(|&v| extractor.root_class(graph, v, k))
                 .collect()
         });
         per_chunk.into_iter().flatten().collect()
@@ -148,7 +161,7 @@ impl SignatureFactory {
 
     /// The cached prepared tree of a root class, if present.
     fn cached(&self, class: u32) -> Option<Arc<PreparedTree>> {
-        self.cache[Self::cache_shard(class)]
+        self.shared.cache[Self::cache_shard(class)]
             .lock()
             .expect("factory shard poisoned")
             .get(&class)
@@ -156,7 +169,7 @@ impl SignatureFactory {
     }
 
     fn insert_cached(&self, class: u32, prepared: Arc<PreparedTree>) -> Arc<PreparedTree> {
-        let mut shard = self.cache[Self::cache_shard(class)]
+        let mut shard = self.shared.cache[Self::cache_shard(class)]
             .lock()
             .expect("factory shard poisoned");
         Arc::clone(shard.entry(class).or_insert(prepared))
@@ -167,17 +180,19 @@ impl std::fmt::Debug for SignatureFactory {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SignatureFactory")
             .field("cached_roots", &self.cached_roots())
-            .field("table", &self.table)
+            .field("table", &self.shared.table)
             .finish()
     }
 }
 
 /// One worker's handle on a [`SignatureFactory`]: private BFS/expansion
 /// scratch plus dense (class-indexed) mirrors of the shared table, so the
-/// steady-state hot path takes no locks beyond the interner's.
-pub struct BulkSignatureExtractor<'g, 'f> {
-    factory: &'f SignatureFactory,
-    inner: ned_graph::BulkExtractor<'g>,
+/// steady-state hot path takes no locks beyond the interner's. Holds no
+/// graph: keep one alive across calls (and across mutations of a dynamic
+/// graph) and its scratch is never rebuilt.
+pub struct BulkSignatureExtractor {
+    factory: SignatureFactory,
+    inner: ned_graph::BulkExtractor,
     /// Dense lazy mirror: `kid_orders[class]` = the class's canonical
     /// child order (`ShapeTable` entries are immutable once written, so
     /// mirroring is always safe).
@@ -189,18 +204,39 @@ pub struct BulkSignatureExtractor<'g, 'f> {
     expand_levels: Vec<usize>,
 }
 
-impl BulkSignatureExtractor<'_, '_> {
-    /// The interned isomorphism class of `node`'s k-adjacent tree (no
-    /// signature materialization — the churn-diff fast path).
-    pub fn root_class(&mut self, node: NodeId, k: usize) -> u32 {
-        self.inner.root_class(node, k)
+impl BulkSignatureExtractor {
+    /// The interned isomorphism class of `node`'s k-adjacent tree in
+    /// `graph` (no signature materialization — the churn-diff fast path).
+    pub fn root_class<G: Adjacency + ?Sized>(&mut self, graph: &G, node: NodeId, k: usize) -> u32 {
+        self.inner.root_class(graph, node, k)
     }
 
-    /// Extracts one node's signature through the shared caches —
-    /// bit-identical to [`NodeSignature::extract`].
-    pub fn extract(&mut self, node: NodeId, k: usize) -> NodeSignature {
-        let class = self.inner.root_class(node, k);
+    /// Extracts one node's signature in `graph` through the shared caches
+    /// — bit-identical to [`NodeSignature::extract`].
+    pub fn extract<G: Adjacency + ?Sized>(
+        &mut self,
+        graph: &G,
+        node: NodeId,
+        k: usize,
+    ) -> NodeSignature {
+        let class = self.inner.root_class(graph, node, k);
         NodeSignature::from_shared(node, self.prepared_of(class))
+    }
+
+    /// The signatures of `nodes` (in order): on this extractor's kept
+    /// scratch when they fit one worker chunk (or `threads == 1`), else
+    /// fanned out like [`SignatureFactory::signatures`].
+    pub fn signatures<G: Adjacency + Sync + ?Sized>(
+        &mut self,
+        graph: &G,
+        nodes: &[NodeId],
+        k: usize,
+        threads: usize,
+    ) -> Vec<NodeSignature> {
+        if threads == 1 || nodes.len() <= CHUNK {
+            return nodes.iter().map(|&v| self.extract(graph, v, k)).collect();
+        }
+        self.factory.signatures(graph, nodes, k, threads)
     }
 
     /// The shared canonical [`PreparedTree`] of an already-extracted root
@@ -276,7 +312,7 @@ impl BulkSignatureExtractor<'_, '_> {
         let level_offsets: Vec<u32> = self.expand_levels.iter().map(|&o| o as u32).collect();
         let code: Box<[u8]> = self
             .factory
-            .table
+            .shape_table()
             .get(class)
             .expect("root class tabled during extraction")
             .code[..]

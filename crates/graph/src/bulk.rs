@@ -25,7 +25,9 @@
 //!
 //! [`BulkExtractor`] implements the per-root half of that pipeline with
 //! zero steady-state allocation: a truncated BFS into reusable flat
-//! scratch (no intermediate `Tree`), then one level-synchronous bottom-up
+//! scratch (no intermediate `Tree`) over any [`Adjacency`] — a CSR
+//! [`crate::Graph`] or the live [`crate::DynamicGraph`] overlay — then
+//! one level-synchronous bottom-up
 //! sweep over the scratch that interns every node's children-class
 //! multiset straight into the process-wide [`SignatureInterner`]
 //! (tabling each class on first sight). The returned root class id is a
@@ -33,19 +35,20 @@
 //! `ned-core`'s `SignatureFactory` turns it into a full `NodeSignature`
 //! by table expansion, once per distinct class.
 
-use crate::{Direction, Graph, NodeId};
+use crate::{Adjacency, NodeId};
 use ned_tree::{ShapeTable, SignatureInterner};
 use std::sync::Arc;
 
-/// Reusable bulk-extraction scratch for one graph. See the
-/// [module docs](self). Create one per worker thread; workers share the
-/// [`ShapeTable`] (and the global interner), which is where the
-/// cross-root work sharing lives.
-pub struct BulkExtractor<'g> {
-    graph: &'g Graph,
+/// Reusable bulk-extraction scratch. See the [module docs](self).
+/// Create one per worker thread; workers share the [`ShapeTable`] (and
+/// the global interner), which is where the cross-root work sharing
+/// lives. The scratch holds no graph: each extraction names the graph it
+/// reads, so one extractor serves any number of graphs, or one graph
+/// across mutations.
+pub struct BulkExtractor {
     table: Arc<ShapeTable>,
-    /// Per-node visited epoch (one slot per graph node, reused across
-    /// extractions without clearing).
+    /// Per-node visited epoch, grown to the largest graph seen and
+    /// reused across extractions without clearing.
     visited_epoch: Vec<u32>,
     epoch: u32,
     /// BFS scratch: `nodes[tree_id] = graph node`, `parent[tree_id]` =
@@ -70,15 +73,14 @@ pub struct BulkExtractor<'g> {
     star_classes: Vec<u32>,
 }
 
-impl<'g> BulkExtractor<'g> {
-    /// Scratch sized for `graph`, sharing `table` with sibling workers.
-    pub fn new(graph: &'g Graph, table: Arc<ShapeTable>) -> Self {
+impl BulkExtractor {
+    /// Empty scratch sharing `table` with sibling workers.
+    pub fn new(table: Arc<ShapeTable>) -> Self {
         let mut ensured = vec![false; SignatureInterner::global().empty_id() as usize + 1];
         ensured[SignatureInterner::global().empty_id() as usize] = true;
         BulkExtractor {
-            graph,
             table,
-            visited_epoch: vec![0; graph.num_nodes()],
+            visited_epoch: Vec::new(),
             epoch: 0,
             nodes: Vec::new(),
             parent: Vec::new(),
@@ -107,19 +109,22 @@ impl<'g> BulkExtractor<'g> {
     /// The id equals what `SignatureInterner::global().subtree_ids(&t)[0]`
     /// would report for the extracted tree `t`, so it is comparable with
     /// every per-node extraction in the process.
-    pub fn root_class(&mut self, root: NodeId, k: usize) -> u32 {
+    pub fn root_class<G: Adjacency + ?Sized>(&mut self, graph: &G, root: NodeId, k: usize) -> u32 {
         let k = k.max(1);
         assert!(
-            (root as usize) < self.graph.num_nodes(),
+            (root as usize) < graph.num_nodes(),
             "root {root} out of range"
         );
-        self.bfs(root, k);
+        self.bfs(graph, root, k);
         self.canonize_scratch()
     }
 
     /// Truncated BFS into the flat scratch (the same traversal as
     /// [`crate::bfs::TreeExtractor`], minus the `Tree` construction).
-    fn bfs(&mut self, root: NodeId, k: usize) {
+    fn bfs<G: Adjacency + ?Sized>(&mut self, graph: &G, root: NodeId, k: usize) {
+        if self.visited_epoch.len() < graph.num_nodes() {
+            self.visited_epoch.resize(graph.num_nodes(), 0);
+        }
         if self.epoch == u32::MAX {
             self.visited_epoch.fill(0);
             self.epoch = 0;
@@ -141,7 +146,7 @@ impl<'g> BulkExtractor<'g> {
             }
             for tree_id in level_start..level_end {
                 let v = self.nodes[tree_id];
-                for &w in self.graph.neighbors_in(v, Direction::Outgoing) {
+                for &w in graph.neighbors(v) {
                     let seen = &mut self.visited_epoch[w as usize];
                     if *seen != epoch {
                         *seen = epoch;
@@ -225,10 +230,10 @@ impl<'g> BulkExtractor<'g> {
     }
 }
 
-impl std::fmt::Debug for BulkExtractor<'_> {
+impl std::fmt::Debug for BulkExtractor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BulkExtractor")
-            .field("graph", self.graph)
+            .field("nodes", &self.visited_epoch.len())
             .field("ensured", &self.ensured.len())
             .finish()
     }
@@ -252,13 +257,13 @@ mod tests {
             generators::road_network(8, 8, 0.4, 0.02, &mut rng),
         ] {
             let table = Arc::new(ShapeTable::new());
-            let mut bulk = BulkExtractor::new(&g, Arc::clone(&table));
+            let mut bulk = BulkExtractor::new(Arc::clone(&table));
             let mut single = TreeExtractor::new(&g);
             for k in [1usize, 2, 3, 4] {
                 for v in g.nodes() {
                     let tree = single.extract(v, k);
                     let want = interner.subtree_ids(&tree)[0];
-                    let got = bulk.root_class(v, k);
+                    let got = bulk.root_class(&g, v, k);
                     assert_eq!(got, want, "node {v} k={k}");
                     assert_eq!(bulk.last_tree_len(), tree.len());
                     // and the tabled shape expands to the canonical form
@@ -274,10 +279,16 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(8);
         let g = generators::barabasi_albert(60, 2, &mut rng);
         let table = Arc::new(ShapeTable::new());
-        let mut bulk = BulkExtractor::new(&g, table);
-        let a1 = bulk.root_class(5, 3);
-        let _ = bulk.root_class(17, 4);
-        let a2 = bulk.root_class(5, 3);
+        let mut bulk = BulkExtractor::new(table);
+        let a1 = bulk.root_class(&g, 5, 3);
+        let _ = bulk.root_class(&g, 17, 4);
+        let a2 = bulk.root_class(&g, 5, 3);
         assert_eq!(a1, a2);
+        // The same scratch over the mutable overlay of the same graph
+        // (and after a larger graph grew it) reads identically.
+        let big = generators::barabasi_albert(200, 2, &mut rng);
+        let _ = bulk.root_class(&big, 150, 3);
+        let overlay = crate::DynamicGraph::from_graph(&g);
+        assert_eq!(bulk.root_class(&overlay, 5, 3), a1);
     }
 }

@@ -2,31 +2,46 @@
 //! [`GraphDelta`] edit language, and the truncated-BFS *dirty set* that
 //! bounds which node signatures a delta can possibly change.
 //!
-//! # Why the dirty radius is `k − 1`
+//! # Which nodes an edge flip can change
 //!
-//! A k-adjacent tree has `k` levels: the root plus every node within
-//! `k − 1` hops, and its shape is a pure function of the subgraph induced
-//! on that `(k − 1)`-hop ball (BFS depths and parent assignment both only
-//! read edges whose endpoints lie in the ball). An edge delta `(a, b)`
-//! can therefore change `T(u, k)` only if it changes that induced
-//! subgraph or the ball itself — and either way **both** endpoints must
-//! lie within `k − 1` hops of `u` in the graph variant that *contains*
-//! the edge (for the ball to grow or shrink through the edge, one
-//! endpoint must even be within `k − 2` hops, which puts the other within
-//! `k − 1`). By symmetry of undirected distance, every such `u` lies in
-//! the `(k − 1)`-hop ball of *either* endpoint of the touched edge: one
-//! truncated BFS from one endpoint — in the with-edge graph — is a
-//! complete candidate set. Recomputing those candidates and diffing their
-//! interned root classes then yields the **exact** changed set (equal
-//! class ⇔ isomorphic tree ⇔ bit-identical signature), which is what the
-//! incremental index maintenance in `ned-index` replays as
-//! `WriteOp::Replace` batches.
+//! A k-adjacent tree has `k` levels: the root `u` plus every node within
+//! `r = k − 1` hops, laid out by the deterministic BFS of Definition 1
+//! (neighbors visited in ascending id order, each node's parent being the
+//! first node that reaches it). Measure distances in the graph variant
+//! that *contains* the flipped edge `(a, b)`. Then `T(u, k)` can change
+//! only if
+//!
+//! ```text
+//! d(u, a) ≤ r,   d(u, b) ≤ r,   d(u, a) ≠ d(u, b).
+//! ```
+//!
+//! * **Equal depth.** If `d(u, a) = d(u, b) = d`, both endpoints are
+//!   reached while level `d − 1` is expanded, so whichever of them is
+//!   expanded first meets the other already visited: the edge adds no
+//!   node and no parent link. It also never shortens a path, since it
+//!   joins two nodes of the same level. The BFS runs step for step the
+//!   same with and without the edge, so the tree is the same.
+//! * **Far endpoint.** With the edge, `|d(u, a) − d(u, b)| ≤ 1`, so if one
+//!   endpoint lies beyond `r` the other lies at `r` or beyond. The BFS only
+//!   expands nodes at depth `≤ r − 1`, so it never reads the edge, with or
+//!   without it (removing an edge only moves nodes further away).
+//!
+//! Every other node is a candidate. [`DynamicGraph::apply`] finds them with
+//! two truncated BFS runs, one from each endpoint, over epoch-stamped
+//! depth scratch; for `k = 3` the set is `{a, b} ∪ N(a)∖N[b] ∪ N(b)∖N[a]`,
+//! so a flip that closes a triangle leaves the shared neighbor alone.
+//! The set is *safe*, not exact: a candidate's tree may still come out
+//! isomorphic. Recomputing the candidates and diffing their interned
+//! root classes yields the **exact** changed set (equal class ⇔
+//! isomorphic tree ⇔ bit-identical signature), which the incremental
+//! index maintenance in `ned-index` replays as `WriteOp::Replace`
+//! batches. A node removal drops all the node's edges at once and keeps
+//! the plain `(k − 1)`-hop ball around the node.
 //!
 //! The overlay is undirected-only: the serving pipeline indexes
-//! undirected signatures, and the ball symmetry above is what makes the
-//! single-endpoint dirty BFS sound.
+//! undirected signatures, and the symmetric distances above assume it.
 
-use crate::{Graph, NodeId};
+use crate::{Adjacency, Graph, NodeId};
 
 /// One edit to a dynamic graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,21 +65,28 @@ pub struct DeltaEffect {
     /// `false` for no-ops (adding an existing edge, removing a missing
     /// one); no-ops dirty nothing.
     pub applied: bool,
-    /// Every node whose k-adjacent tree *may* have changed (the
-    /// `(k − 1)`-hop ball of a touched endpoint, in BFS order). Exact
-    /// change detection is the caller's recompute-and-diff.
+    /// Every node whose k-adjacent tree *may* have changed, each once. For
+    /// an edge flip: the nodes within `k − 1` hops of both endpoints at
+    /// unequal distances to them, in BFS order from the edge's second
+    /// endpoint `b`. For a node removal: the node's `(k − 1)`-hop ball in
+    /// BFS order. For an added node: the node itself. Exact change
+    /// detection is the caller's recompute-and-diff.
     pub candidates: Vec<NodeId>,
     /// The node created by an [`GraphDelta::AddNode`].
     pub added_node: Option<NodeId>,
 }
 
 /// A mutable undirected graph: sorted adjacency lists plus reusable BFS
-/// scratch for dirty-set computation. Snapshots to CSR ([`Graph`]) in
-/// `O(n + m)` for extraction. See the [module docs](self).
+/// scratch for dirty-set computation. Extraction reads it directly
+/// through [`Adjacency`]; [`DynamicGraph::to_graph`] snapshots it to CSR
+/// in `O(n + m)`. See the [module docs](self).
 pub struct DynamicGraph {
     adj: Vec<Vec<NodeId>>,
     num_edges: usize,
+    /// BFS stamp per node: the epoch of the last traversal that reached it.
     visited: Vec<u32>,
+    /// Hop depth per node, valid where `visited` holds the current epoch.
+    depth: Vec<u32>,
     epoch: u32,
     queue: Vec<NodeId>,
 }
@@ -82,6 +104,7 @@ impl DynamicGraph {
         let adj: Vec<Vec<NodeId>> = g.nodes().map(|v| g.neighbors(v).to_vec()).collect();
         DynamicGraph {
             visited: vec![0; adj.len()],
+            depth: vec![0; adj.len()],
             num_edges: g.num_edges(),
             adj,
             epoch: 0,
@@ -110,7 +133,8 @@ impl DynamicGraph {
     }
 
     /// Applies `delta` and reports its dirty candidates at `radius`
-    /// hops (pass `k − 1` for signatures extracted at parameter `k`).
+    /// hops (pass `k − 1` for signatures extracted at parameter `k`); see
+    /// [`DeltaEffect::candidates`] for the set and its order.
     ///
     /// # Panics
     /// Panics on out-of-range node ids; validate untrusted input first.
@@ -125,10 +149,10 @@ impl DynamicGraph {
                 if !self.insert_edge(a, b) {
                     return nop(None);
                 }
-                // Ball in the with-edge graph: the edge is present now.
+                // Distances in the with-edge graph: the edge is present now.
                 DeltaEffect {
                     applied: true,
-                    candidates: self.ball(a, radius),
+                    candidates: self.edge_candidates(a, b, radius),
                     added_node: None,
                 }
             }
@@ -136,8 +160,8 @@ impl DynamicGraph {
                 if !self.has_edge(a, b) {
                     return nop(None);
                 }
-                // Ball in the with-edge graph: *before* the removal.
-                let candidates = self.ball(a, radius);
+                // Distances in the with-edge graph: *before* the removal.
+                let candidates = self.edge_candidates(a, b, radius);
                 self.delete_edge(a, b);
                 DeltaEffect {
                     applied: true,
@@ -149,6 +173,7 @@ impl DynamicGraph {
                 let v = self.adj.len() as NodeId;
                 self.adj.push(Vec::new());
                 self.visited.push(0);
+                self.depth.push(0);
                 DeltaEffect {
                     applied: true,
                     candidates: vec![v],
@@ -216,39 +241,114 @@ impl DynamicGraph {
     /// order. Reuses internal scratch; `O(ball size)`.
     pub fn ball(&mut self, center: NodeId, radius: usize) -> Vec<NodeId> {
         assert!((center as usize) < self.adj.len(), "node {center} unknown");
-        if self.epoch == u32::MAX {
-            self.visited.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        let epoch = self.epoch;
+        let epoch = self.next_epoch();
+        self.stamp_ball(center, radius, epoch);
+        self.queue.clone()
+    }
+
+    /// The candidates of the present edge `(a, b)` (see the
+    /// [module docs](self)), in BFS order from `b`.
+    fn edge_candidates(&mut self, a: NodeId, b: NodeId, radius: usize) -> Vec<NodeId> {
+        // Both stamps are drawn before either traversal, so a wrap-around
+        // clear of `visited` cannot erase a's stamps halfway.
+        let (from_a, from_b) = (self.next_epoch(), self.next_epoch());
+        self.stamp_ball(a, radius, from_a);
+        let mut candidates = Vec::new();
         self.queue.clear();
-        self.queue.push(center);
-        self.visited[center as usize] = epoch;
-        let mut level_start = 0usize;
+        self.reach_from_b(b, 0, from_a, from_b, &mut candidates);
+        let (mut level_start, mut depth) = (0usize, 0u32);
         for _ in 0..radius {
             let level_end = self.queue.len();
             if level_start == level_end {
                 break;
             }
+            depth += 1;
+            for i in level_start..level_end {
+                let v = self.queue[i] as usize;
+                for j in 0..self.adj[v].len() {
+                    let w = self.adj[v][j];
+                    if self.visited[w as usize] != from_b {
+                        self.reach_from_b(w, depth, from_a, from_b, &mut candidates);
+                    }
+                }
+            }
+            level_start = level_end;
+        }
+        candidates
+    }
+
+    /// Enqueues `w`, first reached from `b` at `depth` hops, and keeps it
+    /// as a candidate if a's traversal reached it at another depth. a's
+    /// stamp is read before b's overwrites it.
+    fn reach_from_b(
+        &mut self,
+        w: NodeId,
+        depth: u32,
+        from_a: u32,
+        from_b: u32,
+        candidates: &mut Vec<NodeId>,
+    ) {
+        let slot = w as usize;
+        if self.visited[slot] == from_a && self.depth[slot] != depth {
+            candidates.push(w);
+        }
+        self.visited[slot] = from_b;
+        self.queue.push(w);
+    }
+
+    /// Truncated BFS from `center`: leaves the ball in `queue` in BFS
+    /// order and stamps each member with `epoch` and its hop depth.
+    fn stamp_ball(&mut self, center: NodeId, radius: usize, epoch: u32) {
+        self.queue.clear();
+        self.queue.push(center);
+        self.visited[center as usize] = epoch;
+        self.depth[center as usize] = 0;
+        let (mut level_start, mut depth) = (0usize, 0u32);
+        for _ in 0..radius {
+            let level_end = self.queue.len();
+            if level_start == level_end {
+                break;
+            }
+            depth += 1;
             for i in level_start..level_end {
                 let v = self.queue[i];
                 for &w in &self.adj[v as usize] {
-                    let seen = &mut self.visited[w as usize];
-                    if *seen != epoch {
-                        *seen = epoch;
+                    if self.visited[w as usize] != epoch {
+                        self.visited[w as usize] = epoch;
+                        self.depth[w as usize] = depth;
                         self.queue.push(w);
                     }
                 }
             }
             level_start = level_end;
         }
-        self.queue.clone()
+    }
+
+    /// A fresh traversal stamp; clears `visited` when the counter wraps.
+    fn next_epoch(&mut self) -> u32 {
+        if self.epoch == u32::MAX {
+            self.visited.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.epoch
     }
 
     /// Snapshots the current state to CSR for extraction.
     pub fn to_graph(&self) -> Graph {
         Graph::from_sorted_adjacency(&self.adj)
+    }
+}
+
+impl Adjacency for DynamicGraph {
+    #[inline]
+    fn num_nodes(&self) -> usize {
+        self.adj.len()
+    }
+
+    #[inline]
+    fn neighbors(&self, v: NodeId) -> &[NodeId] {
+        &self.adj[v as usize]
     }
 }
 
@@ -318,6 +418,72 @@ mod tests {
                 want.sort_unstable();
                 assert_eq!(got, want, "v={v} radius={radius}");
             }
+        }
+    }
+
+    /// `{a, b} ∪ N(a)∖N[b] ∪ N(b)∖N[a]`, sorted, in the graph holding `(a, b)`.
+    fn k3_formula(d: &DynamicGraph, a: NodeId, b: NodeId) -> Vec<NodeId> {
+        let closed = |v: NodeId, w: NodeId| v == w || d.has_edge(v, w);
+        let mut want = vec![a, b];
+        want.extend(d.neighbors(a).iter().filter(|&&w| !closed(b, w)));
+        want.extend(d.neighbors(b).iter().filter(|&&w| !closed(a, w)));
+        want.sort_unstable();
+        want
+    }
+
+    #[test]
+    fn k3_candidates_are_endpoints_and_private_neighbors() {
+        // N(0) = {2, 3, 4}, N(1) = {4, 5}: adding 0–1 closes the triangle
+        // 0–4–1, so the shared neighbor 4 must stay clean. 6 and 7 sit two
+        // hops from one endpoint and three from the other.
+        let edges = [
+            (0, 2),
+            (0, 3),
+            (0, 4),
+            (1, 4),
+            (1, 5),
+            (2, 6),
+            (5, 7),
+            (3, 5),
+        ];
+        let g = Graph::undirected_from_edges(8, &edges);
+        let mut d = DynamicGraph::from_graph(&g);
+        let tree_of_4 =
+            |g: &Graph| ned_tree::ahu::canonical_code(&crate::bfs::k_adjacent_tree(g, 4, 3));
+        let before = tree_of_4(&g);
+
+        let mut added = d.apply(GraphDelta::AddEdge(0, 1), 2).candidates;
+        added.sort_unstable();
+        assert_eq!(added, vec![0, 1, 2, 3, 5]);
+        assert_eq!(added, k3_formula(&d, 0, 1));
+        assert_eq!(
+            tree_of_4(&d.to_graph()),
+            before,
+            "shared neighbor unchanged"
+        );
+
+        let mut removed = d.apply(GraphDelta::RemoveEdge(0, 1), 2).candidates;
+        removed.sort_unstable();
+        assert_eq!(removed, added, "removal sees the same with-edge graph");
+
+        // The same identity on random flips of a random graph.
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut d = DynamicGraph::from_graph(&generators::barabasi_albert(80, 3, &mut rng));
+        for _ in 0..200 {
+            let (a, b) = (rng.gen_range(0..80u32), rng.gen_range(0..80u32));
+            if a == b {
+                continue;
+            }
+            // The formula reads the graph that holds the edge.
+            let (mut got, want) = if d.has_edge(a, b) {
+                let want = k3_formula(&d, a, b);
+                (d.apply(GraphDelta::RemoveEdge(a, b), 2).candidates, want)
+            } else {
+                let got = d.apply(GraphDelta::AddEdge(a, b), 2).candidates;
+                (got, k3_formula(&d, a, b))
+            };
+            got.sort_unstable();
+            assert_eq!(got, want, "flip ({a}, {b})");
         }
     }
 

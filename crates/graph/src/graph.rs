@@ -231,6 +231,31 @@ impl Graph {
     }
 }
 
+/// Read-only adjacency: what k-adjacent tree extraction needs from a
+/// graph. [`Graph`] (its outgoing side) and [`crate::DynamicGraph`]
+/// implement it, so [`crate::BulkExtractor`] runs over a mutable overlay
+/// as well as over CSR, without a snapshot in between.
+pub trait Adjacency {
+    /// Number of node slots; valid ids are `0..num_nodes()`.
+    fn num_nodes(&self) -> usize;
+
+    /// Neighbors of `v` (out-neighbors for directed graphs), sorted
+    /// ascending — the order that fixes the BFS tie-break.
+    fn neighbors(&self, v: NodeId) -> &[NodeId];
+}
+
+impl Adjacency for Graph {
+    #[inline]
+    fn num_nodes(&self) -> usize {
+        Graph::num_nodes(self)
+    }
+
+    #[inline]
+    fn neighbors(&self, v: NodeId) -> &[NodeId] {
+        Graph::neighbors(self, v)
+    }
+}
+
 impl std::fmt::Debug for Graph {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(

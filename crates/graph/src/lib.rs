@@ -41,4 +41,4 @@ pub use builder::GraphBuilder;
 pub use bulk::BulkExtractor;
 pub use delta::{DeltaEffect, DynamicGraph, GraphDelta};
 pub use error::GraphError;
-pub use graph::{Direction, Graph, NodeId};
+pub use graph::{Adjacency, Direction, Graph, NodeId};

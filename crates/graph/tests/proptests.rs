@@ -1,11 +1,15 @@
 //! Property tests for the graph substrate: CSR invariants, builder
-//! normalization, generator postconditions, anonymization round trips.
+//! normalization, generator postconditions, anonymization round trips,
+//! and the soundness of edge-flip dirty sets.
 
 use ned_graph::anonymize::{self, Method};
-use ned_graph::{generators, stats, Graph, GraphBuilder};
+use ned_graph::bfs::{distances, k_adjacent_tree};
+use ned_graph::{
+    generators, stats, Direction, DynamicGraph, Graph, GraphBuilder, GraphDelta, NodeId,
+};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn edges_strategy(
     max_nodes: usize,
@@ -128,6 +132,88 @@ proptest! {
         let g = generators::road_network(w, h, 0.4, 0.02, &mut rng);
         prop_assert_eq!(g.num_nodes(), w * h);
         prop_assert_eq!(stats::connected_components(&g), 1);
+    }
+}
+
+/// Every node's k-adjacent tree, as a canonical code.
+fn tree_codes(g: &Graph, k: usize) -> Vec<Vec<u8>> {
+    g.nodes()
+        .map(|u| ned_tree::ahu::canonical_code(&k_adjacent_tree(g, u, k)))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// An edge flip's candidates hold every node whose tree changed, and
+    /// nothing outside `{u : d(u,a) ≤ k−1, d(u,b) ≤ k−1, d(u,a) ≠ d(u,b)}`
+    /// measured in the graph that has the edge.
+    #[test]
+    fn edge_flip_candidates_are_sound_and_tight(
+        family in 0..3usize,
+        k in 1..=5usize,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let g = match family {
+            0 => generators::barabasi_albert(40, 2, &mut rng),
+            1 => generators::erdos_renyi_gnm(40, 70, &mut rng),
+            _ => generators::grid(6, 7),
+        };
+        let n = g.num_nodes() as NodeId;
+        let radius = k - 1;
+        let mut d = DynamicGraph::from_graph(&g);
+        let mut current = g;
+        let mut before = tree_codes(&current, k);
+        for _ in 0..10 {
+            let a = rng.gen_range(0..n);
+            // Half the partners come from a's 2-hop ball, so triangles get
+            // closed and near edges removed, not only far edges added.
+            let b = if rng.gen_bool(0.5) {
+                let near = d.ball(a, 2);
+                near[rng.gen_range(0..near.len())]
+            } else {
+                rng.gen_range(0..n)
+            };
+            if a == b {
+                continue;
+            }
+            let adding = !d.has_edge(a, b);
+            let delta = if adding {
+                GraphDelta::AddEdge(a, b)
+            } else {
+                GraphDelta::RemoveEdge(a, b)
+            };
+            let effect = d.apply(delta, radius);
+            prop_assert!(effect.applied);
+            let next = d.to_graph();
+            let with_edge = if adding { &next } else { &current };
+            let (da, db) = (
+                distances(with_edge, a, Direction::Outgoing),
+                distances(with_edge, b, Direction::Outgoing),
+            );
+            let after = tree_codes(&next, k);
+            let mut seen = vec![false; n as usize];
+            for &u in &effect.candidates {
+                let (du_a, du_b) = (da[u as usize], db[u as usize]);
+                prop_assert!(!seen[u as usize], "candidate {} listed twice", u);
+                seen[u as usize] = true;
+                prop_assert!(
+                    du_a as usize <= radius && du_b as usize <= radius && du_a != du_b,
+                    "candidate {} of {:?} at depths ({}, {}) with k = {}",
+                    u, delta, du_a, du_b, k
+                );
+            }
+            for u in 0..n as usize {
+                prop_assert!(
+                    before[u] == after[u] || seen[u],
+                    "node {} changed under {:?} at k = {} but is no candidate",
+                    u, delta, k
+                );
+            }
+            current = next;
+            before = after;
+        }
     }
 }
 

@@ -6,14 +6,15 @@
 //! Per delta batch the maintainer:
 //!
 //! 1. applies each delta to its private [`DynamicGraph`], collecting the
-//!    **dirty candidates** — the `(k − 1)`-hop ball of a touched endpoint
-//!    per applied delta, computed by truncated BFS in the graph variant
-//!    that contains the touched edge (see `ned_graph::delta` for why that
-//!    radius and that variant are sufficient);
+//!    **dirty candidates** — for an edge flip, the nodes within `k − 1`
+//!    hops of both endpoints at unequal distances to them, found by two
+//!    truncated BFS runs in the graph variant that contains the edge (see
+//!    `ned_graph::delta` for why no other node's tree can change);
 //! 2. recomputes only the candidates' signatures through the shared-work
-//!    bulk pipeline ([`SignatureFactory`]) — a kept-alive factory means
-//!    an edge flip that returns a neighborhood to a previously seen
-//!    shape is a pure cache hit;
+//!    bulk pipeline ([`SignatureFactory`]), reading the live adjacency
+//!    with one kept-alive extractor — so a flip copies no graph and
+//!    rebuilds no scratch, and a flip that returns a neighborhood to a
+//!    previously seen shape is a pure cache hit;
 //! 3. diffs each candidate's interned root class against the maintained
 //!    class vector: equal class ⇔ isomorphic tree ⇔ bit-identical
 //!    signature, so the emitted [`WriteOp::Replace`] set is **exactly**
@@ -24,7 +25,7 @@
 
 use crate::concurrent::{IndexWriter, WriteOp, WriteOutcome};
 use crate::signatures::SignatureIndex;
-use ned_core::SignatureFactory;
+use ned_core::{BulkSignatureExtractor, SignatureFactory};
 use ned_graph::{DynamicGraph, Graph, GraphDelta, NodeId};
 use std::collections::BTreeSet;
 
@@ -63,7 +64,9 @@ pub struct GraphMaintainer {
     graph: DynamicGraph,
     k: usize,
     threads: usize,
-    factory: SignatureFactory,
+    /// Extraction scratch kept across batches (it shares the factory's
+    /// shape table and signature cache).
+    extractor: BulkSignatureExtractor,
     /// `ids[v]` = index id of node `v`'s signature (`NO_ID` for retired
     /// nodes and not-yet-inserted additions).
     ids: Vec<u64>,
@@ -89,7 +92,7 @@ impl GraphMaintainer {
             graph: DynamicGraph::from_graph(graph),
             k,
             threads,
-            factory,
+            extractor: factory.extractor(),
             ids: nodes.iter().map(|&v| first_id + u64::from(v)).collect(),
             classes,
             alive: vec![true; nodes.len()],
@@ -255,39 +258,25 @@ impl GraphMaintainer {
             .filter(|&v| self.is_alive(v) && self.ids[v as usize] != NO_ID)
             .collect();
         report.candidates = cand_vec.len();
-        let insert_from;
-        if cand_vec.is_empty() && added.is_empty() {
-            // Nothing to recompute (all-no-op batch, or pure removals):
-            // skip the O(n + m) CSR snapshot entirely.
-            insert_from = ops.len();
-        } else {
-            // One CSR snapshot per batch with work to do. This is an
-            // O(n + m) memcpy — at serving scales it is dwarfed by even a
-            // single candidate's BFS + canonization, and batching deltas
-            // amortizes it further; if graphs grow to where this floor
-            // matters, the next step is extracting directly over the
-            // adjacency overlay rather than snapshotting per batch.
-            let snapshot = self.graph.to_graph();
-            let sigs = self
-                .factory
-                .signatures(&snapshot, &cand_vec, self.k, self.threads);
-            for (&v, sig) in cand_vec.iter().zip(sigs) {
-                let class = sig.prepared().root_class();
-                if class != self.classes[v as usize] {
-                    self.classes[v as usize] = class;
-                    ops.push(WriteOp::Replace(self.ids[v as usize], sig));
-                    report.replaced += 1;
-                }
+        let sigs = self
+            .extractor
+            .signatures(&self.graph, &cand_vec, self.k, self.threads);
+        for (&v, sig) in cand_vec.iter().zip(sigs) {
+            let class = sig.prepared().root_class();
+            if class != self.classes[v as usize] {
+                self.classes[v as usize] = class;
+                ops.push(WriteOp::Replace(self.ids[v as usize], sig));
+                report.replaced += 1;
             }
-            insert_from = ops.len();
-            let added_sigs = self
-                .factory
-                .signatures(&snapshot, &added, self.k, self.threads);
-            for (&v, sig) in added.iter().zip(added_sigs) {
-                self.classes[v as usize] = sig.prepared().root_class();
-                ops.push(WriteOp::Insert(sig));
-                report.inserted += 1;
-            }
+        }
+        let insert_from = ops.len();
+        let added_sigs = self
+            .extractor
+            .signatures(&self.graph, &added, self.k, self.threads);
+        for (&v, sig) in added.iter().zip(added_sigs) {
+            self.classes[v as usize] = sig.prepared().root_class();
+            ops.push(WriteOp::Insert(sig));
+            report.inserted += 1;
         }
         MaterializedBatch {
             report,

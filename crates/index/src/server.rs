@@ -380,7 +380,7 @@ impl NedServer {
     /// own WAL and published at that exact epoch, so the caught-up
     /// replica is bit-identical to the peer at every acknowledged
     /// epoch. Before any record is applied the splice point is verified
-    /// ([`NedServer::verify_fork_point`]): a forked local history is
+    /// (`NedServer::verify_fork_point`): a forked local history is
     /// refused loudly rather than overwritten. While the replay runs,
     /// queries answer [`ServerError::CatchingUp`].
     pub fn catch_up_from(&self, peer: &str) -> Result<String, ServerError> {

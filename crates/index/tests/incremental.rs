@@ -3,7 +3,7 @@
 //! holding, for every live node, a signature **bit-identical** to a
 //! from-scratch extraction on the mutated graph — and the emitted
 //! `Replace` set must be **exactly** the set of signatures that changed
-//! (the dirty-ball candidates are a superset; the class diff trims it to
+//! (the dirty-set candidates are a superset; the class diff trims it to
 //! equality). Each delta batch must publish exactly one epoch.
 
 use ned_core::NodeSignature;
@@ -155,6 +155,41 @@ fn dirty_set_stays_local_on_sparse_graphs() {
     // net-zero churn: final contents equal a from-scratch rebuild
     let want = rebuild(&g, &vec![true; n], k);
     assert_eq!(index_contents(&reader.snapshot()), want);
+}
+
+#[test]
+fn edge_flip_candidates_are_mostly_real_changes_on_ba_graphs() {
+    // Regression guard for the dirty-set width. Only nodes within k − 1
+    // hops of both endpoints at unequal distances can change, and on a
+    // BA(m = 3) graph at k = 3 most of them do (0.86 here). Re-extracting
+    // the whole (k − 1)-hop ball around one endpoint instead reads 0.18.
+    let mut rng = SmallRng::seed_from_u64(31);
+    let g = generators::barabasi_albert(400, 3, &mut rng);
+    let n = g.num_nodes() as NodeId;
+    let k = 3;
+    let mut index = SignatureIndex::new(k, 16, 3);
+    index.insert_graph(&g, &g.nodes().collect::<Vec<_>>());
+    let mut maintainer = GraphMaintainer::attach(&g, k, 0, 1);
+    let (mut writer, _reader) = ConcurrentNedIndex::split(index);
+    let (mut candidates, mut replaced, mut flips) = (0usize, 0usize, 0usize);
+    while flips < 80 {
+        let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        if a == b || g.has_edge(a, b) {
+            continue;
+        }
+        for delta in [GraphDelta::AddEdge(a, b), GraphDelta::RemoveEdge(a, b)] {
+            let report = maintainer.apply(&[delta], &mut writer);
+            assert_eq!(report.applied, 1);
+            candidates += report.candidates;
+            replaced += report.replaced;
+            flips += 1;
+        }
+    }
+    let frac = replaced as f64 / candidates as f64;
+    assert!(
+        frac >= 0.5,
+        "only {replaced} of {candidates} candidates changed over {flips} flips ({frac:.3})"
+    );
 }
 
 #[test]
