@@ -224,8 +224,9 @@ pub fn knn_batch(
 /// are scanned in ascending
 /// [`NodeSignature::distance_lower_bound`] order and refinement stops as
 /// soon as the bound alone rules out every remaining candidate — the
-/// filter-and-refine pipeline with the interned class-histogram bound as
-/// the filter. Returns per-query `(hits, refined)` where `refined` counts
+/// filter-and-refine pipeline with the larger of the interned
+/// class-histogram bound and the sorted child-count bound as the filter.
+/// Returns per-query `(hits, refined)` where `refined` counts
 /// exact distance resolutions (≤ database size; the gap is the pruning
 /// win).
 ///

@@ -19,7 +19,11 @@
 //! * **`Exact(d)`** — the pair's true distance, recorded when a bounded
 //!   sweep ran to completion. Served for any future budget.
 //! * **`AtLeast(b)`** — the distance is known to *exceed* `b`, recorded
-//!   when a sweep abandoned under budget `b`. A future query with budget
+//!   when a sweep abandoned under budget `b`, or as `bound − 1` when the
+//!   sorted child-count bound
+//!   ([`ted_star_degree_lower_bound`](crate::ted_star_degree_lower_bound))
+//!   rejected the pair before any sweep — exactly the pairs whose sweep
+//!   would have abandoned. A future query with budget
 //!   `<= b` is answered `None` without touching the trees (the common
 //!   case in kNN verification, where the pruning radius only shrinks);
 //!   a looser budget falls through to a fresh sweep, whose outcome then

@@ -127,12 +127,15 @@ impl NodeSignature {
         crate::ted_star::ted_star_prepared_within(&self.prepared, &other.prepared, budget)
     }
 
-    /// Cheap lower bound on [`NodeSignature::distance`]: the level-size L1
-    /// bound maxed with the interned class-histogram bound (see
-    /// [`crate::ted_star_class_lower_bound`]); the filter step of
-    /// filter-and-refine retrieval.
+    /// Cheap lower bound on [`NodeSignature::distance`]: the larger of the
+    /// interned class-histogram bound (which includes the level-size L1
+    /// bound; see [`crate::ted_star_class_lower_bound`]) and the sorted
+    /// child-count bound ([`crate::ted_star_degree_lower_bound`]); the
+    /// filter step of filter-and-refine retrieval.
     pub fn distance_lower_bound(&self, other: &NodeSignature) -> u64 {
-        crate::ted_star::ted_star_class_lower_bound(&self.prepared, &other.prepared)
+        let (a, b) = (&*self.prepared, &*other.prepared);
+        crate::ted_star::ted_star_class_lower_bound(a, b)
+            .max(crate::ted_star::ted_star_degree_lower_bound(a, b))
     }
 
     /// Per-level cost breakdown against another signature.

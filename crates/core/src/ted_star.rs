@@ -206,6 +206,14 @@ pub struct PreparedTree {
     run_counts: Box<[u32]>,
     /// CSR offsets into the run arrays; `run_offsets.len() == num_levels + 1`.
     run_offsets: Box<[u32]>,
+    /// Each level's non-zero child counts, sorted descending, behind a
+    /// CSR header in the same allocation: the first `num_levels + 1`
+    /// entries are offsets into this array, level `l`'s counts being
+    /// `child_counts[child_counts[l]..child_counts[l + 1]]`. Leaves are
+    /// left out — in descending order the zeros only pad the tail, where
+    /// they cost nothing to align — so the array holds one count per
+    /// internal node. Read by [`ted_star_degree_lower_bound`].
+    child_counts: Box<[u32]>,
 }
 
 impl PreparedTree {
@@ -271,7 +279,7 @@ impl PreparedTree {
     }
 
     /// Shared SoA builder: sorts each level's class slice in place and
-    /// derives the cached sizes and histogram runs.
+    /// derives the cached sizes, histogram runs and sorted child counts.
     fn build(tree: Tree, code: Box<[u8]>, mut classes: Vec<u32>, level_offsets: Vec<u32>) -> Self {
         let k = level_offsets.len() - 1;
         debug_assert_eq!(k, tree.num_levels());
@@ -281,9 +289,23 @@ impl PreparedTree {
         let mut run_counts: Vec<u32> = Vec::new();
         let mut run_offsets = Vec::with_capacity(k + 1);
         run_offsets.push(0u32);
+        // Only nodes above the bottom level can have children (a tree
+        // always has its root level, so `k >= 1`).
+        let internal_max = tree.len() - tree.level_size(k - 1);
+        let mut child_counts = Vec::with_capacity(k + 1 + internal_max);
+        child_counts.resize(k + 1, 0u32);
         for l in 0..k {
             let (s, e) = (level_offsets[l] as usize, level_offsets[l + 1] as usize);
             level_sizes.push((e - s) as u32);
+            child_counts[l] = child_counts.len() as u32;
+            let first = child_counts.len();
+            for v in tree.level(l) {
+                let c = tree.num_children(v) as u32;
+                if c > 0 {
+                    child_counts.push(c);
+                }
+            }
+            child_counts[first..].sort_unstable_by(|x, y| y.cmp(x));
             let lvl = &mut classes[s..e];
             // BFS levels are dominated by one repeated class (leaves);
             // dodge the sort when the level is already uniform.
@@ -303,6 +325,7 @@ impl PreparedTree {
             }
             run_offsets.push(run_classes.len() as u32);
         }
+        child_counts[k] = child_counts.len() as u32;
         PreparedTree {
             tree,
             code,
@@ -312,6 +335,7 @@ impl PreparedTree {
             run_classes: run_classes.into_boxed_slice(),
             run_counts: run_counts.into_boxed_slice(),
             run_offsets: run_offsets.into_boxed_slice(),
+            child_counts: child_counts.into_boxed_slice(),
         }
     }
 
@@ -353,6 +377,17 @@ impl PreparedTree {
             self.run_offsets[l + 1] as usize,
         );
         (&self.run_classes[s..e], &self.run_counts[s..e])
+    }
+
+    /// The non-zero child counts of level `l`'s nodes, descending; empty
+    /// for the bottom level and beyond.
+    #[inline]
+    fn level_child_counts(&self, l: usize) -> &[u32] {
+        if l >= self.num_levels() {
+            return &[];
+        }
+        let h = &self.child_counts;
+        &h[h[l] as usize..h[l + 1] as usize]
     }
 
     /// The interned class id of the whole tree (the root's subtree class):
@@ -475,6 +510,75 @@ pub fn ted_star_class_lower_bound(a: &PreparedTree, b: &PreparedTree) -> u64 {
     size_l1.max(hist_bound)
 }
 
+/// A lower bound on `TED*` between prepared trees computed from the two
+/// trees' sorted child counts alone:
+/// `Σ_l P_l + Σ_l ⌈(m_l − P_{l+1}) / 2⌉`, where `P_l` is the level-size
+/// difference at level `l` and `m_l` the L1 distance between the two
+/// levels' child counts, each sorted and zero-padded to a common length.
+///
+/// Proof sketch. Algorithm 1 charges level `l` exactly
+/// `P_l + (m(G²_l) − P_{l+1}) / 2` (Equation 5), where `m(G²_l)` is the
+/// minimum-cost matching of the (padded) level slots under the weight
+/// `|S(v) Δ S(w)|`, `S(·)` being a slot's children-label multiset. Every
+/// such weight is at least `||S(v)| − |S(w)||`, the difference of the two
+/// slots' child counts, so `m(G²_l)` is at least the cheapest matching of
+/// the counts under `|x − y|` — and on a line, pairing sorted order with
+/// sorted order is an optimal matching, so that minimum is `m_l`. Thus
+/// `m(G²_l) ≥ m_l`, and since `m(G²_l) − P_{l+1}` is even, its half is at
+/// least `⌈(m_l − P_{l+1}) / 2⌉`. (`m_l ≥ P_{l+1}` always: the counts of
+/// level `l` sum to the width of level `l + 1`.) Summing over levels
+/// gives `ted_star_degree_lower_bound(a, b) <= ted_star(a, b)`.
+///
+/// It is symmetric and at least the level-size bound
+/// ([`ted_star_lower_bound`]). On trees of at most three levels it equals
+/// `TED*`: the bottom level's slots all carry the leaf label, so the
+/// weights one level up are exactly count differences, and the root
+/// level is left only its padding after re-canonization.
+/// `O(internal nodes)` per pair, allocation-free: the counts are
+/// precomputed by [`PreparedTree`].
+///
+/// ```
+/// use ned_core::{ted_star_degree_lower_bound, ted_star_prepared, PreparedTree};
+/// use ned_tree::generate::{path_tree, star_tree};
+///
+/// let a = PreparedTree::new(&path_tree(6));
+/// let b = PreparedTree::new(&star_tree(6));
+/// assert!(ted_star_degree_lower_bound(&a, &b) <= ted_star_prepared(&a, &b));
+/// ```
+pub fn ted_star_degree_lower_bound(a: &PreparedTree, b: &PreparedTree) -> u64 {
+    let (sa, sb) = (&a.level_sizes[..], &b.level_sizes[..]);
+    let k = sa.len().max(sb.len());
+    // Level widths, zero past a tree's depth.
+    let width = |s: &[u32], l: usize| u64::from(s.get(l).copied().unwrap_or(0));
+    let mut bound = 0u64;
+    // Bottom-up, like the sweep: `P_{l+1}`, zero below the bottom level.
+    let mut p_below = 0u64;
+    for l in (0..k).rev() {
+        let p = width(sa, l).abs_diff(width(sb, l));
+        let (ca, cb) = (a.level_child_counts(l), b.level_child_counts(l));
+        let common = ca.len().min(cb.len());
+        // Both descending, so position `i` pairs the `i`-th largest
+        // counts; past the shorter list the partners are padded zeros, so
+        // the longer list's tail adds its own sum. A level's counts sum to
+        // the width of the level below, so that tail sum is the width
+        // minus the paired part — no walk over a hub's long tail.
+        let (mut diff, mut paired_a, mut paired_b) = (0u64, 0u64, 0u64);
+        for (&x, &y) in ca[..common].iter().zip(&cb[..common]) {
+            diff += u64::from(x.abs_diff(y));
+            paired_a += u64::from(x);
+            paired_b += u64::from(y);
+        }
+        let m = diff + (width(sa, l + 1) - paired_a) + (width(sb, l + 1) - paired_b);
+        debug_assert!(
+            m >= p_below,
+            "count L1 {m} < P_below {p_below} at level {l}"
+        );
+        bound += p + (m - p_below).div_ceil(2);
+        p_below = p;
+    }
+    bound
+}
+
 /// Early-abandoning `TED*`: `Some(d)` **iff** the distance `d` is
 /// `<= limit`, `None` **whenever** it exceeds `limit` — a hard contract,
 /// not a best-effort filter, so callers never need to re-check the
@@ -517,9 +621,11 @@ pub fn ted_star_within(t1: &Tree, t2: &Tree, limit: u64) -> Option<u64> {
 /// call the metric index issues for every candidate, passing the current
 /// pruning radius as the budget.
 ///
-/// The kernel (see `ted_kernel`) first rejects on the full
+/// Under a finite budget two static bounds run before any sweep: the
 /// [`ted_star_class_lower_bound`] (the interned class-histogram bound),
-/// then sweeps levels bottom-up while maintaining
+/// then the [`ted_star_degree_lower_bound`] (the sorted child-count
+/// bound). The kernel (see `ted_kernel`) then sweeps levels bottom-up
+/// while maintaining
 /// `partial_cost + residual_lower_bound(remaining levels)` — the
 /// residual being the padding still forced at unprocessed levels, i.e.
 /// the level-size differences — and aborts mid-sweep — or mid-matching,
@@ -528,8 +634,12 @@ pub fn ted_star_within(t1: &Tree, t2: &Tree, limit: u64) -> Option<u64> {
 /// per-call state lives in a thread-local scratch arena, so steady-state
 /// calls allocate nothing; results are additionally cached in the
 /// process-wide [`TedMemo`](crate::memo::TedMemo) keyed by the pair's
-/// interned isomorphism classes (aborts are cached too, as
-/// distance-exceeds-budget floors).
+/// interned isomorphism classes. Aborts are cached too, as
+/// distance-exceeds floors: a sweep that abandons records `budget`, a
+/// child-count rejection records `bound − 1`. A class-bound rejection
+/// records nothing, so the memo holds exactly the pairs a sweep-only
+/// kernel would. An unlimited budget (`u64::MAX`) skips both static
+/// bounds, since neither can exceed it.
 ///
 /// ```
 /// use ned_core::{ted_star_prepared, ted_star_prepared_within, PreparedTree};
@@ -550,8 +660,16 @@ pub fn ted_star_prepared_within(a: &PreparedTree, b: &PreparedTree, budget: u64)
     if let Some(decided) = memo.consult(key, budget) {
         return decided;
     }
-    if ted_star_class_lower_bound(a, b) > budget {
-        return None;
+    if budget != u64::MAX {
+        if ted_star_class_lower_bound(a, b) > budget {
+            return None;
+        }
+        let bound = ted_star_degree_lower_bound(a, b);
+        if bound > budget {
+            // Exactly a pair whose sweep would abandon and be recorded.
+            memo.record_at_least(key, bound - 1);
+            return None;
+        }
     }
     let result = if a.code <= b.code {
         crate::ted_kernel::bounded_sweep_prepared_tl(a, b, budget)

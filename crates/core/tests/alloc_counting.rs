@@ -9,7 +9,8 @@
 //! tests.
 
 use ned_core::{
-    ted_star_class_lower_bound, ted_star_prepared, ted_star_prepared_within, PreparedTree, TedMemo,
+    ted_star_class_lower_bound, ted_star_degree_lower_bound, ted_star_prepared,
+    ted_star_prepared_within, NodeSignature, PreparedTree, TedMemo,
 };
 use ned_tree::generate::random_bounded_depth_tree;
 use rand::rngs::SmallRng;
@@ -122,14 +123,42 @@ fn steady_state_bounded_calls_do_not_allocate() {
         "ted_star_prepared allocated in steady state"
     );
 
-    // The SoA class-histogram lower bound walks flat per-level size and
-    // run arrays baked into the PreparedTree — it must never allocate,
-    // even on the very first call (no warm-up, no scratch arena).
+    // The SoA lower bounds walk flat per-level arrays baked into the
+    // PreparedTree — they must never allocate, even on the very first
+    // call (no warm-up, no scratch arena).
+    type Bound = fn(&PreparedTree, &PreparedTree) -> u64;
+    let bounds: [(&str, Bound); 2] = [
+        ("ted_star_class_lower_bound", ted_star_class_lower_bound),
+        ("ted_star_degree_lower_bound", ted_star_degree_lower_bound),
+    ];
+    for (name, bound) in bounds {
+        let before = allocations();
+        let mut lb_checksum = 0u64;
+        for (i, a) in prepared.iter().enumerate() {
+            for b in prepared.iter().skip(i + 1) {
+                lb_checksum = lb_checksum.wrapping_add(bound(a, b));
+            }
+        }
+        std::hint::black_box(lb_checksum);
+        let after = allocations();
+        assert_eq!(
+            after - before,
+            0,
+            "{name} allocated (it must be allocation-free)"
+        );
+    }
+
+    // The signature-level filter bound is the max of the two.
+    let sigs: Vec<NodeSignature> = prepared
+        .iter()
+        .enumerate()
+        .map(|(i, p)| NodeSignature::from_prepared(i as u32, p.clone()))
+        .collect();
     let before = allocations();
     let mut lb_checksum = 0u64;
-    for (i, a) in prepared.iter().enumerate() {
-        for b in prepared.iter().skip(i + 1) {
-            lb_checksum = lb_checksum.wrapping_add(ted_star_class_lower_bound(a, b));
+    for (i, a) in sigs.iter().enumerate() {
+        for b in sigs.iter().skip(i + 1) {
+            lb_checksum = lb_checksum.wrapping_add(a.distance_lower_bound(b));
         }
     }
     std::hint::black_box(lb_checksum);
@@ -137,6 +166,6 @@ fn steady_state_bounded_calls_do_not_allocate() {
     assert_eq!(
         after - before,
         0,
-        "ted_star_class_lower_bound allocated (it must be allocation-free)"
+        "NodeSignature::distance_lower_bound allocated (it must be allocation-free)"
     );
 }

@@ -5,14 +5,27 @@
 //! every accepted candidate, no false abandons, regardless of budget
 //! order, orientation, or what the cross-pair memo has already seen.
 
+use ned_core::memo::DEFAULT_MEMO_CAPACITY;
 use ned_core::{
-    ted_star, ted_star_prepared, ted_star_prepared_within, ted_star_with, ted_star_within,
-    PreparedTree, TedStarConfig,
+    ted_star, ted_star_class_lower_bound, ted_star_degree_lower_bound, ted_star_prepared,
+    ted_star_prepared_within, ted_star_with, ted_star_within, PreparedTree, TedMemo, TedStarConfig,
 };
+use ned_graph::bfs::k_adjacent_tree;
+use ned_graph::generators::barabasi_albert;
 use ned_tree::generate::random_bounded_depth_tree;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Serializes the tests that call into the process-wide memo, so the
+/// ones that read its counters and size see only their own traffic.
+static MEMO: Mutex<()> = Mutex::new(());
+
+fn memo_lock() -> MutexGuard<'static, ()> {
+    MEMO.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -25,6 +38,7 @@ proptest! {
         depth_a in 2..6usize,
         depth_b in 2..6usize,
     ) {
+        let _memo = memo_lock();
         let mut rng = SmallRng::seed_from_u64(seed);
         let a = random_bounded_depth_tree(nodes_a, depth_a, &mut rng);
         let b = random_bounded_depth_tree(nodes_b, depth_b, &mut rng);
@@ -52,6 +66,7 @@ proptest! {
         // Drive one pair through a budget sequence designed to exercise
         // every memo transition: abort floors recorded low then raised,
         // then an exact fact recorded, then served for both outcomes.
+        let _memo = memo_lock();
         let mut rng = SmallRng::seed_from_u64(seed);
         let a = random_bounded_depth_tree(30, 4, &mut rng);
         let b = random_bounded_depth_tree(24, 5, &mut rng);
@@ -98,6 +113,7 @@ fn bounded_kernel_agrees_with_every_exact_engine() {
     // Belt and braces on top of the proptests: the kernel (unlimited
     // budget) against the dense checked engine and the classic standard
     // configuration on a fixed corpus.
+    let _memo = memo_lock();
     let mut rng = SmallRng::seed_from_u64(0xB0B);
     for _ in 0..30 {
         let a = random_bounded_depth_tree(35, 5, &mut rng);
@@ -119,4 +135,125 @@ fn identical_pairs_short_circuit() {
     // Budget 0 still accepts a zero distance.
     assert_eq!(ted_star_prepared_within(&pa, &pb, 0), Some(0));
     assert_eq!(ted_star_prepared_within(&pa, &pa, u64::MAX), Some(0));
+}
+
+/// The memo key of a pair, as the kernel forms it (unordered root
+/// classes).
+fn class_pair(a: &PreparedTree, b: &PreparedTree) -> (u32, u32) {
+    let (x, y) = (a.root_class(), b.root_class());
+    (x.min(y), x.max(y))
+}
+
+/// Random trees and a budget that the class bound admits but the
+/// child-count bound rejects by at least two (`budget = class`,
+/// `class + 1 < degree`), or, when `by_class`, one the class bound
+/// rejects (`budget < class`).
+fn rejected_pair(seed: u64, by_class: bool) -> (PreparedTree, PreparedTree, u64) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    loop {
+        let a = PreparedTree::new(&random_bounded_depth_tree(24, 3, &mut rng));
+        let b = PreparedTree::new(&random_bounded_depth_tree(24, 3, &mut rng));
+        let class = ted_star_class_lower_bound(&a, &b);
+        let degree = ted_star_degree_lower_bound(&a, &b);
+        if by_class && class > 0 {
+            return (a, b, class - 1);
+        }
+        if !by_class && class + 1 < degree {
+            return (a, b, class);
+        }
+    }
+}
+
+#[test]
+fn degree_bound_rejection_is_a_memo_hit_next_time() {
+    let _memo = memo_lock();
+    let memo = TedMemo::global();
+    memo.set_capacity(DEFAULT_MEMO_CAPACITY);
+    let (a, b, budget) = rejected_pair(0xDE6, false);
+    assert!(ted_star_prepared(&a, &b) > budget);
+    memo.clear();
+
+    assert_eq!(ted_star_prepared_within(&a, &b, budget), None);
+    assert_eq!(memo.len(), 1, "a child-count rejection records its pair");
+    let before = memo.stats();
+    assert_eq!(ted_star_prepared_within(&b, &a, budget), None);
+    let after = memo.stats().since(&before);
+    assert_eq!((after.hits, after.misses), (1, 0), "second call must hit");
+    // The recorded floor is the bound itself, not just the budget.
+    let degree = ted_star_degree_lower_bound(&a, &b);
+    assert_eq!(ted_star_prepared_within(&a, &b, degree - 1), None);
+    assert_eq!(memo.stats().since(&before).hits, 2, "floor below the bound");
+}
+
+#[test]
+fn class_bound_rejection_adds_no_memo_entry() {
+    let _memo = memo_lock();
+    let memo = TedMemo::global();
+    memo.set_capacity(DEFAULT_MEMO_CAPACITY);
+    let (a, b, budget) = rejected_pair(0xC1A, true);
+    memo.clear();
+
+    assert_eq!(ted_star_prepared_within(&a, &b, budget), None);
+    assert_eq!(memo.len(), 0, "a class-bound rejection records nothing");
+    let before = memo.stats();
+    assert_eq!(ted_star_prepared_within(&a, &b, budget), None);
+    let after = memo.stats().since(&before);
+    assert_eq!((after.hits, after.misses), (0, 1));
+}
+
+#[test]
+fn memo_holds_exactly_the_pairs_a_sweep_only_kernel_records() {
+    // A kNN refine loop over BA neighborhoods: every candidate in
+    // database order (no filter in front, so the kernel meets both kinds
+    // of rejection), the k-th best distance as the budget. A sweep-only
+    // kernel records a pair on every call that gets past the memo and
+    // the (unrecorded) class bound, so its memo holds exactly the pairs
+    // some call admitted by the class bound; the child-count rejections
+    // must record that same set.
+    let _memo = memo_lock();
+    let memo = TedMemo::global();
+    memo.set_capacity(DEFAULT_MEMO_CAPACITY);
+    memo.clear();
+    let mut rng = SmallRng::seed_from_u64(0x5EED);
+    let prepare = |g: &ned_graph::Graph| -> Vec<PreparedTree> {
+        g.nodes()
+            .map(|v| PreparedTree::new(&k_adjacent_tree(g, v, 3)))
+            .collect()
+    };
+    let database = prepare(&barabasi_albert(300, 3, &mut rng));
+    let queries = prepare(&barabasi_albert(40, 3, &mut rng));
+    const TOP: usize = 5;
+
+    let mut admitted: HashSet<(u32, u32)> = HashSet::new();
+    let (mut class_rejections, mut degree_rejections) = (0usize, 0usize);
+    for q in &queries {
+        let mut best: Vec<u64> = Vec::with_capacity(TOP + 1);
+        for c in &database {
+            let budget = if best.len() < TOP {
+                u64::MAX
+            } else {
+                best[TOP - 1]
+            };
+            if q.code() != c.code() {
+                if ted_star_class_lower_bound(q, c) > budget {
+                    class_rejections += 1;
+                } else {
+                    admitted.insert(class_pair(q, c));
+                    if budget != u64::MAX && ted_star_degree_lower_bound(q, c) > budget {
+                        degree_rejections += 1;
+                    }
+                }
+            }
+            if let Some(d) = ted_star_prepared_within(q, c, budget) {
+                best.push(d);
+                best.sort_unstable();
+                best.truncate(TOP);
+            }
+        }
+    }
+    assert!(
+        class_rejections > 0 && degree_rejections > 0,
+        "loop too easy"
+    );
+    assert_eq!(memo.len(), admitted.len());
 }

@@ -10,9 +10,11 @@
 //! every level of every pair.
 
 use ned_core::{
-    ted_star, ted_star_class_lower_bound, ted_star_prepared_report, ted_star_with, Matcher,
-    PreparedTree, TedStarConfig,
+    ted_star, ted_star_class_lower_bound, ted_star_degree_lower_bound, ted_star_lower_bound,
+    ted_star_prepared_report, ted_star_with, Matcher, PreparedTree, TedStarConfig,
 };
+use ned_graph::bfs::k_adjacent_tree;
+use ned_graph::generators::{barabasi_albert, erdos_renyi_gnm};
 use ned_tree::generate::{
     caterpillar_tree, path_tree, perfect_tree, random_attachment_tree, random_bounded_depth_tree,
     star_tree,
@@ -192,6 +194,78 @@ fn class_lower_bound_is_sound() {
         assert_eq!(bound, ted_star_class_lower_bound(&pb, &pa));
         // and at least as strong as the level-size bound
         assert!(bound >= ned_core::ted_star_lower_bound(&a, &b));
+    }
+}
+
+/// Checks every property the child-count bound promises on one pair and
+/// returns `(bound, distance)`.
+fn check_degree_bound(a: &Tree, b: &Tree, what: &str) -> (u64, u64) {
+    let (pa, pb) = (PreparedTree::new(a), PreparedTree::new(b));
+    let bound = ted_star_degree_lower_bound(&pa, &pb);
+    let exact = ted_star(a, b);
+    assert!(
+        bound <= exact,
+        "{what}: degree bound {bound} > distance {exact}"
+    );
+    assert_eq!(
+        bound,
+        ted_star_degree_lower_bound(&pb, &pa),
+        "{what}: asymmetric"
+    );
+    assert!(
+        bound >= ted_star_lower_bound(a, b),
+        "{what}: degree bound {bound} below the level-size bound"
+    );
+    if a.num_levels() <= 3 && b.num_levels() <= 3 {
+        // Two levels below the root: the bottom collections hold only
+        // leaf labels, so slot weights are exactly count differences.
+        assert_eq!(bound, exact, "{what}: not exact on a <= 3-level pair");
+    }
+    (bound, exact)
+}
+
+#[test]
+fn degree_lower_bound_is_sound_on_random_trees() {
+    let mut rng = SmallRng::seed_from_u64(0xDE60);
+    let mut tight = 0usize;
+    let mut pairs = 0usize;
+    for round in 0..600 {
+        let depth_a = 1 + round % 6;
+        let depth_b = 1 + (round / 6) % 6;
+        let a = random_bounded_depth_tree(2 + round % 30, depth_a, &mut rng);
+        let b = random_bounded_depth_tree(2 + (round * 7) % 30, depth_b, &mut rng);
+        let (bound, exact) = check_degree_bound(&a, &b, &format!("round {round}"));
+        pairs += 1;
+        tight += usize::from(bound == exact);
+    }
+    assert!(
+        tight * 2 > pairs,
+        "bound tight on only {tight}/{pairs} pairs"
+    );
+}
+
+#[test]
+fn degree_lower_bound_is_sound_on_graph_neighborhoods() {
+    let mut rng = SmallRng::seed_from_u64(0xDE61);
+    let graphs = [
+        ("ba", barabasi_albert(80, 2, &mut rng)),
+        ("ba3", barabasi_albert(60, 3, &mut rng)),
+        ("er", erdos_renyi_gnm(70, 150, &mut rng)),
+    ];
+    for k in 1..=5usize {
+        let trees: Vec<(String, Tree)> = graphs
+            .iter()
+            .flat_map(|(name, g)| {
+                g.nodes()
+                    .step_by(9)
+                    .map(move |v| (format!("{name}:{v}"), k_adjacent_tree(g, v, k)))
+            })
+            .collect();
+        for (i, (na, a)) in trees.iter().enumerate() {
+            for (nb, b) in &trees[i..] {
+                check_degree_bound(a, b, &format!("k={k} {na} vs {nb}"));
+            }
+        }
     }
 }
 

@@ -10,13 +10,14 @@
 //! re-extraction and no re-preparation.
 //!
 //! Queries go through [`SignatureMetric`]: exact distances are TED\* on
-//! prepared signatures, and the filter step is the interned-class lower
-//! bound ([`NodeSignature::distance_lower_bound`]), evaluated before
+//! prepared signatures, and the filter step is
+//! [`NodeSignature::distance_lower_bound`] (the larger of the
+//! interned-class and sorted child-count lower bounds), evaluated before
 //! every exact call both in the forest's buffer scan and inside each
-//! VP shard. The bound is a branch-light merge over the sorted
-//! class-histogram runs each [`ned_core::PreparedTree`] precomputes, so
-//! filtering a candidate costs a fraction of a microsecond — cheap
-//! enough to run unconditionally ahead of every exact distance.
+//! VP shard. Both bounds are branch-light passes over sorted arrays each
+//! [`ned_core::PreparedTree`] precomputes, so filtering a candidate
+//! costs a fraction of a microsecond — cheap enough to run
+//! unconditionally ahead of every exact distance.
 //!
 //! In front of both sits the **sketch tier** ([`crate::sketch`]): a flat
 //! bank of quantized per-level feature vectors maintained alongside the
@@ -35,8 +36,8 @@ use std::io::{Read as _, Write as _};
 use std::path::Path;
 
 /// NED over node signatures as a [`BoundedMetric`]: exact distances are
-/// `TED*` (a true metric, hence VP-tree-safe), the lower bound is the
-/// interned-class histogram bound, and budgeted calls run the
+/// `TED*` (a true metric, hence VP-tree-safe), the lower bound is
+/// [`NodeSignature::distance_lower_bound`], and budgeted calls run the
 /// early-abandoning kernel (`ned_core::ted_star_prepared_within`) — so
 /// the forest's pruning radius cuts computations short *inside* the
 /// level sweep, not just between candidates. `u64` distances are exact

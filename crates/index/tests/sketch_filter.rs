@@ -13,13 +13,14 @@
 //!    across a save/load round trip of the sketch-carrying snapshot
 //!    format.
 
-use ned_core::NodeSignature;
+use ned_core::{ted_star_degree_lower_bound, NodeSignature};
 use ned_graph::{generators, Graph};
 use ned_index::sketch::Sketch;
-use ned_index::{SignatureIndex, SketchMode};
+use ned_index::{SignatureIndex, SketchBank, SketchMode};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 
 /// One of the paper's three benchmark graph families, picked by `kind`.
 fn sample_graph(kind: u8, rng: &mut SmallRng) -> Graph {
@@ -147,4 +148,82 @@ fn approx_mode_returns_true_distances() {
             assert_eq!(hit.distance as u64, q.distance(sig), "id {}", hit.id);
         }
     }
+}
+
+/// Pruning power of the child-count bound on the bank's own refine
+/// order. Cold probes (root classes the bank does not hold) refine many
+/// candidates whose budgeted sweep returns `None`; the kernel rejects
+/// those before any sweep when `ted_star_degree_lower_bound` exceeds the
+/// budget, and it must do so for at least 90% of them.
+#[test]
+fn degree_bound_rejects_the_cold_refines_that_would_abandon() {
+    const TOP: usize = 5;
+    let mut rng = SmallRng::seed_from_u64(0xC01D);
+    let bank_graph = generators::barabasi_albert(1000, 3, &mut rng);
+    let probe_graph = generators::barabasi_albert(1000, 3, &mut rng);
+    let entries: Vec<(u64, NodeSignature)> = bank_graph
+        .nodes()
+        .map(|v| (u64::from(v), NodeSignature::extract(&bank_graph, v, 3)))
+        .collect();
+    let bank = SketchBank::bulk(&entries, 1);
+    let sketches: Vec<Sketch> = entries.iter().map(|(_, s)| Sketch::of(s)).collect();
+    let mut seen: HashSet<u32> = entries
+        .iter()
+        .map(|(_, s)| s.prepared().root_class())
+        .collect();
+    let probes: Vec<NodeSignature> = probe_graph
+        .nodes()
+        .map(|v| NodeSignature::extract(&probe_graph, v, 3))
+        .filter(|s| seen.insert(s.prepared().root_class()))
+        .take(60)
+        .collect();
+    assert_eq!(probes.len(), 60, "too few cold classes");
+
+    let (mut would_abandon, mut rejected) = (0usize, 0usize);
+    for q in &probes {
+        // `SketchBank::knn`'s refine loop: candidates by (sketch bound,
+        // id), the k-th best distance as the budget.
+        let qs = Sketch::of(q);
+        let mut order: Vec<(u64, u64, usize)> = sketches
+            .iter()
+            .enumerate()
+            .map(|(r, s)| (qs.lower_bound(s), entries[r].0, r))
+            .collect();
+        order.sort_unstable();
+        let mut best: Vec<(u64, u64)> = Vec::with_capacity(TOP + 1);
+        for &(bound, id, r) in &order {
+            let budget = if best.len() < TOP {
+                u64::MAX
+            } else {
+                best[TOP - 1].0
+            };
+            if bound > budget {
+                break;
+            }
+            let c = &entries[r].1;
+            let d = q.distance(c);
+            if d > budget {
+                would_abandon += 1;
+                if ted_star_degree_lower_bound(q.prepared(), c.prepared()) > budget {
+                    rejected += 1;
+                }
+            } else {
+                best.push((d, id));
+                best.sort_unstable();
+                best.truncate(TOP);
+            }
+        }
+        // The replay is the bank's loop: same answer.
+        let hits: Vec<(u64, u64)> = bank
+            .knn(q, TOP, 1, SketchMode::Exact)
+            .iter()
+            .map(|h| (h.distance as u64, h.id))
+            .collect();
+        assert_eq!(hits, best, "replay diverged from SketchBank::knn");
+    }
+    assert!(would_abandon > 0, "no refine would abandon");
+    assert!(
+        rejected * 10 >= would_abandon * 9,
+        "child-count bound rejected {rejected} of {would_abandon} abandoning refines"
+    );
 }
