@@ -32,7 +32,9 @@
 //! measured recall gated at ≥ 0.95. Since PR 10 the sketch bank clones
 //! **copy-on-write** (chunk-shared `Arc` rows), clawing back the per-
 //! publication bank copy the PR 9 trajectory recorded on
-//! `delta/ba4000-edge-churn`.
+//! `delta/ba4000-edge-churn`. `sketch/ba4000-scan` prices the bank's
+//! scan layer alone: the bound pass and the `(bound, id)` order, walked
+//! as far as each probe's knn refine loop goes, without the refine.
 //!
 //! Run with `cargo run --release -p ned-bench --bin perf_snapshot
 //! [output.json]`. Every workload is seeded, so successive runs measure
@@ -45,6 +47,7 @@ use ned_core::{
 };
 use ned_graph::bfs::TreeExtractor;
 use ned_graph::generators;
+use ned_index::sketch::order_by_bound;
 use ned_index::{
     ConcurrentNedIndex, FnMetric, ShardedVpForest, SignatureIndex, SignatureMetric, VpTree,
 };
@@ -485,6 +488,33 @@ fn main() {
         p99_ns: None,
     });
     let sketch_speedup = bounded_ns / sketch_ns;
+
+    // The scan layer of that knn on its own: the bound pass plus the
+    // (bound, id) order, walked as far as each probe's refine loop goes
+    // (the rows it refined plus the one whose bound ended it), with no
+    // refine. One thread, the TCP server's per-query fan-out.
+    let bank = sketch_index.sketch_bank();
+    let visited: Vec<usize> = probes
+        .iter()
+        .map(|q| {
+            let before = bank.stats();
+            bank.knn(q, 5, 1, ned_index::SketchMode::Exact);
+            let after = bank.stats();
+            (after.refined - before.refined + u64::from(after.pruned > before.pruned)) as usize
+        })
+        .collect();
+    let scan_ns = measure(7, 4, || {
+        for (q, &rows) in probes.iter().zip(&visited) {
+            let bounds = bank.scan_bounds(q, 1, ned_index::SketchMode::Exact);
+            std::hint::black_box(order_by_bound(&bounds, bank.ids()).take(rows).count());
+        }
+    }) / probes.len() as f64;
+    entries.push(Entry {
+        name: "sketch/ba4000-scan",
+        ns_per_op: scan_ns,
+        p50_ns: None,
+        p99_ns: None,
+    });
 
     // Approximate mode: the estimate over-counts (levels summed, not
     // maxed), so it prunes harder and may drop true neighbors — its

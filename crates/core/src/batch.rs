@@ -30,6 +30,39 @@ pub fn par_map<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync)
     indexed_par_map(n, threads, f)
 }
 
+/// Parallel in-place fill: `f(i, chunk)` for every `chunk_len`-sized
+/// chunk `i` of `data` (the last may be shorter), on up to `threads`
+/// scoped threads (`0` = all available parallelism). Each thread takes
+/// one contiguous run of chunks, which suits uniform per-element work.
+/// With one thread, or one chunk, it runs inline and allocates nothing.
+pub fn par_chunks_mut<T: Send>(
+    data: &mut [T],
+    chunk_len: usize,
+    threads: usize,
+    f: impl Fn(usize, &mut [T]) + Sync,
+) {
+    assert!(chunk_len > 0, "chunk length must be positive");
+    let chunks = data.len().div_ceil(chunk_len);
+    let threads = thread_count(threads, chunks);
+    if threads <= 1 {
+        for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
+            f(i, chunk);
+        }
+        return;
+    }
+    let per_run = chunks.div_ceil(threads);
+    let f = &f;
+    std::thread::scope(|scope| {
+        for (t, run) in data.chunks_mut(per_run * chunk_len).enumerate() {
+            scope.spawn(move || {
+                for (j, chunk) in run.chunks_mut(chunk_len).enumerate() {
+                    f(t * per_run + j, chunk);
+                }
+            });
+        }
+    });
+}
+
 /// Generic indexed parallel map (work-stealing over an atomic cursor).
 fn indexed_par_map<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let threads = thread_count(threads, n);
@@ -344,6 +377,23 @@ mod tests {
         let a: Vec<u32> = (0..10).collect();
         let b: Vec<u32> = (0..25).collect();
         (signatures(&g1, &a, 3), signatures(&g2, &b, 3))
+    }
+
+    #[test]
+    fn par_chunks_mut_visits_every_chunk_once() {
+        for threads in [1usize, 2, 3, 8] {
+            for len in [0usize, 1, 9, 10, 31] {
+                let mut data = vec![0usize; len];
+                par_chunks_mut(&mut data, 4, threads, |i, chunk| {
+                    assert!(chunk.len() <= 4);
+                    for (j, x) in chunk.iter_mut().enumerate() {
+                        *x += i * 4 + j + 1;
+                    }
+                });
+                let want: Vec<usize> = (1..=len).collect();
+                assert_eq!(data, want, "threads {threads}, len {len}");
+            }
+        }
     }
 
     #[test]

@@ -367,7 +367,8 @@ impl std::fmt::Display for SketchStats {
 }
 
 /// Rows per parallel scan chunk: large enough that a chunk amortizes
-/// its dispatch, small enough that the `par_map` pool balances.
+/// its dispatch, small enough that the threads balance. A whole number
+/// of lane chunks, so a scan chunk never starts inside one.
 const SCAN_CHUNK: usize = 1024;
 
 /// Rows per copy-on-write lane chunk: 256 rows × [`SKETCH_DIM`] lanes ×
@@ -375,6 +376,7 @@ const SCAN_CHUNK: usize = 1024;
 /// row copies 36 KB instead of the whole bank, large enough that the
 /// scan still streams long contiguous runs.
 const CHUNK_ROWS: usize = 256;
+const _: () = assert!(SCAN_CHUNK.is_multiple_of(CHUNK_ROWS));
 
 /// Chunk index and in-chunk lane offset for row `r`.
 #[inline]
@@ -387,6 +389,118 @@ fn chunk_lanes(flat: &[u16]) -> Vec<Arc<Vec<u16>>> {
     flat.chunks(CHUNK_ROWS * SKETCH_DIM)
         .map(|c| Arc::new(c.to_vec()))
         .collect()
+}
+
+/// The cap of [`order_by_bound`]'s counting sort: a bound below it gets
+/// a bucket of its own, and every bound at or above it shares one
+/// overflow bucket. Sketch bounds between nodes of ordinary graphs sit
+/// far below the cap; a row reaches it only when its level sizes differ
+/// from the query's by about a thousand nodes (a hub's neighborhood
+/// against a leaf's, say), so the overflow bucket is usually empty.
+pub const BOUND_CAP: usize = 1024;
+
+/// Orders rows by ascending `(bounds[r], ids[r])` in O(n) plus the cost
+/// of the buckets actually visited: the refine stage of
+/// [`SketchBank::knn`] walks this order and stops at the first bound past
+/// its radius, typically after a few percent of the rows, so fully
+/// sorting every row would be wasted work.
+///
+/// One counting pass files the row indices into `BOUND_CAP + 1` buckets
+/// by bound (see [`BOUND_CAP`]), each bucket in row order. The returned
+/// iterator walks the buckets in ascending order and sorts each one only
+/// when it first reaches it: a bucket below the cap holds a single bound,
+/// so it is sorted by id alone; the overflow bucket mixes bounds and is
+/// sorted by `(bound, id)`. Either way the visit order is **exactly**
+/// ascending `(bound, id)` — the order a full sort would give — so a
+/// caller's results and counters do not depend on the cap. Ids must be
+/// distinct for that order to be total.
+///
+/// `bounds[r]` and `ids[r]` describe row `r`; the iterator yields
+/// `(bound, row)` pairs.
+///
+/// ```
+/// use ned_index::sketch::order_by_bound;
+///
+/// let bounds = [3, 1, 3, 5000, 1, 4000];
+/// let ids = [10, 40, 5, 7, 20, 9];
+/// let order: Vec<(u32, u32)> = order_by_bound(&bounds, &ids).collect();
+/// assert_eq!(order, [(1, 4), (1, 1), (3, 2), (3, 0), (4000, 5), (5000, 3)]);
+/// ```
+pub fn order_by_bound<'a>(bounds: &'a [u32], ids: &'a [u64]) -> BoundOrder<'a> {
+    assert_eq!(bounds.len(), ids.len(), "one id per bound");
+    assert!(bounds.len() <= u32::MAX as usize, "row index overflows u32");
+    let bucket = |b: u32| (b as usize).min(BOUND_CAP);
+    // Counts, then exclusive prefix sums (bucket starts); the scatter
+    // advances each start to its bucket's end.
+    let mut ends = [0u32; BOUND_CAP + 1];
+    for &b in bounds {
+        ends[bucket(b)] += 1;
+    }
+    let mut acc = 0u32;
+    for e in &mut ends {
+        let count = *e;
+        *e = acc;
+        acc += count;
+    }
+    let mut rows = vec![0u32; bounds.len()];
+    for (r, &b) in bounds.iter().enumerate() {
+        let slot = &mut ends[bucket(b)];
+        rows[*slot as usize] = r as u32;
+        *slot += 1;
+    }
+    BoundOrder {
+        bounds,
+        ids,
+        rows,
+        ends,
+        bucket: 0,
+        pos: 0,
+        sorted_end: 0,
+    }
+}
+
+/// Iterator over rows in ascending `(bound, id)` order, yielding
+/// `(bound, row)`; built by [`order_by_bound`], which documents the
+/// bucketed ordering.
+#[derive(Debug)]
+pub struct BoundOrder<'a> {
+    bounds: &'a [u32],
+    ids: &'a [u64],
+    /// Row indices grouped by bucket; `rows[..sorted_end]` is in final
+    /// order.
+    rows: Vec<u32>,
+    /// `ends[b]` is one past bucket `b`'s last slot in `rows`.
+    ends: [u32; BOUND_CAP + 1],
+    /// Next bucket to sort.
+    bucket: usize,
+    /// Next slot to yield.
+    pos: usize,
+    sorted_end: usize,
+}
+
+impl Iterator for BoundOrder<'_> {
+    type Item = (u32, u32);
+
+    fn next(&mut self) -> Option<(u32, u32)> {
+        while self.pos == self.sorted_end {
+            if self.bucket > BOUND_CAP {
+                return None;
+            }
+            let end = self.ends[self.bucket] as usize;
+            let (bounds, ids) = (self.bounds, self.ids);
+            let bucket = &mut self.rows[self.sorted_end..end];
+            if self.bucket < BOUND_CAP {
+                bucket.sort_unstable_by_key(|&r| ids[r as usize]);
+            } else {
+                bucket.sort_unstable_by_key(|&r| (bounds[r as usize], ids[r as usize]));
+            }
+            self.sorted_end = end;
+            self.bucket += 1;
+        }
+        let r = self.rows[self.pos];
+        self.pos += 1;
+        Some((self.bounds[r as usize], r))
+    }
 }
 
 /// The SoA sketch bank: one row per live signature, lanes stored in
@@ -603,38 +717,49 @@ impl SketchBank {
         &mut Arc::make_mut(&mut self.lanes[c])[off..off + SKETCH_DIM]
     }
 
-    /// All rows' sketch distances to `qs`, computed chunk-parallel on
-    /// the shared `par_map` pool, sorted ascending by
-    /// `(bound, id)` so the refine stage can stop at the first bound
-    /// past its radius.
-    fn scan_bounds(&self, qs: &[u16; SKETCH_DIM], threads: usize, approx: bool) -> Vec<(u64, u32)> {
-        let n = self.ids.len();
-        let chunks = n.div_ceil(SCAN_CHUNK);
-        let per_chunk: Vec<Vec<(u64, u32)>> = ned_core::batch::par_map(chunks, threads, |ci| {
-            let start = ci * SCAN_CHUNK;
-            let end = (start + SCAN_CHUNK).min(n);
-            let mut out = Vec::with_capacity(end - start);
-            for r in start..end {
-                let b = if approx {
-                    sketch_estimate(qs, self.row_lanes(r))
-                } else {
-                    sketch_lower_bound(qs, self.row_lanes(r))
-                };
-                out.push((b, r as u32));
+    /// Row ids in row order: `ids()[r]` is the id of the row whose bound
+    /// is `scan_bounds(..)[r]`.
+    pub fn ids(&self) -> &[u64] {
+        &self.ids
+    }
+
+    /// Every row's sketch bound to `query`, in row order: the
+    /// [`sketch_lower_bound`] (or, in [`SketchMode::Approx`], the
+    /// [`sketch_estimate`]) against the query's sketch. One pass streams
+    /// the lane chunks into a single buffer; with `threads > 1` the rows
+    /// are split into 1024-row runs on scoped threads.
+    pub fn scan_bounds(&self, query: &NodeSignature, threads: usize, mode: SketchMode) -> Vec<u32> {
+        let approx = mode == SketchMode::Approx;
+        let mut qs = [0u16; SKETCH_DIM];
+        sketch_cached(query.prepared(), &mut qs);
+        let mut bounds = vec![0u32; self.ids.len()];
+        ned_core::batch::par_chunks_mut(&mut bounds, SCAN_CHUNK, threads, |ci, out| {
+            let first = ci * (SCAN_CHUNK / CHUNK_ROWS);
+            for (lanes, out) in self.lanes[first..].iter().zip(out.chunks_mut(CHUNK_ROWS)) {
+                // `out` holds only live rows, so the zip never reads the
+                // tail chunk's stale lanes.
+                for (b, row) in out.iter_mut().zip(lanes.chunks_exact(SKETCH_DIM)) {
+                    let row: &[u16; SKETCH_DIM] = row.try_into().expect("row dim");
+                    let bound = if approx {
+                        sketch_estimate(&qs, row)
+                    } else {
+                        sketch_lower_bound(&qs, row)
+                    };
+                    // Both are at most a `u32` lane sum.
+                    *b = bound as u32;
+                }
             }
-            out
         });
-        let mut bounds: Vec<(u64, u32)> = per_chunk.into_iter().flatten().collect();
-        bounds.sort_unstable_by_key(|&(b, r)| (b, self.ids[r as usize]));
         bounds
     }
 
     /// The `k` nearest rows to `query`, sorted by `(distance, id)`.
     /// In [`SketchMode::Exact`] (or `Off`, treated as exact here) the
-    /// result is bit-identical to a full scan: the scan is ordered by
-    /// the provable bound and stops once the bound alone exceeds the
-    /// current k-th best distance; every exact call runs the budgeted
-    /// kernel with that radius.
+    /// result is bit-identical to a full scan: rows are refined in
+    /// ascending `(bound, id)` order ([`order_by_bound`]) and the loop
+    /// stops once the bound alone exceeds the current k-th best
+    /// distance; every exact call runs the budgeted kernel with that
+    /// radius. Only the buckets the loop reaches are ever sorted.
     pub fn knn(
         &self,
         query: &NodeSignature,
@@ -645,17 +770,14 @@ impl SketchBank {
         if k == 0 || self.ids.is_empty() {
             return Vec::new();
         }
-        let approx = mode == SketchMode::Approx;
-        let mut qs = [0u16; SKETCH_DIM];
-        sketch_cached(query.prepared(), &mut qs);
-        let bounds = self.scan_bounds(&qs, threads, approx);
+        let bounds = self.scan_bounds(query, threads, mode);
         let shared = SharedBound::unbounded();
         let mut heap = BoundedHeap::new(k, &shared);
         let mut refined = 0u64;
         let mut cut = 0u64;
-        for (pos, &(bound, r)) in bounds.iter().enumerate() {
+        for (pos, (bound, r)) in order_by_bound(&bounds, &self.ids).enumerate() {
             let tau = heap.tau();
-            if bound as f64 > tau {
+            if f64::from(bound) > tau {
                 cut = (bounds.len() - pos) as u64;
                 break;
             }
@@ -691,7 +813,7 @@ impl SketchBank {
         sketch_cached(query.prepared(), &mut qs);
         let n = self.ids.len();
         let chunks = n.div_ceil(SCAN_CHUNK);
-        let refined = Arc::new(AtomicU64::new(0));
+        let refined = AtomicU64::new(0);
         let per_chunk: Vec<Vec<ForestHit>> = ned_core::batch::par_map(chunks, threads, |ci| {
             let start = ci * SCAN_CHUNK;
             let end = (start + SCAN_CHUNK).min(n);
@@ -737,7 +859,7 @@ mod tests {
     use super::*;
     use ned_graph::generators;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn sigs(n: usize, k: usize, seed: u64) -> Vec<NodeSignature> {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -796,6 +918,68 @@ mod tests {
                     assert_eq!((h.distance as u64, h.id), (d, id));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn scan_bounds_match_per_row_bounds_on_any_thread_count() {
+        // 2300 rows, then swap-removes: several scan chunks, a partial
+        // tail lane chunk holding stale lanes, ids out of row order.
+        let db = sigs(230, 3, 12);
+        let mut bank = SketchBank::new();
+        for id in 0..2300u64 {
+            bank.upsert(id, &db[id as usize % db.len()]);
+        }
+        for id in (0..2300u64).step_by(97) {
+            assert!(bank.remove(id));
+        }
+        let q = &sigs(5, 3, 13)[2];
+        let qs = Sketch::of(q);
+        for mode in [SketchMode::Exact, SketchMode::Approx] {
+            let want: Vec<u32> = bank
+                .ids()
+                .iter()
+                .map(|&id| {
+                    let row = bank.lanes_of(id).expect("live id");
+                    let b = match mode {
+                        SketchMode::Approx => sketch_estimate(qs.lanes(), row),
+                        _ => sketch_lower_bound(qs.lanes(), row),
+                    };
+                    b as u32
+                })
+                .collect();
+            for threads in [1usize, 2, 3] {
+                assert_eq!(
+                    bank.scan_bounds(q, threads, mode),
+                    want,
+                    "{mode}, {threads} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn order_by_bound_is_the_full_sort() {
+        let mut rng = SmallRng::seed_from_u64(14);
+        for n in [0usize, 1, 7, 300, 3000] {
+            let bounds: Vec<u32> = (0..n)
+                .map(|_| match rng.gen_range(0..4) {
+                    0 => rng.gen_range(0..4),
+                    1 => rng.gen_range(0..40),
+                    2 => rng.gen_range(BOUND_CAP as u32 - 2..BOUND_CAP as u32 + 2),
+                    _ => rng.gen_range(0..u32::MAX),
+                })
+                .collect();
+            let mut ids: Vec<u64> = (0..n as u64).map(|i| i * 7 + 3).collect();
+            for i in (1..n).rev() {
+                ids.swap(i, rng.gen_range(0..=i));
+            }
+            let mut want: Vec<(u32, u64, u32)> =
+                (0..n).map(|r| (bounds[r], ids[r], r as u32)).collect();
+            want.sort_unstable();
+            let want: Vec<(u32, u32)> = want.into_iter().map(|(b, _, r)| (b, r)).collect();
+            let order: Vec<(u32, u32)> = order_by_bound(&bounds, &ids).collect();
+            assert_eq!(order, want, "n {n}");
         }
     }
 

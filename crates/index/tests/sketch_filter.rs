@@ -12,15 +12,19 @@
 //!    ids *and* distances — under arbitrary insert/remove churn and
 //!    across a save/load round trip of the sketch-carrying snapshot
 //!    format.
+//!
+//! A third suite pins the bank's refine order: [`SketchBank::knn`]
+//! visits rows in exactly ascending `(bound, id)` order — the order a
+//! full sort gives — whatever the row layout, ties, or bucket cap.
 
 use ned_core::{ted_star_degree_lower_bound, NodeSignature};
 use ned_graph::{generators, Graph};
-use ned_index::sketch::Sketch;
+use ned_index::sketch::{sketch_estimate, sketch_lower_bound, Sketch, SketchStats, BOUND_CAP};
 use ned_index::{SignatureIndex, SketchBank, SketchMode};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// One of the paper's three benchmark graph families, picked by `kind`.
 fn sample_graph(kind: u8, rng: &mut SmallRng) -> Graph {
@@ -128,6 +132,156 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// The star `K_{1,leaves}`: its center's signature has a level of
+/// `leaves` nodes, so its sketch bound to an ordinary node's passes
+/// [`BOUND_CAP`] once `leaves` does.
+fn star(leaves: usize) -> Graph {
+    let edges: Vec<(u32, u32)> = (1..=leaves as u32).map(|v| (0, v)).collect();
+    Graph::undirected_from_edges(leaves + 1, &edges)
+}
+
+/// A bank shaped to stress the refine order, plus its signatures by id:
+/// ids inserted in shuffled order and then swap-removed, so they no
+/// longer follow row order; a BA tree (`m = 1`) at `k = 3`, so many rows
+/// share a bound and the approximate estimate often overshoots NED
+/// (which makes approx-mode results depend on the order within a tie);
+/// and wide stars (two of equal width), whose bounds to ordinary probes
+/// land in the overflow bucket.
+fn order_stress_bank(seed: u64) -> (SketchBank, HashMap<u64, NodeSignature>) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let g = generators::barabasi_albert(120, 1, &mut rng);
+    let mut sigs: Vec<NodeSignature> = g
+        .nodes()
+        .map(|v| NodeSignature::extract(&g, v, 3))
+        .collect();
+    for leaves in [1100, 1300, 1300, 1700, 2100] {
+        let s = star(leaves);
+        sigs.push(NodeSignature::extract(&s, 0, 3));
+        sigs.push(NodeSignature::extract(&s, 1, 3));
+    }
+    let mut ids: Vec<u64> = (0..sigs.len() as u64).collect();
+    for i in (1..ids.len()).rev() {
+        ids.swap(i, rng.gen_range(0..=i));
+    }
+    let mut bank = SketchBank::new();
+    let mut by_id = HashMap::new();
+    for (&id, sig) in ids.iter().zip(&sigs) {
+        bank.upsert(id, sig);
+        by_id.insert(id, sig.clone());
+    }
+    for _ in 0..20 {
+        let id = ids[rng.gen_range(0..ids.len())];
+        if bank.remove(id) {
+            by_id.remove(&id);
+        }
+    }
+    (bank, by_id)
+}
+
+/// `SketchBank::knn`'s refine loop over a full sort of
+/// `(bound, id, row)`: the hits and the counter deltas it must produce,
+/// plus the largest bound it refined.
+fn reference_knn(
+    bank: &SketchBank,
+    by_id: &HashMap<u64, NodeSignature>,
+    q: &NodeSignature,
+    k: usize,
+    mode: SketchMode,
+) -> (Vec<(u64, u64)>, SketchStats, u64) {
+    let qs = Sketch::of(q);
+    let mut order: Vec<(u64, u64, usize)> = bank
+        .ids()
+        .iter()
+        .enumerate()
+        .map(|(row, &id)| {
+            let lanes = bank.lanes_of(id).expect("live id");
+            let bound = match mode {
+                SketchMode::Approx => sketch_estimate(qs.lanes(), lanes),
+                _ => sketch_lower_bound(qs.lanes(), lanes),
+            };
+            (bound, id, row)
+        })
+        .collect();
+    order.sort_unstable();
+    let mut best: Vec<(u64, u64)> = Vec::with_capacity(k + 1);
+    let (mut refined, mut pruned, mut top_bound) = (0u64, 0u64, 0u64);
+    for (pos, &(bound, id, _)) in order.iter().enumerate() {
+        let tau = if best.len() < k {
+            u64::MAX
+        } else {
+            best[k - 1].0
+        };
+        if bound > tau {
+            pruned = (order.len() - pos) as u64;
+            break;
+        }
+        refined += 1;
+        top_bound = bound;
+        let d = q.distance(&by_id[&id]);
+        if d <= tau {
+            best.push((d, id));
+            best.sort_unstable();
+            best.truncate(k);
+        }
+    }
+    let stats = SketchStats {
+        rows: order.len(),
+        queries: 1,
+        scanned: order.len() as u64,
+        refined,
+        pruned,
+    };
+    (best, stats, top_bound)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Invariant 3: the bucketed refine order is exactly the full
+    /// `(bound, id)` sort — same hits and same counter deltas in both
+    /// filtering modes, including when the loop reaches the overflow
+    /// bucket.
+    #[test]
+    fn knn_visits_rows_in_full_sort_order(seed in any::<u64>()) {
+        let (bank, by_id) = order_stress_bank(seed);
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x5EED);
+        let ordinary = by_id.values().filter(|s| s.prepared().tree().len() < 1000).count();
+        let probe_graph = generators::barabasi_albert(120, 1, &mut rng);
+        let probes = [
+            NodeSignature::extract(&probe_graph, rng.gen_range(0..120), 3),
+            NodeSignature::extract(&probe_graph, rng.gen_range(0..120), 3),
+            NodeSignature::extract(&star(1250), 0, 3),
+        ];
+        let mut reached_overflow = false;
+        for q in &probes {
+            for k in [1, 4, 9, ordinary + 1, ordinary + 4] {
+                for mode in [SketchMode::Exact, SketchMode::Approx] {
+                    let before = bank.stats();
+                    let hits: Vec<(u64, u64)> = bank
+                        .knn(q, k, 1, mode)
+                        .iter()
+                        .map(|h| (h.distance as u64, h.id))
+                        .collect();
+                    let after = bank.stats();
+                    let delta = SketchStats {
+                        rows: after.rows,
+                        queries: after.queries - before.queries,
+                        scanned: after.scanned - before.scanned,
+                        refined: after.refined - before.refined,
+                        pruned: after.pruned - before.pruned,
+                    };
+                    let (want_hits, want_stats, top_bound) =
+                        reference_knn(&bank, &by_id, q, k, mode);
+                    reached_overflow |= top_bound >= BOUND_CAP as u64;
+                    prop_assert_eq!(&hits, &want_hits, "hits, k = {}, {}", k, mode);
+                    prop_assert_eq!(delta, want_stats, "counters, k = {}, {}", k, mode);
+                }
+            }
+        }
+        prop_assert!(reached_overflow, "no query refined an overflow-bucket row");
     }
 }
 
