@@ -35,6 +35,9 @@
 //! `delta/ba4000-edge-churn`. `sketch/ba4000-scan` prices the bank's
 //! scan layer alone: the bound pass and the `(bound, id)` order, walked
 //! as far as each probe's knn refine loop goes, without the refine.
+//! `sketch/ba4000-knn-cold` runs `sketch/ba4000-knn` with the memo
+//! cleared before every timed pass, pricing the rejections the kernel
+//! makes before it consults the memo.
 //!
 //! Run with `cargo run --release -p ned-bench --bin perf_snapshot
 //! [output.json]`. Every workload is seeded, so successive runs measure
@@ -488,6 +491,23 @@ fn main() {
         p99_ns: None,
     });
     let sketch_speedup = bounded_ns / sketch_ns;
+
+    // The same knn memo-cold: the memo is cleared at the start of every
+    // timed pass, as `ted_within/ba4000-memo-cold` does. After its
+    // warm-up `sketch/ba4000-knn` is served from the memo, so this is
+    // the series that prices the kernel's rejections ahead of the memo.
+    let sketch_cold_ns = measure(7, 2, || {
+        TedMemo::global().clear();
+        for q in &probes {
+            std::hint::black_box(sketch_index.query(q, 5, 0));
+        }
+    }) / probes.len() as f64;
+    entries.push(Entry {
+        name: "sketch/ba4000-knn-cold",
+        ns_per_op: sketch_cold_ns,
+        p50_ns: None,
+        p99_ns: None,
+    });
 
     // The scan layer of that knn on its own: the bound pass plus the
     // (bound, id) order, walked as far as each probe's refine loop goes

@@ -62,6 +62,7 @@ pub use proto::{Request, Response, ServerError, WireHit};
 pub use ted_star::{
     ted_star, ted_star_class_lower_bound, ted_star_degree_lower_bound, ted_star_directional,
     ted_star_lower_bound, ted_star_prepared, ted_star_prepared_profiled, ted_star_prepared_report,
-    ted_star_prepared_within, ted_star_report, ted_star_with, ted_star_within, KernelProfile,
-    LevelCosts, Matcher, PreparedTree, SweepPhase, TedStarConfig, TedStarReport,
+    ted_star_prepared_within, ted_star_report, ted_star_summary_lower_bound, ted_star_with,
+    ted_star_within, KernelProfile, LevelCosts, Matcher, PreparedTree, SweepPhase, TedStarConfig,
+    TedStarReport,
 };

@@ -29,6 +29,13 @@
 //!   a looser budget falls through to a fresh sweep, whose outcome then
 //!   upgrades the entry.
 //!
+//! Pairs the inline summary bound
+//! ([`ted_star_summary_lower_bound`](crate::ted_star_summary_lower_bound))
+//! rejects never reach the memo: that check runs before the lookup,
+//! costs less than one, and records nothing, so it neither counts as a
+//! hit or miss nor adds an entry. On cold kNN probes it rejects nearly
+//! every candidate, which keeps their `AtLeast` floors out of the memo.
+//!
 //! The memo is sharded behind mutexes like the signature interner, sized
 //! by a process-wide capacity knob ([`TedMemo::set_capacity`], `0`
 //! disables caching entirely), and evicts coarsely: when a shard fills

@@ -214,6 +214,53 @@ pub struct PreparedTree {
     /// they cost nothing to align — so the array holds one count per
     /// internal node. Read by [`ted_star_degree_lower_bound`].
     child_counts: Box<[u32]>,
+    /// Fixed-size digest of `level_sizes` and `child_counts`, stored
+    /// inline so [`ted_star_summary_lower_bound`] reads no heap memory.
+    summary: ChildCountSummary,
+}
+
+/// Levels a [`ChildCountSummary`] covers; deeper trees carry none.
+const SUMMARY_LEVELS: usize = 8;
+/// Largest child counts a [`ChildCountSummary`] keeps per level.
+const SUMMARY_TOP: usize = 4;
+/// Lane of a summary row holding the sum of the counts past the top ones.
+const SUMMARY_TAIL: usize = SUMMARY_TOP + 1;
+
+/// A tree's level profile cut down to fixed-size `u16` lanes: row `l` is
+/// `[width(l), c₀, c₁, c₂, c₃, tail]`, where `c₀ ≥ … ≥ c₃` are the level's
+/// largest child counts (zero-padded) and `tail = width(l + 1) − Σ cᵢ`
+/// the sum of the rest. Rows past the tree's depth are zero. `levels ==
+/// 0` marks the summary absent: the tree has more than [`SUMMARY_LEVELS`]
+/// levels, or a level wider than `u16::MAX`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct ChildCountSummary {
+    levels: u8,
+    rows: [[u16; SUMMARY_TAIL + 1]; SUMMARY_LEVELS],
+}
+
+impl ChildCountSummary {
+    /// Summarizes the widths and the CSR child-count array of
+    /// [`PreparedTree`] (each level's counts sorted descending).
+    fn new(level_sizes: &[u32], child_counts: &[u32]) -> Self {
+        let mut summary = ChildCountSummary::default();
+        let k = level_sizes.len();
+        if k > SUMMARY_LEVELS || level_sizes.iter().any(|&w| w > u32::from(u16::MAX)) {
+            return summary;
+        }
+        for (l, row) in summary.rows[..k].iter_mut().enumerate() {
+            let counts = &child_counts[child_counts[l] as usize..child_counts[l + 1] as usize];
+            row[0] = level_sizes[l] as u16;
+            let mut top = 0u32;
+            for (lane, &c) in row[1..SUMMARY_TAIL].iter_mut().zip(counts) {
+                *lane = c as u16;
+                top += c;
+            }
+            // A level's counts sum to the next level's width.
+            row[SUMMARY_TAIL] = (level_sizes.get(l + 1).copied().unwrap_or(0) - top) as u16;
+        }
+        summary.levels = k as u8;
+        summary
+    }
 }
 
 impl PreparedTree {
@@ -326,6 +373,7 @@ impl PreparedTree {
             run_offsets.push(run_classes.len() as u32);
         }
         child_counts[k] = child_counts.len() as u32;
+        let summary = ChildCountSummary::new(&level_sizes, &child_counts);
         PreparedTree {
             tree,
             code,
@@ -336,6 +384,7 @@ impl PreparedTree {
             run_counts: run_counts.into_boxed_slice(),
             run_offsets: run_offsets.into_boxed_slice(),
             child_counts: child_counts.into_boxed_slice(),
+            summary,
         }
     }
 
@@ -579,6 +628,53 @@ pub fn ted_star_degree_lower_bound(a: &PreparedTree, b: &PreparedTree) -> u64 {
     bound
 }
 
+/// [`ted_star_degree_lower_bound`] over each tree's fixed-size inline
+/// summary: per level the width and the four largest child counts, the
+/// rest folded into one tail sum. Level `l` contributes
+/// `P_l + ⌈(m̃_l − P_{l+1}) / 2⌉` with
+/// `m̃_l = Σ_{i<4} |a_i − b_i| + |tail_a − tail_b|`.
+///
+/// Soundness. By the triangle inequality over the untruncated tails,
+/// `P_{l+1} ≤ m̃_l ≤ m_l`, and the level term is monotone in `m_l`, so
+/// the result is at most [`ted_star_degree_lower_bound`] and hence at
+/// most `TED*`. It equals that bound when no level of either tree has
+/// more than four internal nodes. Trees deeper than eight levels or with
+/// a level wider than `u16::MAX` carry no summary, and any pair
+/// involving one gets `0`.
+///
+/// `O(levels)` and reads only data stored inline in [`PreparedTree`]:
+/// this is the first check [`ted_star_prepared_within`] makes.
+///
+/// ```
+/// use ned_core::{ted_star_degree_lower_bound, ted_star_summary_lower_bound, PreparedTree};
+/// use ned_tree::generate::{path_tree, star_tree};
+///
+/// let a = PreparedTree::new(&path_tree(6));
+/// let b = PreparedTree::new(&star_tree(6));
+/// assert!(ted_star_summary_lower_bound(&a, &b) <= ted_star_degree_lower_bound(&a, &b));
+/// ```
+pub fn ted_star_summary_lower_bound(a: &PreparedTree, b: &PreparedTree) -> u64 {
+    let (sa, sb) = (&a.summary, &b.summary);
+    if sa.levels == 0 || sb.levels == 0 {
+        return 0;
+    }
+    let k = usize::from(sa.levels.max(sb.levels));
+    let mut bound = 0u32;
+    // Bottom-up, like the sweep: `P_{l+1}`, zero below the bottom level.
+    let mut p_below = 0u32;
+    for (x, y) in sa.rows[..k].iter().zip(&sb.rows[..k]).rev() {
+        let p = u32::from(x[0].abs_diff(y[0]));
+        let mut m = u32::from(x[SUMMARY_TAIL].abs_diff(y[SUMMARY_TAIL]));
+        for (&u, &v) in x[1..SUMMARY_TAIL].iter().zip(&y[1..SUMMARY_TAIL]) {
+            m += u32::from(u.abs_diff(v));
+        }
+        debug_assert!(m >= p_below, "summary L1 {m} < P_below {p_below}");
+        bound += p + (m - p_below).div_ceil(2);
+        p_below = p;
+    }
+    u64::from(bound)
+}
+
 /// Early-abandoning `TED*`: `Some(d)` **iff** the distance `d` is
 /// `<= limit`, `None` **whenever** it exceeds `limit` — a hard contract,
 /// not a best-effort filter, so callers never need to re-check the
@@ -621,9 +717,13 @@ pub fn ted_star_within(t1: &Tree, t2: &Tree, limit: u64) -> Option<u64> {
 /// call the metric index issues for every candidate, passing the current
 /// pruning radius as the budget.
 ///
-/// Under a finite budget two static bounds run before any sweep: the
-/// [`ted_star_class_lower_bound`] (the interned class-histogram bound),
-/// then the [`ted_star_degree_lower_bound`] (the sorted child-count
+/// Under a finite budget three static bounds run before any sweep. The
+/// [`ted_star_summary_lower_bound`] comes first, ahead of the code
+/// compare and the memo: it reads only each tree's inline child-count
+/// summary, and a pair it rejects returns `None` without touching the
+/// memo at all. Pairs it admits consult the memo, then face the
+/// [`ted_star_class_lower_bound`] (the interned class-histogram bound)
+/// and the [`ted_star_degree_lower_bound`] (the exact sorted child-count
 /// bound). The kernel (see `ted_kernel`) then sweeps levels bottom-up
 /// while maintaining
 /// `partial_cost + residual_lower_bound(remaining levels)` — the
@@ -636,10 +736,11 @@ pub fn ted_star_within(t1: &Tree, t2: &Tree, limit: u64) -> Option<u64> {
 /// process-wide [`TedMemo`](crate::memo::TedMemo) keyed by the pair's
 /// interned isomorphism classes. Aborts are cached too, as
 /// distance-exceeds floors: a sweep that abandons records `budget`, a
-/// child-count rejection records `bound − 1`. A class-bound rejection
-/// records nothing, so the memo holds exactly the pairs a sweep-only
-/// kernel would. An unlimited budget (`u64::MAX`) skips both static
-/// bounds, since neither can exceed it.
+/// child-count rejection records `bound − 1`. A summary or class-bound
+/// rejection records nothing, so the memo holds exactly the pairs a
+/// sweep-only kernel would have recorded among those both bounds admit.
+/// An unlimited budget (`u64::MAX`) skips every static bound, since none
+/// can exceed it.
 ///
 /// ```
 /// use ned_core::{ted_star_prepared, ted_star_prepared_within, PreparedTree};
@@ -652,6 +753,10 @@ pub fn ted_star_within(t1: &Tree, t2: &Tree, limit: u64) -> Option<u64> {
 /// assert_eq!(ted_star_prepared_within(&a, &b, d - 1), None);
 /// ```
 pub fn ted_star_prepared_within(a: &PreparedTree, b: &PreparedTree, budget: u64) -> Option<u64> {
+    if budget != u64::MAX && ted_star_summary_lower_bound(a, b) > budget {
+        // Decided on inline data alone: no code compare, no memo traffic.
+        return None;
+    }
     if a.code == b.code {
         return Some(0);
     }

@@ -10,7 +10,7 @@
 
 use ned_core::{
     ted_star_class_lower_bound, ted_star_degree_lower_bound, ted_star_prepared,
-    ted_star_prepared_within, NodeSignature, PreparedTree, TedMemo,
+    ted_star_prepared_within, ted_star_summary_lower_bound, NodeSignature, PreparedTree, TedMemo,
 };
 use ned_tree::generate::random_bounded_depth_tree;
 use rand::rngs::SmallRng;
@@ -80,6 +80,28 @@ fn steady_state_bounded_calls_do_not_allocate() {
     };
     let budgets = [0u64, 3, 10, 50, u64::MAX];
 
+    // --- Summary rejections: decided on inline data before the memo and
+    // the scratch arena exist, so even the process's first calls must
+    // not allocate ---
+    let mut rejected = 0usize;
+    let before = allocations();
+    for (i, a) in prepared.iter().enumerate() {
+        for b in prepared.iter().skip(i + 1) {
+            let summary = ted_star_summary_lower_bound(a, b);
+            if summary > 0 {
+                assert_eq!(ted_star_prepared_within(a, b, summary - 1), None);
+                rejected += 1;
+            }
+        }
+    }
+    let after = allocations();
+    assert!(rejected > 0, "no pair has a positive summary bound");
+    assert_eq!(
+        after - before,
+        0,
+        "a summary-rejected call allocated (it must be allocation-free)"
+    );
+
     // --- Kernel alone: memo disabled, every call runs the full sweep ---
     TedMemo::global().set_capacity(0);
     TedMemo::global().clear();
@@ -127,9 +149,10 @@ fn steady_state_bounded_calls_do_not_allocate() {
     // PreparedTree — they must never allocate, even on the very first
     // call (no warm-up, no scratch arena).
     type Bound = fn(&PreparedTree, &PreparedTree) -> u64;
-    let bounds: [(&str, Bound); 2] = [
+    let bounds: [(&str, Bound); 3] = [
         ("ted_star_class_lower_bound", ted_star_class_lower_bound),
         ("ted_star_degree_lower_bound", ted_star_degree_lower_bound),
+        ("ted_star_summary_lower_bound", ted_star_summary_lower_bound),
     ];
     for (name, bound) in bounds {
         let before = allocations();

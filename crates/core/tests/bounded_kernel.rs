@@ -8,7 +8,8 @@
 use ned_core::memo::DEFAULT_MEMO_CAPACITY;
 use ned_core::{
     ted_star, ted_star_class_lower_bound, ted_star_degree_lower_bound, ted_star_prepared,
-    ted_star_prepared_within, ted_star_with, ted_star_within, PreparedTree, TedMemo, TedStarConfig,
+    ted_star_prepared_within, ted_star_summary_lower_bound, ted_star_with, ted_star_within,
+    PreparedTree, TedMemo, TedStarConfig,
 };
 use ned_graph::bfs::k_adjacent_tree;
 use ned_graph::generators::barabasi_albert;
@@ -144,22 +145,34 @@ fn class_pair(a: &PreparedTree, b: &PreparedTree) -> (u32, u32) {
     (x.min(y), x.max(y))
 }
 
-/// Random trees and a budget that the class bound admits but the
-/// child-count bound rejects by at least two (`budget = class`,
-/// `class + 1 < degree`), or, when `by_class`, one the class bound
-/// rejects (`budget < class`).
-fn rejected_pair(seed: u64, by_class: bool) -> (PreparedTree, PreparedTree, u64) {
+/// The static bound that should turn a pair away in [`rejected_pair`].
+enum Rejector {
+    /// The inline summary bound, checked before the memo.
+    Summary,
+    /// The class bound, on a pair the summary admits.
+    Class,
+    /// The exact child-count bound, by at least two, on a pair both the
+    /// summary and the class bound admit.
+    Degree,
+}
+
+/// Random trees and a budget that `by`, and no bound checked before it,
+/// rejects.
+fn rejected_pair(seed: u64, by: Rejector) -> (PreparedTree, PreparedTree, u64) {
     let mut rng = SmallRng::seed_from_u64(seed);
     loop {
-        let a = PreparedTree::new(&random_bounded_depth_tree(24, 3, &mut rng));
-        let b = PreparedTree::new(&random_bounded_depth_tree(24, 3, &mut rng));
+        let a = PreparedTree::new(&random_bounded_depth_tree(32, 3, &mut rng));
+        let b = PreparedTree::new(&random_bounded_depth_tree(32, 3, &mut rng));
+        let summary = ted_star_summary_lower_bound(&a, &b);
         let class = ted_star_class_lower_bound(&a, &b);
         let degree = ted_star_degree_lower_bound(&a, &b);
-        if by_class && class > 0 {
-            return (a, b, class - 1);
-        }
-        if !by_class && class + 1 < degree {
-            return (a, b, class);
+        match by {
+            Rejector::Summary if summary > 0 => return (a, b, summary - 1),
+            Rejector::Class if summary < class => return (a, b, class - 1),
+            Rejector::Degree if summary.max(class) + 1 < degree => {
+                return (a, b, summary.max(class))
+            }
+            _ => {}
         }
     }
 }
@@ -169,7 +182,7 @@ fn degree_bound_rejection_is_a_memo_hit_next_time() {
     let _memo = memo_lock();
     let memo = TedMemo::global();
     memo.set_capacity(DEFAULT_MEMO_CAPACITY);
-    let (a, b, budget) = rejected_pair(0xDE6, false);
+    let (a, b, budget) = rejected_pair(0xDE6, Rejector::Degree);
     assert!(ted_star_prepared(&a, &b) > budget);
     memo.clear();
 
@@ -190,7 +203,7 @@ fn class_bound_rejection_adds_no_memo_entry() {
     let _memo = memo_lock();
     let memo = TedMemo::global();
     memo.set_capacity(DEFAULT_MEMO_CAPACITY);
-    let (a, b, budget) = rejected_pair(0xC1A, true);
+    let (a, b, budget) = rejected_pair(0xC1A, Rejector::Class);
     memo.clear();
 
     assert_eq!(ted_star_prepared_within(&a, &b, budget), None);
@@ -202,30 +215,66 @@ fn class_bound_rejection_adds_no_memo_entry() {
 }
 
 #[test]
+fn summary_rejection_adds_no_memo_entry() {
+    let _memo = memo_lock();
+    let memo = TedMemo::global();
+    memo.set_capacity(DEFAULT_MEMO_CAPACITY);
+    let (a, b, budget) = rejected_pair(0x5B0, Rejector::Summary);
+    memo.clear();
+
+    let before = memo.stats();
+    assert_eq!(ted_star_prepared_within(&a, &b, budget), None);
+    assert_eq!(memo.len(), 0, "a summary rejection records nothing");
+    let after = memo.stats().since(&before);
+    assert_eq!(
+        (after.hits, after.misses),
+        (0, 0),
+        "the memo is not consulted"
+    );
+    // Not even when the memo already holds the pair's exact distance.
+    let d = ted_star_prepared(&a, &b);
+    assert!(d > budget);
+    assert_eq!(memo.len(), 1);
+    let before = memo.stats();
+    assert_eq!(ted_star_prepared_within(&b, &a, budget), None);
+    let after = memo.stats().since(&before);
+    assert_eq!(
+        (after.hits, after.misses),
+        (0, 0),
+        "the memo is not consulted"
+    );
+}
+
+#[test]
 fn memo_holds_exactly_the_pairs_a_sweep_only_kernel_records() {
     // A kNN refine loop over BA neighborhoods: every candidate in
-    // database order (no filter in front, so the kernel meets both kinds
+    // database order (no filter in front, so the kernel meets every kind
     // of rejection), the k-th best distance as the budget. A sweep-only
-    // kernel records a pair on every call that gets past the memo and
-    // the (unrecorded) class bound, so its memo holds exactly the pairs
-    // some call admitted by the class bound; the child-count rejections
-    // must record that same set.
+    // kernel behind the summary and class bounds (both unrecorded)
+    // records a pair on every call that gets past them and the memo, so
+    // its memo holds exactly the pairs some call admitted by both bounds;
+    // the child-count rejections must record that same set.
     let _memo = memo_lock();
     let memo = TedMemo::global();
     memo.set_capacity(DEFAULT_MEMO_CAPACITY);
     memo.clear();
     let mut rng = SmallRng::seed_from_u64(0x5EED);
-    let prepare = |g: &ned_graph::Graph| -> Vec<PreparedTree> {
+    let prepare = |g: &ned_graph::Graph, k: usize| -> Vec<PreparedTree> {
         g.nodes()
-            .map(|v| PreparedTree::new(&k_adjacent_tree(g, v, 3)))
+            .map(|v| PreparedTree::new(&k_adjacent_tree(g, v, k)))
             .collect()
     };
-    let database = prepare(&barabasi_albert(300, 3, &mut rng));
-    let queries = prepare(&barabasi_albert(40, 3, &mut rng));
+    // BA neighborhoods at k = 3, where the summary decides nearly every
+    // rejection, plus k = 9 neighborhoods of a BA tree: most span more
+    // than eight levels and carry no summary, so the class bound rejects.
+    let mut database = prepare(&barabasi_albert(300, 3, &mut rng), 3);
+    let mut queries = prepare(&barabasi_albert(40, 3, &mut rng), 3);
+    database.extend(prepare(&barabasi_albert(150, 1, &mut rng), 9));
+    queries.extend(prepare(&barabasi_albert(20, 1, &mut rng), 9));
     const TOP: usize = 5;
 
     let mut admitted: HashSet<(u32, u32)> = HashSet::new();
-    let (mut class_rejections, mut degree_rejections) = (0usize, 0usize);
+    let (mut summary_rejections, mut class_rejections, mut degree_rejections) = (0, 0, 0);
     for q in &queries {
         let mut best: Vec<u64> = Vec::with_capacity(TOP + 1);
         for c in &database {
@@ -235,7 +284,9 @@ fn memo_holds_exactly_the_pairs_a_sweep_only_kernel_records() {
                 best[TOP - 1]
             };
             if q.code() != c.code() {
-                if ted_star_class_lower_bound(q, c) > budget {
+                if ted_star_summary_lower_bound(q, c) > budget {
+                    summary_rejections += 1;
+                } else if ted_star_class_lower_bound(q, c) > budget {
                     class_rejections += 1;
                 } else {
                     admitted.insert(class_pair(q, c));
@@ -252,8 +303,9 @@ fn memo_holds_exactly_the_pairs_a_sweep_only_kernel_records() {
         }
     }
     assert!(
-        class_rejections > 0 && degree_rejections > 0,
-        "loop too easy"
+        summary_rejections > 0 && class_rejections > 0 && degree_rejections > 0,
+        "loop too easy: {summary_rejections} summary, {class_rejections} class, \
+         {degree_rejections} child-count rejections"
     );
     assert_eq!(memo.len(), admitted.len());
 }

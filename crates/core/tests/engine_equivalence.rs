@@ -11,17 +11,19 @@
 
 use ned_core::{
     ted_star, ted_star_class_lower_bound, ted_star_degree_lower_bound, ted_star_lower_bound,
-    ted_star_prepared_report, ted_star_with, Matcher, PreparedTree, TedStarConfig,
+    ted_star_prepared, ted_star_prepared_report, ted_star_summary_lower_bound, ted_star_with,
+    Matcher, PreparedTree, TedStarConfig,
 };
 use ned_graph::bfs::k_adjacent_tree;
 use ned_graph::generators::{barabasi_albert, erdos_renyi_gnm};
 use ned_tree::generate::{
-    caterpillar_tree, path_tree, perfect_tree, random_attachment_tree, random_bounded_depth_tree,
-    star_tree,
+    caterpillar_tree, mutate, path_tree, perfect_tree, random_attachment_tree,
+    random_bounded_depth_tree, star_tree,
 };
 use ned_tree::Tree;
+use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// All exact-engine combinations, including the frozen pre-rebuild
 /// transportation solver (a pure timing baseline, so it must stay
@@ -267,6 +269,100 @@ fn degree_lower_bound_is_sound_on_graph_neighborhoods() {
             }
         }
     }
+}
+
+/// The most internal nodes any level of `t` has.
+fn widest_internal_level(t: &Tree) -> usize {
+    (0..t.num_levels())
+        .map(|l| t.level(l).filter(|&v| t.num_children(v) > 0).count())
+        .max()
+        .unwrap_or(0)
+}
+
+/// Checks `summary ≤ child-count bound ≤ TED*` and symmetry on one pair;
+/// the summary must match the child-count bound exactly when both trees
+/// fit it losslessly, and be `0` when either tree is too deep or too
+/// wide for it.
+fn check_summary_bound(a: &Tree, b: &Tree) -> Result<(), TestCaseError> {
+    let (pa, pb) = (PreparedTree::new(a), PreparedTree::new(b));
+    let summary = ted_star_summary_lower_bound(&pa, &pb);
+    let degree = ted_star_degree_lower_bound(&pa, &pb);
+    let exact = ted_star_prepared(&pa, &pb);
+    prop_assert!(
+        summary <= degree,
+        "summary {} > child-count bound {}",
+        summary,
+        degree
+    );
+    prop_assert!(
+        degree <= exact,
+        "child-count bound {} > distance {}",
+        degree,
+        exact
+    );
+    prop_assert_eq!(
+        summary,
+        ted_star_summary_lower_bound(&pb, &pa),
+        "asymmetric"
+    );
+    let depth = a.num_levels().max(b.num_levels());
+    let width = |t: &Tree| {
+        (0..t.num_levels())
+            .map(|l| t.level_size(l))
+            .max()
+            .unwrap_or(0)
+    };
+    if depth > 8 || width(a).max(width(b)) > usize::from(u16::MAX) {
+        prop_assert_eq!(summary, 0, "a tree too deep or too wide has no summary");
+    } else if widest_internal_level(a).max(widest_internal_level(b)) <= 4 {
+        prop_assert_eq!(
+            summary,
+            degree,
+            "lossless summaries must give the exact bound"
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random pairs and near pairs (one tree and a few TED\* edits of
+    /// it), from one level up to thirteen, so the absent path for trees
+    /// deeper than the summary runs beside the present one.
+    #[test]
+    fn summary_lower_bound_is_sound(
+        seed in any::<u64>(),
+        nodes_a in 1..70usize,
+        nodes_b in 1..70usize,
+        depth_a in 1..13usize,
+        depth_b in 1..13usize,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let a = random_bounded_depth_tree(nodes_a, depth_a, &mut rng);
+        let b = random_bounded_depth_tree(nodes_b, depth_b, &mut rng);
+        check_summary_bound(&a, &b)?;
+        let ops = rng.gen_range(1..4);
+        let (near, _) = mutate(&a, ops, &mut rng);
+        check_summary_bound(&a, &near)?;
+    }
+}
+
+#[test]
+fn summary_lower_bound_is_absent_past_the_u16_lane() {
+    // Level 1 of `wide` holds 65 536 nodes, one more than a u16 lane;
+    // `fits` is one leaf short of it and keeps its summary.
+    let wide = star_tree(1 + (1 << 16));
+    let fits = star_tree(1 << 16);
+    check_summary_bound(&wide, &fits).unwrap();
+    check_summary_bound(&fits, &star_tree((1 << 16) - 1)).unwrap();
+    let (pw, pf) = (PreparedTree::new(&wide), PreparedTree::new(&fits));
+    assert_eq!(ted_star_summary_lower_bound(&pw, &pf), 0);
+    assert_eq!(ted_star_summary_lower_bound(&pf, &pf), 0);
+    assert_eq!(
+        ted_star_summary_lower_bound(&pf, &PreparedTree::new(&star_tree(3))),
+        (1 << 16) - 3
+    );
 }
 
 #[test]
