@@ -11,8 +11,9 @@
 //! gated at ≥ 3× — plus **delta churn**: ns per maintained edge flip on
 //! a live index (dirty-set recompute only, one publication per flip),
 //! measured both in-memory and (since PR 6) with every batch journaled
-//! through the write-ahead log (`FsyncPolicy::EveryN(16)`), where the
-//! durability overhead is gated at ≤ 30% of the in-memory trajectory.
+//! through the write-ahead log (`FsyncPolicy::EveryN(16)`), where group
+//! commit is gated at ≤ 30% over the same journal written without any
+//! fsync (see the WAL section for why the budget is stated that way).
 //! Since PR 7 the snapshot also prices the **distributed serving layer**:
 //! the same knn workload scatter-gathered by a [`ned_index::ShardRouter`] over a
 //! 3-shard loopback-TCP fleet vs one TCP server holding the unsplit
@@ -37,7 +38,14 @@
 //! as far as each probe's knn refine loop goes, without the refine.
 //! `sketch/ba4000-knn-cold` runs `sketch/ba4000-knn` with the memo
 //! cleared before every timed pass, pricing the rejections the kernel
-//! makes before it consults the memo.
+//! makes before it consults the memo. `concurrent/publish-ba4000` and
+//! `concurrent/publish-ba40000` time one edge flip's write batch, its
+//! signatures extracted beforehand, from `IndexWriter::apply` through
+//! publication and the reclaim of the superseded snapshot, at two index
+//! sizes. A publication that copied the index would make the second
+//! about ten times the first; one that copies only what a batch touched
+//! keeps them within a small factor (the two graphs' flip batches also
+//! differ in size).
 //!
 //! Run with `cargo run --release -p ned-bench --bin perf_snapshot
 //! [output.json]`. Every workload is seeded, so successive runs measure
@@ -526,7 +534,11 @@ fn main() {
     let scan_ns = measure(7, 4, || {
         for (q, &rows) in probes.iter().zip(&visited) {
             let bounds = bank.scan_bounds(q, 1, ned_index::SketchMode::Exact);
-            std::hint::black_box(order_by_bound(&bounds, bank.ids()).take(rows).count());
+            std::hint::black_box(
+                order_by_bound(&bounds, |r| bank.id_at(r))
+                    .take(rows)
+                    .count(),
+            );
         }
     }) / probes.len() as f64;
     entries.push(Entry {
@@ -697,35 +709,110 @@ fn main() {
     // group-commits: flushes are scheduled on the WAL's background
     // syncer thread, so the append path pays encode + checksum + write
     // but never an inline fdatasync.
-    // Durability must ride along at ≤ 1.3x the in-memory churn cost,
-    // asserted against *this same run* so the gate is hardware-free.
+    //
+    // The budget: group commit may cost at most 30% over the same
+    // journal written with no fsync at all (FsyncPolicy::Never). The two
+    // run on twin indexes in alternating timed passes, so host drift
+    // lands on both sides and the gate stays hardware-free. The budget
+    // is not stated against the in-memory churn: the journal's own
+    // encode + FNV-1a checksum + write is fixed by the NEDWAL1 format,
+    // so that ratio grows whenever the index gets faster, with no change
+    // to the WAL. Nor in absolute µs: one fdatasync costs ~0.15 ms on
+    // some disks, so a bound loose enough for group commit's run-to-run
+    // spread also passes an inline fdatasync per batch. The ratio kept
+    // here reads ~0.95-1.2 under group commit and about 2 or more once
+    // every append syncs inline.
     let wal_dir = std::env::temp_dir().join(format!("ned-perf-wal-{}", std::process::id()));
     std::fs::create_dir_all(&wal_dir).expect("create WAL scratch dir");
-    let wal_log_path = wal_dir.join("churn.wal");
-    let wal_index = SignatureIndex::from_graph(&delta_graph, 3, 1024, 0xDE, 1);
-    let mut wal_maintainer = ned_index::GraphMaintainer::attach(&delta_graph, 3, 0, 1);
-    let (mut wal_writer, _wal_reader) = ConcurrentNedIndex::split(wal_index);
-    wal_writer.attach_wal(
-        ned_core::wal::WalWriter::create(&wal_log_path, 0, ned_core::wal::FsyncPolicy::EveryN(16))
-            .expect("create bench WAL"),
-    );
-    let wal_churn_ns = measure(15, 1, || {
-        for &(a, b) in &flips {
-            let add =
-                wal_maintainer.apply(&[ned_graph::GraphDelta::AddEdge(a, b)], &mut wal_writer);
-            let del =
-                wal_maintainer.apply(&[ned_graph::GraphDelta::RemoveEdge(a, b)], &mut wal_writer);
-            std::hint::black_box((add, del));
+    let mut journaled = [
+        ("group.wal", ned_core::wal::FsyncPolicy::EveryN(16)),
+        ("unsynced.wal", ned_core::wal::FsyncPolicy::Never),
+    ]
+    .map(|(file, policy)| {
+        let index = SignatureIndex::from_graph(&delta_graph, 3, 1024, 0xDE, 1);
+        let maintainer = ned_index::GraphMaintainer::attach(&delta_graph, 3, 0, 1);
+        let (mut writer, _reader) = ConcurrentNedIndex::split(index);
+        writer.attach_wal(
+            ned_core::wal::WalWriter::create(&wal_dir.join(file), 0, policy)
+                .expect("create bench WAL"),
+        );
+        (maintainer, writer, Vec::new())
+    });
+    // One warm-up pass each, then 15 timed passes each, alternating
+    // which side goes first.
+    for pass in 0..16 {
+        for side in [pass % 2, 1 - pass % 2] {
+            let (maintainer, writer, times) = &mut journaled[side];
+            let start = Instant::now();
+            for &(a, b) in &flips {
+                let add = maintainer.apply(&[ned_graph::GraphDelta::AddEdge(a, b)], writer);
+                let del = maintainer.apply(&[ned_graph::GraphDelta::RemoveEdge(a, b)], writer);
+                std::hint::black_box((add, del));
+            }
+            if pass > 0 {
+                times.push(start.elapsed().as_nanos() as f64 / flips_per_round);
+            }
         }
-    }) / flips_per_round;
+    }
+    let [wal_churn_ns, unsynced_churn_ns] = journaled.map(|(_, _, mut times)| {
+        times.sort_by(|a, b| a.partial_cmp(b).expect("NaN time"));
+        times[times.len() / 2]
+    });
+    let _ = std::fs::remove_dir_all(&wal_dir);
     entries.push(Entry {
         name: "delta/ba4000-edge-churn-wal",
         ns_per_op: wal_churn_ns,
         p50_ns: None,
         p99_ns: None,
     });
+    entries.push(Entry {
+        name: "delta/ba4000-edge-churn-wal-unsynced",
+        ns_per_op: unsynced_churn_ns,
+        p50_ns: None,
+        p99_ns: None,
+    });
     let wal_overhead = wal_churn_ns / edge_churn_ns;
-    let _ = std::fs::remove_dir_all(&wal_dir);
+    let group_commit_overhead = wal_churn_ns / unsynced_churn_ns;
+
+    // --- concurrent: one flip's batch through apply + publish + reclaim -
+    // The write path below the maintainer: the add and remove batches of
+    // 8 edge flips are materialized once, then replayed through
+    // `IndexWriter::apply` — index upkeep, publication, and the drop of
+    // the superseded snapshot. Recorded as ns per batch at two index
+    // sizes, ten times apart. Own RNG streams, so the sections after this
+    // one measure the same inputs as before it existed.
+    let publish_ns = |n: usize| -> f64 {
+        let g = generators::barabasi_albert(n, 3, &mut SmallRng::seed_from_u64(0x9B1 + n as u64));
+        let index = SignatureIndex::from_graph(&g, 3, 1024, 0xDE, 0);
+        let mut maintainer = ned_index::GraphMaintainer::attach(&g, 3, 0, 1);
+        let (mut writer, _reader) = ConcurrentNedIndex::split(index);
+        let batches: Vec<Vec<ned_index::WriteOp>> = ned_bench::loadgen::non_edges(&g, 8, 0xF11B)
+            .into_iter()
+            .flat_map(|(a, b)| {
+                [
+                    ned_graph::GraphDelta::AddEdge(a, b),
+                    ned_graph::GraphDelta::RemoveEdge(a, b),
+                ]
+            })
+            .map(|delta| maintainer.materialize(&[delta]).ops)
+            .collect();
+        measure(15, 1, || {
+            for batch in &batches {
+                std::hint::black_box(writer.apply(batch.iter().cloned()));
+            }
+        }) / batches.len() as f64
+    };
+    for (name, n) in [
+        ("concurrent/publish-ba4000", 4000),
+        ("concurrent/publish-ba40000", 40_000),
+    ] {
+        entries.push(Entry {
+            name,
+            ns_per_op: publish_ns(n),
+            p50_ns: None,
+            p99_ns: None,
+        });
+    }
 
     // What a flip would cost without incremental maintenance: one full
     // re-extraction of every signature at the same k.
@@ -898,7 +985,7 @@ fn main() {
         ));
     }
     json.push_str(&format!(
-        "  ],\n  \"comparisons\": {{\n    \"ned_pair_collapsed_speedup_vs_dense\": {ned_pair_speedup:.2},\n    \"soa_kernel_speedup_vs_presoa\": {soa_speedup:.2},\n    \"sharded_knn_speedup_vs_linear\": {sharded_speedup:.2},\n    \"bounded_knn_speedup_vs_unbounded_forest\": {bounded_speedup:.2},\n    \"sketch_knn_speedup_vs_bounded\": {sketch_speedup:.2},\n    \"sketch_approx_recall\": {sketch_recall:.3},\n    \"memo_warm_speedup_vs_cold\": {:.2},\n    \"loadgen_reader_scaling_4r_vs_1r\": {reader_scaling:.2},\n    \"ingest_bulk_speedup_vs_per_node\": {ingest_speedup:.2},\n    \"delta_flip_speedup_vs_rebuild\": {delta_speedup_vs_rebuild:.2},\n    \"delta_wal_overhead_vs_in_memory\": {wal_overhead:.2},\n    \"fleet_overhead_vs_single\": {fleet_overhead:.2}\n  }}\n}}\n",
+        "  ],\n  \"comparisons\": {{\n    \"ned_pair_collapsed_speedup_vs_dense\": {ned_pair_speedup:.2},\n    \"soa_kernel_speedup_vs_presoa\": {soa_speedup:.2},\n    \"sharded_knn_speedup_vs_linear\": {sharded_speedup:.2},\n    \"bounded_knn_speedup_vs_unbounded_forest\": {bounded_speedup:.2},\n    \"sketch_knn_speedup_vs_bounded\": {sketch_speedup:.2},\n    \"sketch_approx_recall\": {sketch_recall:.3},\n    \"memo_warm_speedup_vs_cold\": {:.2},\n    \"loadgen_reader_scaling_4r_vs_1r\": {reader_scaling:.2},\n    \"ingest_bulk_speedup_vs_per_node\": {ingest_speedup:.2},\n    \"delta_flip_speedup_vs_rebuild\": {delta_speedup_vs_rebuild:.2},\n    \"delta_wal_overhead_vs_in_memory\": {wal_overhead:.2},\n    \"delta_wal_group_commit_vs_unsynced\": {group_commit_overhead:.2},\n    \"fleet_overhead_vs_single\": {fleet_overhead:.2}\n  }}\n}}\n",
         cold_ns / warm_ns
     ));
     std::fs::write(&out_path, &json).expect("write benchmark snapshot");
@@ -954,9 +1041,10 @@ fn main() {
          than a full rebuild ({rebuild_ns:.0} ns)"
     );
     assert!(
-        wal_overhead <= 1.3,
-        "WAL-journaled churn ({wal_churn_ns:.0} ns/flip) is {wal_overhead:.2}x the \
-         in-memory churn ({edge_churn_ns:.0} ns/flip) — over the 30% durability budget"
+        group_commit_overhead <= 1.3,
+        "group-committed WAL churn ({wal_churn_ns:.0} ns/flip) is {group_commit_overhead:.2}x \
+         the same journal without fsync ({unsynced_churn_ns:.0} ns/flip) — over the 30% \
+         durability budget"
     );
     // A deliberately loose bound: the scatter pays 3 parallel frames, 3
     // scatter threads, and a merge per query, but each shard scans a

@@ -5,14 +5,14 @@
 //!
 //! * [`IndexReader`] (cheaply cloneable, one per serving thread) answers
 //!   knn/range queries against an immutable **snapshot** — an
-//!   `Arc<SignatureIndex>` whose forest internals are themselves
-//!   `Arc`-shared (see [`crate::forest`]'s *Cloning is snapshotting*).
+//!   `Arc<SignatureIndex>` whose sketch bank is itself made of
+//!   `Arc`-shared chunks (see [`crate::sketch::SketchBank`]).
 //!   Grabbing the snapshot is a read-lock held for one `Arc` clone
 //!   (nanoseconds, never across a distance computation), after which the
 //!   query runs entirely on private immutable data: readers never block
-//!   each other, never block the writer, and reuse the full PR 3 machinery
-//!   — interned-class lower bounds, the budgeted early-abandoning TED\*
-//!   kernel, and the shared pruning radius — unchanged.
+//!   each other, never block the writer, and reuse the full bounded
+//!   machinery — sketch bounds, the budgeted early-abandoning TED\*
+//!   kernel, and the shrinking pruning radius — unchanged.
 //! * [`IndexWriter`] (exactly one; not `Clone`) applies
 //!   insert/remove/replace **batches** to its private master copy and
 //!   then *publishes* the new state atomically: one cheap
@@ -36,29 +36,29 @@
 //!   snapshot it holds is exactly some state the writer published, never
 //!   a torn mix of two (pinned by the linearizability-style test in
 //!   `tests/concurrent.rs`).
-//! * **Reclamation is just `Arc`.** The last reader holding an old
-//!   snapshot frees it on drop; no epoch-based reclamation, hazard
-//!   pointers, or quiescence tracking. The price — a brief spike while an
-//!   old snapshot lingers — is bounded by the slowest in-flight query.
-//! * **Compaction stays off the read path.** Merges and compactions run
-//!   on the writer's private master copy; readers keep answering from
-//!   their snapshots while a compaction is in flight and only ever see
-//!   its *result*, published like any other batch. A compaction can delay
-//!   the next write batch, never a read.
+//! * **Reclamation happens on the writer.** The writer keeps every
+//!   snapshot it has superseded and drops each one at the first
+//!   publication after it became the only owner. A reader's drop is
+//!   therefore never the last one, so readers never run the frees of a
+//!   write; the price is that a superseded snapshot outlives its last
+//!   reader until the next publication.
+//! * **Writes stay off the read path.** A batch mutates the writer's
+//!   private master copy; readers keep answering from their snapshots
+//!   while it runs and only ever see its *result*, published like any
+//!   other batch.
 //!
 //! # What a write batch actually costs
 //!
-//! Publication itself is `O(shards)` reference bumps, but sharing the
-//! copy-on-write internals with the snapshot re-arms them: the *first*
-//! mutation of the next batch pays one copy of the live-id bookkeeping
-//! map (shallow, `O(live ids)`) and of the mutable buffer (deep, up to
-//! `threshold` signatures) — never of the frozen shards, which hold the
-//! bulk of the data. That cost is per **batch**, not per operation, so a
-//! writer that applies each op as its own batch (the TCP server's
-//! per-command writes) pays it per op, while a batched writer amortizes
-//! it across the whole batch — batching writes is how throughput scales
-//! on the write side, and exactly the shape the TCP batch protocol and
-//! the load generator drive.
+//! Publication clones the master: it copies the tables of pointers to
+//! sketch-bank chunk groups (one per 1024 rows) and id-map pieces,
+//! bumping one reference count per entry, and copies no row. That
+//! sharing re-arms copy-on-write, so the batch after it copies each bank
+//! chunk it touches (about 10.8 KB: 64 rows' ids, signatures and lanes)
+//! with its group's pointer table and, when it adds or drops ids, each
+//! id-map piece it changes. A batch
+//! therefore costs what it changes, not what the index holds. The
+//! superseded snapshot is freed on the writer too (above), so a batch's
+//! frees land on the write path, never on a reader.
 
 use crate::forest::ForestHit;
 use crate::signatures::SignatureIndex;
@@ -131,15 +131,18 @@ impl Shared {
         (Arc::clone(&guard.0), guard.1)
     }
 
-    fn publish(&self, snap: Arc<SignatureIndex>) {
+    /// Installs `snap` as the next epoch and returns the snapshot it
+    /// replaced.
+    fn publish(&self, snap: Arc<SignatureIndex>) -> Arc<SignatureIndex> {
         let mut guard = self
             .current
             .write()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
         let next = self.epoch.load(Ordering::Acquire) + 1;
-        *guard = (snap, next);
+        let (superseded, _) = std::mem::replace(&mut *guard, (snap, next));
         drop(guard);
         self.epoch.store(next, Ordering::Release);
+        superseded
     }
 }
 
@@ -214,6 +217,9 @@ pub struct IndexWriter {
     /// it is published — so no reader (and no client acknowledgement) can
     /// ever observe a state the log does not reproduce.
     wal: Option<WalWriter>,
+    /// Snapshots this writer has superseded that readers may still hold.
+    /// Each is dropped here once the writer is its only owner.
+    retired: Vec<Arc<SignatureIndex>>,
 }
 
 impl IndexWriter {
@@ -276,7 +282,7 @@ impl IndexWriter {
     /// The batch is **all-or-nothing against the published state**, even
     /// under failure:
     ///
-    /// * a panic inside an op (a poisoned signature, a forest bug) rolls
+    /// * a panic inside an op (a poisoned signature, an index bug) rolls
     ///   the master back to the published snapshot and re-raises — the
     ///   batch never happened, and the writer stays usable if the panic
     ///   is caught downstream (the server isolates it per connection);
@@ -363,9 +369,13 @@ impl IndexWriter {
     }
 
     fn publish(&mut self) {
-        // The clone is cheap by construction: shard Arcs bump, the
-        // copy-on-write buffer/bookkeeping share until the next mutation.
-        self.shared.publish(Arc::new(self.master.clone()));
+        // The clone bumps one count per bank chunk group and id-map
+        // piece; the next batch copies only what it touches.
+        let superseded = self.shared.publish(Arc::new(self.master.clone()));
+        self.retired.push(superseded);
+        // No reader can pick up a superseded snapshot again, so a count of
+        // one means the writer is its last owner: free it here.
+        self.retired.retain(|snap| Arc::strong_count(snap) > 1);
     }
 }
 
@@ -406,6 +416,7 @@ impl ConcurrentNedIndex {
             master: index,
             shared: Arc::clone(&shared),
             wal: None,
+            retired: Vec::new(),
         };
         let reader = IndexReader { shared };
         (writer, reader)
@@ -504,7 +515,7 @@ mod tests {
         assert_eq!(
             reader.knn(&probes[0], 5, 1),
             snap.scan(&probes[0], 5),
-            "published snapshot must stay forest-exact"
+            "published snapshot must stay scan-exact"
         );
     }
 

@@ -138,7 +138,6 @@ impl GraphMaintainer {
             ));
         }
         let by_id: std::collections::HashMap<u64, u32> = index
-            .forest()
             .entries()
             .map(|(id, sig)| (id, sig.prepared().root_class()))
             .collect();
@@ -354,11 +353,7 @@ mod tests {
         let (g, mut m, reader, mut writer) = setup(3);
         let before: Vec<_> = {
             let snap = reader.snapshot();
-            let mut e: Vec<_> = snap
-                .forest()
-                .entries()
-                .map(|(id, s)| (id, s.clone()))
-                .collect();
+            let mut e: Vec<_> = snap.entries().map(|(id, s)| (id, s.clone())).collect();
             e.sort_by_key(|&(id, _)| id);
             e
         };
@@ -374,11 +369,7 @@ mod tests {
         assert_eq!(r1.replaced, r2.replaced, "flip back replaces the same set");
         let after: Vec<_> = {
             let snap = reader.snapshot();
-            let mut e: Vec<_> = snap
-                .forest()
-                .entries()
-                .map(|(id, s)| (id, s.clone()))
-                .collect();
+            let mut e: Vec<_> = snap.entries().map(|(id, s)| (id, s.clone())).collect();
             e.sort_by_key(|&(id, _)| id);
             e
         };

@@ -196,8 +196,8 @@ pub struct NedServer {
     maintained: Mutex<Option<GraphMaintainer>>,
     /// Persistent pool reused by every read-only batch frame.
     pool: WorkerPool,
-    /// Intra-query fan-out passed to the forest (`1` is right for
-    /// concurrent serving: requests, not shards, should fill the cores).
+    /// Intra-query fan-out passed to the index (`1` is right for
+    /// concurrent serving: requests, not scan runs, should fill the cores).
     query_threads: usize,
     config: ServerConfig,
     /// Set by `shutdown`; the acceptor checks it per accepted connection
@@ -533,7 +533,6 @@ impl NedServer {
     /// configuration (the `stats` reply body).
     pub fn stats_line(&self) -> String {
         let (snap, epoch) = self.reader().snapshot_with_epoch();
-        let stats = snap.stats();
         let tracking = match self
             .maintained
             .lock()
@@ -545,14 +544,11 @@ impl NedServer {
         };
         let c = &self.counters;
         format!(
-            "signatures: {} (k = {}), buffer {}, shards {:?}, tombstones {}, epoch {epoch}, \
-             tracking {tracking}\nsketch: mode {}, {}\nmemo: {}\nserver: accepted {}, active {}, \
-             timeouts {}, overloaded {}, panics isolated {}, checkpoint failures {}\n{}",
-            stats.len,
+            "signatures: {} (k = {}), epoch {epoch}, tracking {tracking}\nsketch: mode {}, {}\n\
+             memo: {}\nserver: accepted {}, active {}, timeouts {}, overloaded {}, \
+             panics isolated {}, checkpoint failures {}\n{}",
+            snap.len(),
             snap.k(),
-            stats.buffer,
-            stats.shard_sizes,
-            stats.tombstones,
             snap.sketch_mode(),
             snap.sketch_stats(),
             TedMemo::global().stats(),
@@ -1083,7 +1079,7 @@ fn parse_sig(shape: &str) -> Result<NodeSignature, ServerError> {
     Ok(NodeSignature::from_prepared(0, PreparedTree::new(&tree)))
 }
 
-/// Renders forest hits into the epoch-tagged wire response.
+/// Renders index hits into the epoch-tagged wire response.
 fn hits_response(epoch: u64, hits: &[ForestHit]) -> Response {
     Response::Hits {
         epoch,

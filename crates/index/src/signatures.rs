@@ -1,32 +1,33 @@
-//! NED wiring for the sharded forest: a **persistent node-signature
+//! NED wiring for the metric index: a **persistent node-signature
 //! index**.
 //!
-//! [`SignatureIndex`] owns a [`ShardedVpForest`] of
-//! [`NodeSignature`]s under the NED metric, assigns stable `u64` ids as
-//! signatures arrive (possibly from many graphs), and serializes to the
-//! `ned-core::store` snapshot codec wrapped in its own framed, versioned,
-//! checksummed file — an index built once survives process restarts and
-//! answers queries immediately after [`SignatureIndex::load`], with no
-//! re-extraction and no re-preparation.
+//! [`SignatureIndex`] keeps its live set of [`NodeSignature`]s in one
+//! structure, the sketch bank ([`crate::sketch::SketchBank`]), assigns
+//! stable `u64` ids as signatures arrive (possibly from many graphs),
+//! and serializes to the `ned-core::store` snapshot codec wrapped in its
+//! own framed, versioned, checksummed file — an index built once
+//! survives process restarts and answers queries immediately after
+//! [`SignatureIndex::load`], with no re-extraction and no
+//! re-preparation.
 //!
-//! Queries go through [`SignatureMetric`]: exact distances are TED\* on
-//! prepared signatures, and the filter step is
-//! [`NodeSignature::distance_lower_bound`] (the larger of the
-//! interned-class and sorted child-count lower bounds), evaluated before
-//! every exact call both in the forest's buffer scan and inside each
-//! VP shard. Both bounds are branch-light passes over sorted arrays each
-//! [`ned_core::PreparedTree`] precomputes, so filtering a candidate
-//! costs a fraction of a microsecond — cheap enough to run
-//! unconditionally ahead of every exact distance.
+//! Queries scan the bank's quantized per-level feature vectors for a
+//! provable lower bound on NED and refine the survivors, in ascending
+//! bound order, with the budgeted TED\* kernel through
+//! [`SignatureMetric`] (see [`crate::sketch`]). [`SketchMode`] picks the
+//! bound: `Exact` (the default) never drops a true neighbor, `Approx`
+//! prunes harder with measured recall, and `Off` — kept because index
+//! files and `sketch off` requests carry it — routes like `Exact`.
+//! [`SignatureIndex::scan`] is the exhaustive reference every mode is
+//! tested against.
 //!
-//! In front of both sits the **sketch tier** ([`crate::sketch`]): a flat
-//! bank of quantized per-level feature vectors maintained alongside the
-//! forest and consulted first by [`SignatureIndex::query`] /
-//! [`SignatureIndex::range`] (routing controlled by [`SketchMode`]).
+//! Every publication of the concurrent serving layer clones the index;
+//! the bank's copy-on-write layout makes that clone cost one reference
+//! count per 1024 rows, and the next write batch copy only what it
+//! touches.
 //! Version-3 index files persist the bank next to the signature
 //! snapshot; older files load fine and rebuild it on the way in.
 
-use crate::forest::{ForestHit, ForestStats, ShardedVpForest};
+use crate::forest::{sort_hits, ForestHit};
 use crate::sketch::{self, SketchBank, SketchMode, SketchStats};
 use crate::{BoundedMetric, Metric};
 use ned_core::store::{self, CodecError, Reader, Writer};
@@ -39,9 +40,11 @@ use std::path::Path;
 /// `TED*` (a true metric, hence VP-tree-safe), the lower bound is
 /// [`NodeSignature::distance_lower_bound`], and budgeted calls run the
 /// early-abandoning kernel (`ned_core::ted_star_prepared_within`) — so
-/// the forest's pruning radius cuts computations short *inside* the
-/// level sweep, not just between candidates. `u64` distances are exact
-/// in `f64` far beyond any real tree size (`< 2^53`).
+/// a query's pruning radius (the sketch bank's refine loop, or a
+/// [`crate::ShardedVpForest`]'s shared bound) cuts computations short
+/// *inside* the level sweep, not just between candidates. `u64`
+/// distances are exact in `f64` far beyond any real tree size
+/// (`< 2^53`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SignatureMetric;
 
@@ -108,10 +111,11 @@ pub const INDEX_VERSION_SKETCH: u32 = 3;
 /// [module docs](self).
 #[derive(Debug, Clone)]
 pub struct SignatureIndex {
-    forest: ShardedVpForest<NodeSignature>,
     bank: SketchBank,
     sketch_mode: SketchMode,
     k: usize,
+    /// `threshold` and `seed` only ride through the NEDIDX header, which
+    /// keeps saved files byte-identical; nothing reads them.
     threshold: usize,
     seed: u64,
     next_id: u64,
@@ -119,11 +123,12 @@ pub struct SignatureIndex {
 
 impl SignatureIndex {
     /// An empty index for signatures extracted at parameter `k`.
-    /// `threshold` is the forest's buffer-freeze size; `seed` pins shard
-    /// construction.
+    ///
+    /// `threshold` and `seed` configured the VP-forest this index used to
+    /// keep. They are still stored and written to the file header, so
+    /// saved indexes stay byte-identical, but nothing reads them.
     pub fn new(k: usize, threshold: usize, seed: u64) -> Self {
         SignatureIndex {
-            forest: ShardedVpForest::new(threshold, seed),
             bank: SketchBank::new(),
             sketch_mode: SketchMode::default(),
             k,
@@ -134,10 +139,11 @@ impl SignatureIndex {
     }
 
     /// Bulk constructor over pre-extracted signatures, assigned ids
-    /// `0..n` in order — a balanced one-shot shard build (one shard per
-    /// available core) instead of `n` incremental inserts. Query results
-    /// are identical; the load-generation and benchmark harnesses use
-    /// this to stand up large indexes cheaply.
+    /// `0..n` in order, sketched in parallel — query results are
+    /// identical to `n` incremental inserts. The load-generation and
+    /// benchmark harnesses use this to stand up large indexes cheaply.
+    /// `threshold` and `seed` are stored unused, as in
+    /// [`SignatureIndex::new`].
     pub fn from_signatures(
         k: usize,
         threshold: usize,
@@ -153,11 +159,9 @@ impl SignatureIndex {
     }
 
     /// Bulk-builds the whole index for every node of `graph` through the
-    /// shared-work extraction pipeline ([`ned_core::bulk_signatures`]) and
-    /// a balanced one-shot shard build — the fast path behind
-    /// `ned-cli index build`. `threads` bounds the extraction fan-out
-    /// (`0` = all cores); the balanced shard VP-trees always build
-    /// concurrently on the batch pool.
+    /// shared-work extraction pipeline ([`ned_core::bulk_signatures`]) —
+    /// the fast path behind `ned-cli index build`. `threads` bounds the
+    /// extraction fan-out (`0` = all cores).
     pub fn from_graph(
         graph: &Graph,
         k: usize,
@@ -181,18 +185,8 @@ impl SignatureIndex {
             .map(|&(id, _)| id.saturating_add(1))
             .max()
             .unwrap_or(0);
-        let shards = std::thread::available_parallelism().map_or(1, |c| c.get());
-        let bank = SketchBank::bulk(&entries, 0);
-        let forest = ShardedVpForest::from_entries_balanced(
-            threshold,
-            seed,
-            entries,
-            &SignatureMetric,
-            shards,
-        );
         SignatureIndex {
-            forest,
-            bank,
+            bank: SketchBank::bulk(&entries, 0),
             sketch_mode: SketchMode::default(),
             k,
             threshold: threshold.max(1),
@@ -208,22 +202,26 @@ impl SignatureIndex {
 
     /// Live signature count.
     pub fn len(&self) -> usize {
-        self.forest.len()
+        self.bank.len()
     }
 
     /// `true` when nothing is indexed.
     pub fn is_empty(&self) -> bool {
-        self.forest.is_empty()
+        self.bank.is_empty()
     }
 
-    /// Forest shape (shard sizes, buffer fill, tombstones).
-    pub fn stats(&self) -> ForestStats {
-        self.forest.stats()
+    /// Every live `(id, signature)` pair, in the bank's row order (not
+    /// id order).
+    pub fn entries(&self) -> impl Iterator<Item = (u64, &NodeSignature)> {
+        self.bank.entries()
     }
 
-    /// The underlying forest (read-only).
-    pub fn forest(&self) -> &ShardedVpForest<NodeSignature> {
-        &self.forest
+    /// The sketch bank, under the name of the VP-forest that used to hold
+    /// the live set: callers written against `forest().entries()` keep
+    /// working. New code should call [`SignatureIndex::entries`] or
+    /// [`SignatureIndex::sketch_bank`].
+    pub fn forest(&self) -> &SketchBank {
+        &self.bank
     }
 
     /// The id watermark: the id the next [`SignatureIndex::insert`] will
@@ -238,9 +236,9 @@ impl SignatureIndex {
         self.sketch_mode
     }
 
-    /// Switches how [`SignatureIndex::query`] / [`SignatureIndex::range`]
-    /// route through the sketch tier. The bank is always maintained, so
-    /// switching is instant in either direction.
+    /// Switches which sketch bound [`SignatureIndex::query`] /
+    /// [`SignatureIndex::range`] prune with. Switching is instant in
+    /// either direction.
     pub fn set_sketch_mode(&mut self, mode: SketchMode) {
         self.sketch_mode = mode;
     }
@@ -263,7 +261,6 @@ impl SignatureIndex {
     /// silent divergence ([`ned_core::Request::Fingerprint`]).
     pub fn live_set_fingerprint(&self) -> u64 {
         let mut pairs: Vec<(u64, u64)> = self
-            .forest
             .entries()
             .map(|(id, sig)| (id, sketch::stable_tree_fingerprint(sig.tree())))
             .collect();
@@ -281,20 +278,17 @@ impl SignatureIndex {
     /// near-equal contiguous runs. Returns `(starts, indexes)` where
     /// `starts[i]` is the lowest id shard `i` may own (`starts[0] == 0`,
     /// strictly the boundary used for routing: id `x` belongs to the last
-    /// shard with `start <= x`). Every shard keeps this index's `k`,
-    /// threshold and seed, so per-shard query results are bit-identical
-    /// to querying the same entries here.
+    /// shard with `start <= x`). Every shard keeps this index's `k` (and
+    /// its stored threshold and seed), so per-shard query results are
+    /// bit-identical to querying the same entries here.
     ///
     /// # Panics
     ///
     /// Panics if `shards == 0`.
     pub fn split_for_fleet(&self, shards: usize) -> (Vec<u64>, Vec<SignatureIndex>) {
         assert!(shards > 0, "a fleet needs at least one shard");
-        let mut entries: Vec<(u64, NodeSignature)> = self
-            .forest
-            .entries()
-            .map(|(id, sig)| (id, sig.clone()))
-            .collect();
+        let mut entries: Vec<(u64, NodeSignature)> =
+            self.entries().map(|(id, sig)| (id, sig.clone())).collect();
         entries.sort_by_key(|&(id, _)| id);
         let per = entries.len() / shards;
         let extra = entries.len() % shards;
@@ -328,7 +322,6 @@ impl SignatureIndex {
         let id = self.next_id;
         self.next_id += 1;
         self.bank.upsert(id, &sig);
-        self.forest.insert(&SignatureMetric, id, sig);
         id
     }
 
@@ -374,38 +367,32 @@ impl SignatureIndex {
     /// auto-assigning entry point.
     pub fn insert_at(&mut self, id: u64, sig: NodeSignature) -> bool {
         self.next_id = self.next_id.max(id.saturating_add(1));
+        let fresh = self.bank.get(id).is_none();
         self.bank.upsert(id, &sig);
-        self.forest.insert(&SignatureMetric, id, sig)
+        fresh
     }
 
     /// Removes a signature by id. Returns `false` for unknown ids.
     pub fn remove(&mut self, id: u64) -> bool {
-        self.bank.remove(id);
-        self.forest.remove(&SignatureMetric, id)
+        self.bank.remove(id)
     }
 
-    /// The signature stored under `id`, if live (`O(n)` — a diagnostic
-    /// accessor, not a query path).
+    /// The signature stored under `id`, if live.
     pub fn get(&self, id: u64) -> Option<&NodeSignature> {
-        self.forest
-            .entries()
-            .find(|&(eid, _)| eid == id)
-            .map(|(_, sig)| sig)
+        self.bank.get(id)
     }
 
     /// The `top` nearest indexed signatures, sorted by `(distance, id)`.
-    /// `threads = 0` uses all cores.
+    /// `threads = 0` uses all cores for the bound scan.
     ///
-    /// Routing follows the serving [`SketchMode`]: `Off` takes the
-    /// sharded VP-forest path, `Exact` (the default) pre-filters through
-    /// the sketch bank's provable lower bound — results stay
-    /// bit-identical to the forest — and `Approx` filters by the sketch
-    /// estimate (faster, measured rather than guaranteed recall).
+    /// The bank scans every row's sketch bound and refines candidates in
+    /// ascending bound order with the budgeted kernel. In
+    /// [`SketchMode::Exact`] (the default, and `Off`) the bound is
+    /// provable, so the result is bit-identical to
+    /// [`SignatureIndex::scan`]; [`SketchMode::Approx`] prunes by the
+    /// sketch estimate (faster, measured rather than guaranteed recall).
     pub fn query(&self, sig: &NodeSignature, top: usize, threads: usize) -> Vec<ForestHit> {
-        match self.sketch_mode {
-            SketchMode::Off => self.forest.knn(&SignatureMetric, sig, top, threads),
-            mode => self.bank.knn(sig, top, threads, mode),
-        }
+        self.bank.knn(sig, top, threads, self.sketch_mode)
     }
 
     /// [`SignatureIndex::query`] for a node of a graph (extracts the
@@ -421,22 +408,28 @@ impl SignatureIndex {
         self.query(&sig, top, threads)
     }
 
-    /// Every indexed signature within `radius` of `sig`, routed through
-    /// the sketch tier exactly like [`SignatureIndex::query`].
+    /// Every indexed signature within `radius` of `sig`, pruned by the
+    /// serving [`SketchMode`]'s bound exactly like
+    /// [`SignatureIndex::query`].
     pub fn range(&self, sig: &NodeSignature, radius: u64, threads: usize) -> Vec<ForestHit> {
-        match self.sketch_mode {
-            SketchMode::Off => self
-                .forest
-                .range(&SignatureMetric, sig, radius as f64, threads),
-            mode => self.bank.range(sig, radius, threads, mode),
-        }
+        self.bank.range(sig, radius, threads, self.sketch_mode)
     }
 
-    /// Full-scan baseline over the same live set — the reference the
-    /// forest's results are defined against, and the benchmark
-    /// comparator.
+    /// Exhaustive reference over the same live set: the full TED\*
+    /// distance to every live signature, sorted by `(distance, id)` and
+    /// cut to `top`. No bound, no budget — what every query mode is
+    /// tested against.
     pub fn scan(&self, sig: &NodeSignature, top: usize) -> Vec<ForestHit> {
-        self.forest.scan_knn(&SignatureMetric, sig, top)
+        let mut hits: Vec<ForestHit> = self
+            .entries()
+            .map(|(id, other)| ForestHit {
+                id,
+                distance: sig.distance(other) as f64,
+            })
+            .collect();
+        sort_hits(&mut hits);
+        hits.truncate(top);
+        hits
     }
 
     /// Serializes the whole index (config + every live signature) into
@@ -455,7 +448,7 @@ impl SignatureIndex {
     }
 
     fn encode(&self, epoch: Option<u64>) -> Vec<u8> {
-        let mut entries: Vec<(u64, &NodeSignature)> = self.forest.entries().collect();
+        let mut entries: Vec<(u64, &NodeSignature)> = self.entries().collect();
         entries.sort_unstable_by_key(|&(id, _)| id);
         let snapshot = store::encode_snapshot(
             self.k,
@@ -496,9 +489,9 @@ impl SignatureIndex {
         w.finish()
     }
 
-    /// Restores [`SignatureIndex::to_bytes`] output. The forest is
-    /// bulk-rebuilt (same live set, same query results — shard layout may
-    /// differ, which is invisible through the exact query API).
+    /// Restores [`SignatureIndex::to_bytes`] output: the persisted bank
+    /// rows are adopted as they are (version 3) or re-sketched from the
+    /// signatures (versions 1 and 2).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
         Self::decode_with_epoch(bytes).map(|(index, _)| index)
     }
@@ -555,17 +548,8 @@ impl SignatureIndex {
             // sketch-filtered queries immediately.
             SketchBank::bulk(&entries, 0)
         };
-        let shards = std::thread::available_parallelism().map_or(1, |c| c.get());
-        let forest = ShardedVpForest::from_entries_balanced(
-            threshold,
-            seed,
-            entries,
-            &SignatureMetric,
-            shards,
-        );
         Ok((
             SignatureIndex {
-                forest,
                 bank,
                 sketch_mode,
                 k,
@@ -796,7 +780,7 @@ mod tests {
     /// version 1 also drops the epoch field) so decode back-compat can be
     /// tested against bytes this build no longer writes.
     fn encode_legacy(index: &SignatureIndex, version: u32, epoch: u64) -> Vec<u8> {
-        let mut entries: Vec<(u64, &NodeSignature)> = index.forest.entries().collect();
+        let mut entries: Vec<(u64, &NodeSignature)> = index.entries().collect();
         entries.sort_unstable_by_key(|&(id, _)| id);
         let snapshot = store::encode_snapshot(
             index.k,
@@ -830,7 +814,7 @@ mod tests {
         assert_eq!(back.sketch_mode(), SketchMode::Approx);
         assert_eq!(back.sketch_stats().rows, index.len());
         // Persisted rows are bit-identical to the live bank's.
-        for (id, _) in index.forest.entries() {
+        for (id, _) in index.entries() {
             assert_eq!(back.bank.lanes_of(id), index.bank.lanes_of(id), "id {id}");
         }
     }
@@ -851,7 +835,7 @@ mod tests {
             // rows, default serving mode, and identical query results.
             assert_eq!(back.sketch_mode(), SketchMode::Exact);
             assert_eq!(back.sketch_stats().rows, index.len());
-            for (id, _) in index.forest.entries() {
+            for (id, _) in index.entries() {
                 assert_eq!(back.bank.lanes_of(id), index.bank.lanes_of(id), "id {id}");
             }
             for probe in [0u32, 77, 149] {
@@ -882,7 +866,7 @@ mod tests {
         w.put_u64(index.next_id);
         w.put_u64(0);
         w.put_u32(SketchMode::Exact.to_u32());
-        let mut entries: Vec<(u64, &NodeSignature)> = index.forest.entries().collect();
+        let mut entries: Vec<(u64, &NodeSignature)> = index.entries().collect();
         entries.sort_unstable_by_key(|&(id, _)| id);
         let snapshot = store::encode_snapshot(
             index.k,
@@ -917,7 +901,7 @@ mod tests {
         w.put_u64(index.next_id);
         w.put_u64(0);
         w.put_u32(SketchMode::Exact.to_u32());
-        let mut entries: Vec<(u64, &NodeSignature)> = index.forest.entries().collect();
+        let mut entries: Vec<(u64, &NodeSignature)> = index.entries().collect();
         entries.sort_unstable_by_key(|&(id, _)| id);
         let snapshot = store::encode_snapshot(
             index.k,
@@ -948,7 +932,7 @@ mod tests {
         w.put_block(&bank);
 
         let (back, _) = SignatureIndex::decode_with_epoch(&w.finish()).expect("decode");
-        for (id, _) in index.forest.entries() {
+        for (id, _) in index.entries() {
             assert_eq!(back.bank.lanes_of(id), index.bank.lanes_of(id), "id {id}");
         }
         for probe in [0u32, 61, 119] {

@@ -11,8 +11,10 @@
 //! [`PreparedTree`]s per candidate pair. Survivors are re-ranked by the
 //! budgeted early-abandoning kernel
 //! ([`ned_core::ted_star_prepared_within`] via
-//! [`SignatureMetric::distance_within`]), sharing one pruning radius
-//! exactly like the sharded forest does.
+//! [`SignatureMetric::distance_within`]) under the current k-th best
+//! distance. The bank is the whole live set of a
+//! [`crate::SignatureIndex`]: it holds each row's id and signature next
+//! to its lanes.
 //!
 //! # Sketch layout
 //!
@@ -62,8 +64,9 @@
 //! `max(L1(size lanes), max_l ceil(L1(hist lanes of l) / 4))`, which by
 //! the two points above never exceeds NED — so pruning candidates whose
 //! bound exceeds the current radius drops **nothing** the exact scan
-//! would keep. Exact mode is property-tested bit-identical to the
-//! unfiltered forest (`tests/sketch_filter.rs`).
+//! would keep. Exact mode is property-tested bit-identical to a full
+//! scan and to an independently built VP forest
+//! (`tests/sketch_filter.rs`).
 //!
 //! # Approximate mode
 //!
@@ -80,7 +83,9 @@ use crate::forest::{BoundedHeap, ForestHit, SharedBound};
 use crate::signatures::SignatureMetric;
 use crate::BoundedMetric;
 use ned_core::{NodeSignature, PreparedTree};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -268,15 +273,16 @@ impl Sketch {
     }
 }
 
-/// How [`crate::SignatureIndex`] routes queries through its sketch
-/// bank.
+/// Which sketch bound [`crate::SignatureIndex`] prunes its bank scan
+/// with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SketchMode {
-    /// Bypass the bank: queries take the sharded VP-forest path
-    /// unchanged (the pre-sketch serving configuration).
+    /// Routes like [`SketchMode::Exact`]. It used to bypass the bank for
+    /// a VP-forest that no longer exists; it stays because index files
+    /// and `sketch off` requests carry it.
     Off,
     /// Pre-filter by [`sketch_lower_bound`] — results stay bit-identical
-    /// to the forest (no false drops; the default).
+    /// to a full scan (no false drops; the default).
     #[default]
     Exact,
     /// Pre-filter by [`sketch_estimate`] — faster, with measured (not
@@ -366,29 +372,158 @@ impl std::fmt::Display for SketchStats {
     }
 }
 
-/// Rows per parallel scan chunk: large enough that a chunk amortizes
-/// its dispatch, small enough that the threads balance. A whole number
-/// of lane chunks, so a scan chunk never starts inside one.
-const SCAN_CHUNK: usize = 1024;
+/// Rows per copy-on-write bank chunk. A chunk holds its rows' ids,
+/// signatures and lanes (64 × (8 + 16 + 144) bytes ≈ 10.8 KB), so a
+/// write batch copies about 10.8 KB per chunk it touches. Chosen by
+/// measurement (k = 3, 2-vCPU host). On BA-4000, one edge flip's batch
+/// through apply and publication took 42.6, 40.9 and 53.1 µs at 16, 32
+/// and 64 rows (medians of seven alternating runs), and a memo-warm knn
+/// 149, 130 and 138 µs. On BA-40000 after flip churn, which scatters
+/// the copied chunks across the heap, the bound pass took 1141–1206 µs
+/// at 32 rows, 968–1012 µs at 64 and 930–967 µs at 128 (905–992 µs for
+/// lanes in 256-row chunks with ids and signatures kept apart), while a
+/// flip batch took 143–151, 165–172 and 283 µs. 64 rows give up about
+/// 12 µs per small-index batch to win back most of the large-index
+/// scan; the rest of that gap is still open.
+const CHUNK_ROWS: usize = 64;
 
-/// Rows per copy-on-write lane chunk: 256 rows × [`SKETCH_DIM`] lanes ×
-/// 2 bytes = 36 KB — small enough that a churn write republishing one
-/// row copies 36 KB instead of the whole bank, large enough that the
-/// scan still streams long contiguous runs.
-const CHUNK_ROWS: usize = 256;
-const _: () = assert!(SCAN_CHUNK.is_multiple_of(CHUNK_ROWS));
+/// Rows per chunk group, which is also the unit of a parallel scan run.
+/// A publication bumps one reference count per group (per 1024 rows), and
+/// a write copies the 16-pointer table of each group it touches.
+const GROUP_ROWS: usize = 1024;
+const GROUP_CHUNKS: usize = GROUP_ROWS / CHUNK_ROWS;
+const _: () = assert!(GROUP_ROWS.is_multiple_of(CHUNK_ROWS));
 
-/// Chunk index and in-chunk lane offset for row `r`.
+/// Chunk index and position in the chunk for row `r`.
 #[inline]
 fn chunk_loc(r: usize) -> (usize, usize) {
-    (r / CHUNK_ROWS, (r % CHUNK_ROWS) * SKETCH_DIM)
+    (r / CHUNK_ROWS, r % CHUNK_ROWS)
 }
 
-/// Splits a flat row-major lane buffer into `Arc`-shared chunks.
-fn chunk_lanes(flat: &[u16]) -> Vec<Arc<Vec<u16>>> {
-    flat.chunks(CHUNK_ROWS * SKETCH_DIM)
-        .map(|c| Arc::new(c.to_vec()))
-        .collect()
+/// One copy-on-write piece of a [`SketchBank`]: up to [`CHUNK_ROWS`]
+/// consecutive rows, each row's id, signature and lanes side by side
+/// under the chunk's single `Arc`.
+#[derive(Debug, Clone)]
+struct Chunk {
+    ids: Vec<u64>,
+    sigs: Vec<NodeSignature>,
+    /// `ids.len() × SKETCH_DIM` lanes, row-major.
+    lanes: Vec<u16>,
+}
+
+impl Chunk {
+    fn new() -> Chunk {
+        Chunk {
+            ids: Vec::with_capacity(CHUNK_ROWS),
+            sigs: Vec::with_capacity(CHUNK_ROWS),
+            lanes: Vec::with_capacity(CHUNK_ROWS * SKETCH_DIM),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    fn row(&self, i: usize) -> &[u16] {
+        &self.lanes[i * SKETCH_DIM..(i + 1) * SKETCH_DIM]
+    }
+
+    fn push(&mut self, id: u64, sig: NodeSignature, lanes: &[u16]) {
+        self.ids.push(id);
+        self.sigs.push(sig);
+        self.lanes.extend_from_slice(lanes);
+    }
+
+    fn set(&mut self, i: usize, id: u64, sig: NodeSignature, lanes: &[u16]) {
+        self.ids[i] = id;
+        self.sigs[i] = sig;
+        self.lanes[i * SKETCH_DIM..(i + 1) * SKETCH_DIM].copy_from_slice(lanes);
+    }
+
+    /// Removes and returns the last row.
+    fn pop(&mut self) -> (u64, NodeSignature, [u16; SKETCH_DIM]) {
+        let i = self.len() - 1;
+        let lanes: [u16; SKETCH_DIM] = self.row(i).try_into().expect("row dim");
+        self.lanes.truncate(i * SKETCH_DIM);
+        let id = self.ids.pop().expect("chunks are never empty");
+        let sig = self.sigs.pop().expect("one signature per id");
+        (id, sig, lanes)
+    }
+}
+
+/// Average live ids per [`RowMap`] piece: a write that adds or drops an
+/// id copies one piece of about this many entries (~8 KB).
+const PIECE_IDS: usize = 256;
+
+/// The bank's id → row map, split into `Arc`-shared pieces by a keyed
+/// hash of the id. A clone shares every piece; a write copies only the
+/// piece it changes. The piece count is a power of two and doubles
+/// whenever the pieces average more than [`PIECE_IDS`] ids.
+#[derive(Debug, Clone)]
+struct RowMap {
+    hasher: RandomState,
+    pieces: Vec<Arc<HashMap<u64, u32>>>,
+    len: usize,
+}
+
+impl Default for RowMap {
+    fn default() -> Self {
+        RowMap::with_capacity(0)
+    }
+}
+
+impl RowMap {
+    fn with_capacity(ids: usize) -> RowMap {
+        let pieces = ids.div_ceil(PIECE_IDS).next_power_of_two();
+        RowMap {
+            hasher: RandomState::new(),
+            pieces: (0..pieces).map(|_| Arc::default()).collect(),
+            len: 0,
+        }
+    }
+
+    fn piece(&self, id: u64) -> usize {
+        self.hasher.hash_one(id) as usize & (self.pieces.len() - 1)
+    }
+
+    fn get(&self, id: u64) -> Option<u32> {
+        self.pieces[self.piece(id)].get(&id).copied()
+    }
+
+    /// Maps `id` to `row`, replacing any previous row.
+    fn insert(&mut self, id: u64, row: u32) {
+        let p = self.piece(id);
+        if Arc::make_mut(&mut self.pieces[p]).insert(id, row).is_none() {
+            self.len += 1;
+            if self.len > self.pieces.len() * PIECE_IDS {
+                self.grow();
+            }
+        }
+    }
+
+    fn remove(&mut self, id: u64) -> Option<u32> {
+        let p = self.piece(id);
+        // Look first, so a miss never copies a shared piece.
+        self.pieces[p].get(&id)?;
+        let row = Arc::make_mut(&mut self.pieces[p]).remove(&id);
+        self.len -= 1;
+        row
+    }
+
+    /// Doubles the piece count and redistributes every id.
+    fn grow(&mut self) {
+        let mut next = RowMap {
+            hasher: self.hasher.clone(),
+            pieces: (0..self.pieces.len() * 2).map(|_| Arc::default()).collect(),
+            len: 0,
+        };
+        for piece in &self.pieces {
+            for (&id, &row) in piece.iter() {
+                next.insert(id, row);
+            }
+        }
+        *self = next;
+    }
 }
 
 /// The cap of [`order_by_bound`]'s counting sort: a bound below it gets
@@ -399,7 +534,7 @@ fn chunk_lanes(flat: &[u16]) -> Vec<Arc<Vec<u16>>> {
 /// against a leaf's, say), so the overflow bucket is usually empty.
 pub const BOUND_CAP: usize = 1024;
 
-/// Orders rows by ascending `(bounds[r], ids[r])` in O(n) plus the cost
+/// Orders rows by ascending `(bounds[r], id_of(r))` in O(n) plus the cost
 /// of the buckets actually visited: the refine stage of
 /// [`SketchBank::knn`] walks this order and stops at the first bound past
 /// its radius, typically after a few percent of the rows, so fully
@@ -415,19 +550,20 @@ pub const BOUND_CAP: usize = 1024;
 /// caller's results and counters do not depend on the cap. Ids must be
 /// distinct for that order to be total.
 ///
-/// `bounds[r]` and `ids[r]` describe row `r`; the iterator yields
-/// `(bound, row)` pairs.
+/// `bounds[r]` and `id_of(r)` describe row `r`; the iterator yields
+/// `(bound, row)` pairs. `id_of` runs only for rows in the buckets the
+/// iterator reaches, so a caller whose ids are not in one flat array
+/// need not gather them.
 ///
 /// ```
 /// use ned_index::sketch::order_by_bound;
 ///
 /// let bounds = [3, 1, 3, 5000, 1, 4000];
 /// let ids = [10, 40, 5, 7, 20, 9];
-/// let order: Vec<(u32, u32)> = order_by_bound(&bounds, &ids).collect();
+/// let order: Vec<(u32, u32)> = order_by_bound(&bounds, |r| ids[r as usize]).collect();
 /// assert_eq!(order, [(1, 4), (1, 1), (3, 2), (3, 0), (4000, 5), (5000, 3)]);
 /// ```
-pub fn order_by_bound<'a>(bounds: &'a [u32], ids: &'a [u64]) -> BoundOrder<'a> {
-    assert_eq!(bounds.len(), ids.len(), "one id per bound");
+pub fn order_by_bound<F: Fn(u32) -> u64>(bounds: &[u32], id_of: F) -> BoundOrder<'_, F> {
     assert!(bounds.len() <= u32::MAX as usize, "row index overflows u32");
     let bucket = |b: u32| (b as usize).min(BOUND_CAP);
     // Counts, then exclusive prefix sums (bucket starts); the scatter
@@ -450,7 +586,7 @@ pub fn order_by_bound<'a>(bounds: &'a [u32], ids: &'a [u64]) -> BoundOrder<'a> {
     }
     BoundOrder {
         bounds,
-        ids,
+        id_of,
         rows,
         ends,
         bucket: 0,
@@ -462,10 +598,9 @@ pub fn order_by_bound<'a>(bounds: &'a [u32], ids: &'a [u64]) -> BoundOrder<'a> {
 /// Iterator over rows in ascending `(bound, id)` order, yielding
 /// `(bound, row)`; built by [`order_by_bound`], which documents the
 /// bucketed ordering.
-#[derive(Debug)]
-pub struct BoundOrder<'a> {
+pub struct BoundOrder<'a, F> {
     bounds: &'a [u32],
-    ids: &'a [u64],
+    id_of: F,
     /// Row indices grouped by bucket; `rows[..sorted_end]` is in final
     /// order.
     rows: Vec<u32>,
@@ -478,7 +613,7 @@ pub struct BoundOrder<'a> {
     sorted_end: usize,
 }
 
-impl Iterator for BoundOrder<'_> {
+impl<F: Fn(u32) -> u64> Iterator for BoundOrder<'_, F> {
     type Item = (u32, u32);
 
     fn next(&mut self) -> Option<(u32, u32)> {
@@ -487,12 +622,12 @@ impl Iterator for BoundOrder<'_> {
                 return None;
             }
             let end = self.ends[self.bucket] as usize;
-            let (bounds, ids) = (self.bounds, self.ids);
+            let (bounds, id_of) = (self.bounds, &self.id_of);
             let bucket = &mut self.rows[self.sorted_end..end];
             if self.bucket < BOUND_CAP {
-                bucket.sort_unstable_by_key(|&r| ids[r as usize]);
+                bucket.sort_unstable_by_key(|&r| id_of(r));
             } else {
-                bucket.sort_unstable_by_key(|&r| (bounds[r as usize], ids[r as usize]));
+                bucket.sort_unstable_by_key(|&r| (bounds[r as usize], id_of(r)));
             }
             self.sorted_end = end;
             self.bucket += 1;
@@ -503,18 +638,21 @@ impl Iterator for BoundOrder<'_> {
     }
 }
 
-/// The SoA sketch bank: one row per live signature, lanes stored in
-/// fixed-size **`Arc`-shared chunks**, scanned linearly at query time
-/// and fed into the shared-radius exact refine. Maintained by
-/// [`crate::SignatureIndex`] on every insert/replace/remove so rows
-/// mirror the live set exactly.
+/// The SoA sketch bank: one row per live signature, scanned linearly at
+/// query time and fed into the shared-radius exact refine. It is the
+/// live set of [`crate::SignatureIndex`]: every insert, replace and
+/// remove lands here, and every query, persistence and fingerprint pass
+/// reads from here.
 ///
-/// Cloning the bank — which happens on **every publication** (the
-/// concurrent index snapshots the master copy) — shares the lane chunks
-/// by pointer; the writer's next mutation copies only the chunk it
-/// touches ([`Arc::make_mut`]). That turns the per-publication lane
-/// copy from O(rows) to O(chunks touched), the difference the
-/// `delta/ba4000-edge-churn` trajectory entry measures.
+/// Rows live in 64-row **`Arc`-shared chunks** that keep each row's id,
+/// signature and lanes together, gathered into `Arc`-shared groups of 16
+/// chunks; the id → row map is split into `Arc`-shared pieces. Cloning
+/// the bank — which happens on **every publication** (the concurrent
+/// index snapshots the master copy) — bumps one reference count per
+/// group and per piece and copies no row; the writer's next mutation
+/// copies only the chunks, group tables and pieces it touches
+/// ([`Arc::make_mut`]). A write batch therefore costs what it changes,
+/// not what the bank holds.
 ///
 /// ```
 /// use ned_core::NodeSignature;
@@ -543,14 +681,13 @@ impl Iterator for BoundOrder<'_> {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SketchBank {
-    ids: Vec<u64>,
-    /// Row `r`'s lanes live in chunk `r / CHUNK_ROWS` at offset
-    /// `(r % CHUNK_ROWS) * SKETCH_DIM`; rows never straddle chunks. The
-    /// tail chunk may hold stale lanes past the live row count after a
-    /// swap-remove — they are never read and never serialized.
-    lanes: Vec<Arc<Vec<u16>>>,
-    sigs: Vec<NodeSignature>,
-    row_of: HashMap<u64, u32>,
+    /// Row `r` is entry `r % CHUNK_ROWS` of chunk `r / CHUNK_ROWS`, and
+    /// chunk `c` is entry `c % GROUP_CHUNKS` of group `c / GROUP_CHUNKS`.
+    /// Every chunk but the last is full, every group but the last holds
+    /// `GROUP_CHUNKS` chunks, and none is empty.
+    groups: Vec<Arc<Vec<Arc<Chunk>>>>,
+    len: usize,
+    row_of: RowMap,
     counters: Arc<SketchCounters>,
 }
 
@@ -561,128 +698,122 @@ impl SketchBank {
     }
 
     /// Bulk build: sketches every entry on up to `threads` threads
-    /// (`0` = all cores).
+    /// (`0` = all cores). A later duplicate id replaces the earlier row.
     pub fn bulk(entries: &[(u64, NodeSignature)], threads: usize) -> Self {
         let rows = ned_core::batch::par_map(entries.len(), threads, |i| {
             let mut lanes = [0u16; SKETCH_DIM];
             sketch_cached(entries[i].1.prepared(), &mut lanes);
             lanes
         });
-        let mut ids: Vec<u64> = Vec::with_capacity(entries.len());
-        let mut flat: Vec<u16> = Vec::with_capacity(entries.len() * SKETCH_DIM);
-        let mut sigs: Vec<NodeSignature> = Vec::with_capacity(entries.len());
-        let mut row_of: HashMap<u64, u32> = HashMap::with_capacity(entries.len());
+        let mut bank = SketchBank::with_capacity(entries.len());
         for ((id, sig), lanes) in entries.iter().zip(rows) {
-            match row_of.get(id) {
-                // Later duplicates win, matching forest replace semantics.
-                Some(&r) => {
-                    let r = r as usize;
-                    flat[r * SKETCH_DIM..(r + 1) * SKETCH_DIM].copy_from_slice(&lanes);
-                    sigs[r] = sig.clone();
-                }
-                None => {
-                    row_of.insert(*id, ids.len() as u32);
-                    ids.push(*id);
-                    flat.extend_from_slice(&lanes);
-                    sigs.push(sig.clone());
-                }
-            }
+            bank.put(*id, sig.clone(), &lanes);
         }
-        SketchBank {
-            ids,
-            lanes: chunk_lanes(&flat),
-            sigs,
-            row_of,
-            counters: Arc::new(SketchCounters::default()),
-        }
+        bank
     }
 
     /// Rebuilds a bank from entries plus their **persisted** lanes (the
     /// NEDIDX snapshot fast path: no re-sketching). `lanes` is row-major
-    /// in entry order. Panics if the shapes disagree — the codec
-    /// validates sizes before calling.
+    /// in entry order. Panics if the shapes disagree or an id repeats —
+    /// the codec validates both before calling.
     pub fn from_rows(entries: &[(u64, NodeSignature)], lanes: Vec<u16>) -> Self {
         assert_eq!(lanes.len(), entries.len() * SKETCH_DIM, "lane shape");
-        let mut row_of = HashMap::with_capacity(entries.len());
-        for (r, (id, _)) in entries.iter().enumerate() {
-            let prev = row_of.insert(*id, r as u32);
-            assert!(prev.is_none(), "duplicate id {id} in persisted bank");
+        let mut bank = SketchBank::with_capacity(entries.len());
+        for ((id, sig), row) in entries.iter().zip(lanes.chunks_exact(SKETCH_DIM)) {
+            assert!(
+                bank.row_of.get(*id).is_none(),
+                "duplicate id {id} in persisted bank"
+            );
+            bank.put(*id, sig.clone(), row);
         }
+        bank
+    }
+
+    fn with_capacity(rows: usize) -> Self {
         SketchBank {
-            ids: entries.iter().map(|&(id, _)| id).collect(),
-            lanes: chunk_lanes(&lanes),
-            sigs: entries.iter().map(|(_, s)| s.clone()).collect(),
-            row_of,
-            counters: Arc::new(SketchCounters::default()),
+            groups: Vec::with_capacity(rows.div_ceil(GROUP_ROWS)),
+            row_of: RowMap::with_capacity(rows),
+            ..SketchBank::default()
         }
     }
 
     /// Live rows.
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.len
     }
 
     /// `true` when no rows are live.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.len == 0
     }
 
     /// Inserts or replaces the row for `id`.
     pub fn upsert(&mut self, id: u64, sig: &NodeSignature) {
-        match self.row_of.get(&id) {
-            Some(&r) => {
-                let r = r as usize;
-                let mut lanes = [0u16; SKETCH_DIM];
-                sketch_cached(sig.prepared(), &mut lanes);
-                self.row_lanes_mut(r).copy_from_slice(&lanes);
-                self.sigs[r] = sig.clone();
+        let mut lanes = [0u16; SKETCH_DIM];
+        sketch_cached(sig.prepared(), &mut lanes);
+        self.put(id, sig.clone(), &lanes);
+    }
+
+    /// [`SketchBank::upsert`] with the lanes already computed.
+    fn put(&mut self, id: u64, sig: NodeSignature, lanes: &[u16]) {
+        match self.row_of.get(id) {
+            Some(r) => {
+                let (c, i) = chunk_loc(r as usize);
+                self.chunk_mut(c).set(i, id, sig, lanes);
             }
             None => {
-                let r = self.ids.len();
+                let r = self.len;
                 self.row_of.insert(id, r as u32);
-                self.ids.push(id);
-                let mut lanes = [0u16; SKETCH_DIM];
-                sketch_cached(sig.prepared(), &mut lanes);
-                let (c, off) = chunk_loc(r);
-                if c == self.lanes.len() {
-                    self.lanes
-                        .push(Arc::new(Vec::with_capacity(CHUNK_ROWS * SKETCH_DIM)));
+                if r.is_multiple_of(GROUP_ROWS) {
+                    self.groups.push(Arc::new(Vec::with_capacity(GROUP_CHUNKS)));
                 }
-                let chunk = Arc::make_mut(&mut self.lanes[c]);
-                // The tail chunk may still hold a swap-removed row's
-                // stale lanes; overwrite in place instead of growing.
-                if chunk.len() < off + SKETCH_DIM {
-                    chunk.resize(off + SKETCH_DIM, 0);
+                if r.is_multiple_of(CHUNK_ROWS) {
+                    let group = self.groups.last_mut().expect("row r has a group");
+                    Arc::make_mut(group).push(Arc::new(Chunk::new()));
                 }
-                chunk[off..off + SKETCH_DIM].copy_from_slice(&lanes);
-                self.sigs.push(sig.clone());
+                self.chunk_mut(r / CHUNK_ROWS).push(id, sig, lanes);
+                self.len += 1;
             }
         }
     }
 
-    /// Drops the row for `id` (swap-remove). Returns `false` for
-    /// unknown ids.
+    fn chunk(&self, c: usize) -> &Chunk {
+        &self.groups[c / GROUP_CHUNKS][c % GROUP_CHUNKS]
+    }
+
+    /// Chunk `c` for writing, copying it and its group's pointer table
+    /// first if a clone still shares them (the copy-on-write step).
+    fn chunk_mut(&mut self, c: usize) -> &mut Chunk {
+        let group = Arc::make_mut(&mut self.groups[c / GROUP_CHUNKS]);
+        Arc::make_mut(&mut group[c % GROUP_CHUNKS])
+    }
+
+    fn chunks(&self) -> impl Iterator<Item = &Chunk> {
+        self.groups.iter().flat_map(|g| g.iter().map(|c| &**c))
+    }
+
+    /// Drops the row for `id` (swap-remove: the last row moves into its
+    /// place). Returns `false` for unknown ids.
     pub fn remove(&mut self, id: u64) -> bool {
-        let Some(r) = self.row_of.remove(&id) else {
+        let Some(r) = self.row_of.remove(id) else {
             return false;
         };
-        let r = r as usize;
-        let last = self.ids.len() - 1;
-        if r != last {
-            let moved = self.ids[last];
-            self.ids.swap(r, last);
-            self.sigs.swap(r, last);
-            let last_row: [u16; SKETCH_DIM] = self.row_lanes(last).try_into().expect("row dim");
-            self.row_lanes_mut(r).copy_from_slice(&last_row);
-            self.row_of.insert(moved, r as u32);
+        let (r, last) = (r as usize, self.len - 1);
+        let (moved, sig, lanes) = self.chunk_mut(last / CHUNK_ROWS).pop();
+        if last.is_multiple_of(CHUNK_ROWS) {
+            // The tail chunk is empty now: drop it, and its group too if
+            // that was the group's only chunk.
+            let group = self.groups.last_mut().expect("a live row has a group");
+            Arc::make_mut(group).pop();
+            if group.is_empty() {
+                self.groups.pop();
+            }
         }
-        self.ids.pop();
-        self.sigs.pop();
-        // The vacated tail row's lanes go stale in place (never read);
-        // only a fully emptied tail chunk is dropped — neither path
-        // copies a shared chunk just to shrink it.
-        if chunk_loc(last).1 == 0 {
-            self.lanes.pop();
+        self.len = last;
+        if r != last {
+            let (c, i) = chunk_loc(r);
+            self.chunk_mut(c).set(i, moved, sig, &lanes);
+            self.row_of.insert(moved, r as u32);
         }
         true
     }
@@ -690,13 +821,34 @@ impl SketchBank {
     /// The lanes of `id`'s row, if live (the codec reads rows in id
     /// order through this).
     pub fn lanes_of(&self, id: u64) -> Option<&[u16]> {
-        self.row_of.get(&id).map(|&r| self.row_lanes(r as usize))
+        let (c, i) = chunk_loc(self.row_of.get(id)? as usize);
+        Some(self.chunk(c).row(i))
+    }
+
+    /// The signature stored under `id`, if live.
+    pub fn get(&self, id: u64) -> Option<&NodeSignature> {
+        let (c, i) = chunk_loc(self.row_of.get(id)? as usize);
+        Some(&self.chunk(c).sigs[i])
+    }
+
+    /// Every live `(id, signature)` pair, in row order: the `r`-th item
+    /// is the row whose bound is `scan_bounds(..)[r]`.
+    pub fn entries(&self) -> impl Iterator<Item = (u64, &NodeSignature)> {
+        self.chunks()
+            .flat_map(|c| c.ids.iter().copied().zip(&c.sigs))
+    }
+
+    /// The id of row `row` (`row < len()`), the key [`order_by_bound`]
+    /// breaks bound ties by.
+    pub fn id_at(&self, row: u32) -> u64 {
+        let (c, i) = chunk_loc(row as usize);
+        self.chunk(c).ids[i]
     }
 
     /// Current counters snapshot.
     pub fn stats(&self) -> SketchStats {
         SketchStats {
-            rows: self.ids.len(),
+            rows: self.len,
             queries: self.counters.queries.load(Ordering::Relaxed),
             scanned: self.counters.scanned.load(Ordering::Relaxed),
             refined: self.counters.refined.load(Ordering::Relaxed),
@@ -704,41 +856,19 @@ impl SketchBank {
         }
     }
 
-    #[inline]
-    fn row_lanes(&self, r: usize) -> &[u16] {
-        let (c, off) = chunk_loc(r);
-        &self.lanes[c][off..off + SKETCH_DIM]
-    }
-
-    /// Mutable view of row `r`, copying its chunk first if a clone still
-    /// shares it (the copy-on-write step).
-    fn row_lanes_mut(&mut self, r: usize) -> &mut [u16] {
-        let (c, off) = chunk_loc(r);
-        &mut Arc::make_mut(&mut self.lanes[c])[off..off + SKETCH_DIM]
-    }
-
-    /// Row ids in row order: `ids()[r]` is the id of the row whose bound
-    /// is `scan_bounds(..)[r]`.
-    pub fn ids(&self) -> &[u64] {
-        &self.ids
-    }
-
     /// Every row's sketch bound to `query`, in row order: the
     /// [`sketch_lower_bound`] (or, in [`SketchMode::Approx`], the
     /// [`sketch_estimate`]) against the query's sketch. One pass streams
-    /// the lane chunks into a single buffer; with `threads > 1` the rows
-    /// are split into 1024-row runs on scoped threads.
+    /// the chunks' lanes into a single buffer; with `threads > 1` the
+    /// chunk groups (1024 rows each) are split over scoped threads.
     pub fn scan_bounds(&self, query: &NodeSignature, threads: usize, mode: SketchMode) -> Vec<u32> {
         let approx = mode == SketchMode::Approx;
         let mut qs = [0u16; SKETCH_DIM];
         sketch_cached(query.prepared(), &mut qs);
-        let mut bounds = vec![0u32; self.ids.len()];
-        ned_core::batch::par_chunks_mut(&mut bounds, SCAN_CHUNK, threads, |ci, out| {
-            let first = ci * (SCAN_CHUNK / CHUNK_ROWS);
-            for (lanes, out) in self.lanes[first..].iter().zip(out.chunks_mut(CHUNK_ROWS)) {
-                // `out` holds only live rows, so the zip never reads the
-                // tail chunk's stale lanes.
-                for (b, row) in out.iter_mut().zip(lanes.chunks_exact(SKETCH_DIM)) {
+        let mut bounds = vec![0u32; self.len];
+        ned_core::batch::par_chunks_mut(&mut bounds, GROUP_ROWS, threads, |g, out| {
+            for (chunk, out) in self.groups[g].iter().zip(out.chunks_mut(CHUNK_ROWS)) {
+                for (b, row) in out.iter_mut().zip(chunk.lanes.chunks_exact(SKETCH_DIM)) {
                     let row: &[u16; SKETCH_DIM] = row.try_into().expect("row dim");
                     let bound = if approx {
                         sketch_estimate(&qs, row)
@@ -754,12 +884,12 @@ impl SketchBank {
     }
 
     /// The `k` nearest rows to `query`, sorted by `(distance, id)`.
-    /// In [`SketchMode::Exact`] (or `Off`, treated as exact here) the
-    /// result is bit-identical to a full scan: rows are refined in
-    /// ascending `(bound, id)` order ([`order_by_bound`]) and the loop
-    /// stops once the bound alone exceeds the current k-th best
-    /// distance; every exact call runs the budgeted kernel with that
-    /// radius. Only the buckets the loop reaches are ever sorted.
+    /// In [`SketchMode::Exact`] (or `Off`, treated as exact) the result
+    /// is bit-identical to a full scan: rows are refined in ascending
+    /// `(bound, id)` order ([`order_by_bound`]) and the loop stops once
+    /// the bound alone exceeds the current k-th best distance; every
+    /// exact call runs the budgeted kernel with that radius. Only the
+    /// buckets the loop reaches are ever sorted.
     pub fn knn(
         &self,
         query: &NodeSignature,
@@ -767,7 +897,7 @@ impl SketchBank {
         threads: usize,
         mode: SketchMode,
     ) -> Vec<ForestHit> {
-        if k == 0 || self.ids.is_empty() {
+        if k == 0 || self.len == 0 {
             return Vec::new();
         }
         let bounds = self.scan_bounds(query, threads, mode);
@@ -775,14 +905,16 @@ impl SketchBank {
         let mut heap = BoundedHeap::new(k, &shared);
         let mut refined = 0u64;
         let mut cut = 0u64;
-        for (pos, (bound, r)) in order_by_bound(&bounds, &self.ids).enumerate() {
+        for (pos, (bound, r)) in order_by_bound(&bounds, |r| self.id_at(r)).enumerate() {
             let tau = heap.tau();
             if f64::from(bound) > tau {
                 cut = (bounds.len() - pos) as u64;
                 break;
             }
-            if let Some(d) = SignatureMetric.distance_within(query, &self.sigs[r as usize], tau) {
-                heap.offer_id(self.ids[r as usize], d);
+            let (c, i) = chunk_loc(r as usize);
+            let chunk = self.chunk(c);
+            if let Some(d) = SignatureMetric.distance_within(query, &chunk.sigs[i], tau) {
+                heap.offer_id(chunk.ids[i], d);
             }
             refined += 1;
         }
@@ -797,7 +929,7 @@ impl SketchBank {
 
     /// Every row within `radius` of `query` (inclusive), sorted by
     /// `(distance, id)`. The radius is fixed, so survivors refine in
-    /// parallel inside the scan chunks.
+    /// parallel, one chunk group per task.
     pub fn range(
         &self,
         query: &NodeSignature,
@@ -805,51 +937,50 @@ impl SketchBank {
         threads: usize,
         mode: SketchMode,
     ) -> Vec<ForestHit> {
-        if self.ids.is_empty() {
+        if self.len == 0 {
             return Vec::new();
         }
         let approx = mode == SketchMode::Approx;
         let mut qs = [0u16; SKETCH_DIM];
         sketch_cached(query.prepared(), &mut qs);
-        let n = self.ids.len();
-        let chunks = n.div_ceil(SCAN_CHUNK);
         let refined = AtomicU64::new(0);
-        let per_chunk: Vec<Vec<ForestHit>> = ned_core::batch::par_map(chunks, threads, |ci| {
-            let start = ci * SCAN_CHUNK;
-            let end = (start + SCAN_CHUNK).min(n);
+        let per_group = ned_core::batch::par_map(self.groups.len(), threads, |g| {
             let mut out = Vec::new();
             let mut local_refined = 0u64;
-            for r in start..end {
-                let b = if approx {
-                    sketch_estimate(&qs, self.row_lanes(r))
-                } else {
-                    sketch_lower_bound(&qs, self.row_lanes(r))
-                };
-                if b > radius {
-                    continue;
-                }
-                local_refined += 1;
-                if let Some(d) =
-                    SignatureMetric.distance_within(query, &self.sigs[r], radius as f64)
-                {
-                    out.push(ForestHit {
-                        id: self.ids[r],
-                        distance: d,
-                    });
+            for chunk in self.groups[g].iter() {
+                for (i, row) in chunk.lanes.chunks_exact(SKETCH_DIM).enumerate() {
+                    let b = if approx {
+                        sketch_estimate(&qs, row)
+                    } else {
+                        sketch_lower_bound(&qs, row)
+                    };
+                    if b > radius {
+                        continue;
+                    }
+                    local_refined += 1;
+                    if let Some(d) =
+                        SignatureMetric.distance_within(query, &chunk.sigs[i], radius as f64)
+                    {
+                        out.push(ForestHit {
+                            id: chunk.ids[i],
+                            distance: d,
+                        });
+                    }
                 }
             }
             refined.fetch_add(local_refined, Ordering::Relaxed);
             out
         });
-        let mut hits: Vec<ForestHit> = per_chunk.into_iter().flatten().collect();
+        let mut hits: Vec<ForestHit> = per_group.into_iter().flatten().collect();
         crate::forest::sort_hits(&mut hits);
+        let n = self.len as u64;
         let refined = refined.load(Ordering::Relaxed);
         self.counters.queries.fetch_add(1, Ordering::Relaxed);
-        self.counters.scanned.fetch_add(n as u64, Ordering::Relaxed);
+        self.counters.scanned.fetch_add(n, Ordering::Relaxed);
         self.counters.refined.fetch_add(refined, Ordering::Relaxed);
         self.counters
             .pruned
-            .fetch_add(n as u64 - refined, Ordering::Relaxed);
+            .fetch_add(n - refined, Ordering::Relaxed);
         hits
     }
 }
@@ -923,8 +1054,8 @@ mod tests {
 
     #[test]
     fn scan_bounds_match_per_row_bounds_on_any_thread_count() {
-        // 2300 rows, then swap-removes: several scan chunks, a partial
-        // tail lane chunk holding stale lanes, ids out of row order.
+        // 2300 rows, then swap-removes: several scan runs, a partial tail
+        // chunk, ids out of row order.
         let db = sigs(230, 3, 12);
         let mut bank = SketchBank::new();
         for id in 0..2300u64 {
@@ -937,9 +1068,8 @@ mod tests {
         let qs = Sketch::of(q);
         for mode in [SketchMode::Exact, SketchMode::Approx] {
             let want: Vec<u32> = bank
-                .ids()
-                .iter()
-                .map(|&id| {
+                .entries()
+                .map(|(id, _)| {
                     let row = bank.lanes_of(id).expect("live id");
                     let b = match mode {
                         SketchMode::Approx => sketch_estimate(qs.lanes(), row),
@@ -978,7 +1108,7 @@ mod tests {
                 (0..n).map(|r| (bounds[r], ids[r], r as u32)).collect();
             want.sort_unstable();
             let want: Vec<(u32, u32)> = want.into_iter().map(|(b, _, r)| (b, r)).collect();
-            let order: Vec<(u32, u32)> = order_by_bound(&bounds, &ids).collect();
+            let order: Vec<(u32, u32)> = order_by_bound(&bounds, |r| ids[r as usize]).collect();
             assert_eq!(order, want, "n {n}");
         }
     }
@@ -1040,44 +1170,74 @@ mod tests {
 
     #[test]
     fn clone_is_copy_on_write_per_chunk() {
-        // > CHUNK_ROWS rows → two lane chunks, so a clone + one-row write
-        // must copy exactly the touched chunk and keep sharing the other.
+        // 2100 rows: three chunk groups, the last one partial, and a
+        // partial tail chunk. After a clone, a one-row write must copy
+        // exactly the touched chunk (ids, signatures and lanes together)
+        // and its group's pointer table, and keep sharing the rest.
         let db = sigs(300, 3, 8);
-        let entries: Vec<(u64, NodeSignature)> = db
-            .iter()
-            .cloned()
-            .enumerate()
-            .map(|(i, s)| (i as u64, s))
+        let entries: Vec<(u64, NodeSignature)> = (0..2100u64)
+            .map(|id| (id, db[id as usize % db.len()].clone()))
             .collect();
-        let mut bank = SketchBank::bulk(&entries, 0);
-        assert_eq!(bank.lanes.len(), 2, "300 rows span two 256-row chunks");
+        let snapshot = SketchBank::bulk(&entries, 0);
+        assert_eq!(snapshot.groups.len(), 3);
+        let chunks = |b: &SketchBank| -> Vec<Arc<Chunk>> {
+            b.groups.iter().flat_map(|g| g.iter().cloned()).collect()
+        };
+        let groups_shared = |a: &SketchBank| -> Vec<bool> {
+            a.groups
+                .iter()
+                .zip(&snapshot.groups)
+                .map(|(x, y)| Arc::ptr_eq(x, y))
+                .collect()
+        };
+        let chunks_shared = |a: &SketchBank| -> Vec<bool> {
+            chunks(a)
+                .iter()
+                .zip(chunks(&snapshot).iter())
+                .map(|(x, y)| Arc::ptr_eq(x, y))
+                .collect()
+        };
+        let pieces_shared = |a: &SketchBank| -> bool {
+            a.row_of
+                .pieces
+                .iter()
+                .zip(&snapshot.row_of.pieces)
+                .all(|(x, y)| Arc::ptr_eq(x, y))
+        };
 
-        let snapshot = bank.clone();
-        for (c, chunk) in bank.lanes.iter().enumerate() {
-            assert!(
-                Arc::ptr_eq(chunk, &snapshot.lanes[c]),
-                "clone shares chunk {c} by pointer"
-            );
+        let mut bank = snapshot.clone();
+        assert!(groups_shared(&bank).iter().all(|&s| s));
+        assert!(pieces_shared(&bank));
+
+        let row = 1030; // group 1
+        let before: Vec<u16> = bank.lanes_of(row).expect("row live").to_vec();
+        bank.upsert(row, &db[1]);
+        assert_eq!(groups_shared(&bank), [true, false, true]);
+        for (c, shared) in chunks_shared(&bank).into_iter().enumerate() {
+            assert_eq!(shared, c != row as usize / CHUNK_ROWS, "chunk {c}");
         }
+        // A replace moves no row, so the id map stays shared whole.
+        assert!(pieces_shared(&bank));
+        // The snapshot still reads the pre-write row; the writer reads
+        // the new one.
+        assert_eq!(snapshot.lanes_of(row).expect("row live"), &before[..]);
+        assert_eq!(snapshot.get(row), Some(&db[row as usize % 300]));
+        assert_eq!(bank.lanes_of(row), bank.lanes_of(1), "row now holds db[1]");
 
-        let before: Vec<u16> = bank.lanes_of(0).expect("row 0 live").to_vec();
-        bank.upsert(0, &db[1]);
-        assert!(
-            !Arc::ptr_eq(&bank.lanes[0], &snapshot.lanes[0]),
-            "writing row 0 copied chunk 0"
-        );
-        assert!(
-            Arc::ptr_eq(&bank.lanes[1], &snapshot.lanes[1]),
-            "chunk 1 is untouched and still shared"
-        );
-        // The snapshot still reads the pre-write lanes; the writer reads
-        // the new ones.
-        assert_eq!(snapshot.lanes_of(0).expect("row 0 live"), &before[..]);
-        assert_eq!(
-            bank.lanes_of(0).expect("row 0 live"),
-            bank.lanes_of(1).expect("row 1 live"),
-            "row 0 now carries db[1]'s sketch"
-        );
+        // A remove swaps the last row into the hole: it copies the hole's
+        // chunk and the tail chunk (and their groups), nothing between.
+        let mut bank = snapshot.clone();
+        assert!(bank.remove(40));
+        assert_eq!(groups_shared(&bank), [false, true, false]);
+        let tail = 2099 / CHUNK_ROWS;
+        for (c, shared) in chunks_shared(&bank).into_iter().enumerate() {
+            assert_eq!(shared, c != 40 / CHUNK_ROWS && c != tail, "chunk {c}");
+        }
+        assert_eq!(bank.len(), 2099);
+        assert_eq!(bank.get(2099), Some(&db[2099 % 300]));
+        assert_eq!(bank.lanes_of(2099), snapshot.lanes_of(2099));
+        assert_eq!(snapshot.get(40), Some(&db[40]));
+        assert_eq!(bank.get(40), None);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::{Arc, Mutex};
 
 fn sorted_ids(index: &SignatureIndex) -> Vec<u64> {
-    let mut ids: Vec<u64> = index.forest().entries().map(|(id, _)| id).collect();
+    let mut ids: Vec<u64> = index.entries().map(|(id, _)| id).collect();
     ids.sort_unstable();
     ids
 }
@@ -35,9 +35,10 @@ fn readers_race_a_churning_writer_without_torn_reads() {
     let mut rng = SmallRng::seed_from_u64(0xC0C0);
     let g = generators::barabasi_albert(150, 2, &mut rng);
     let nodes: Vec<u32> = g.nodes().collect();
-    // Small freeze threshold: the churn below repeatedly merges shards
-    // and trips compactions, which is exactly where torn state would
-    // hide.
+    // 100 rows span two 64-row bank chunks: the churn below swaps rows
+    // across chunks, grows and empties the tail chunk, and rewrites
+    // chunks a reader's snapshot still shares, which is exactly where
+    // torn state would hide.
     let mut index = SignatureIndex::new(2, 16, 3);
     index.insert_graph(&g, &nodes[..100]);
     let spare: Vec<NodeSignature> = ned_core::signatures(&g, &nodes[100..], 2);
@@ -154,4 +155,32 @@ fn long_reads_pin_old_snapshots_while_epochs_advance() {
     assert_eq!(old.len(), 80);
     assert_eq!(old.scan(&probe, 10), before);
     assert_eq!(old.query(&probe, 10, 1), before);
+}
+
+#[test]
+fn superseded_snapshots_are_freed_on_the_writer() {
+    let mut rng = SmallRng::seed_from_u64(12);
+    let g = generators::barabasi_albert(80, 2, &mut rng);
+    let nodes: Vec<u32> = g.nodes().collect();
+    let mut index = SignatureIndex::new(2, 8, 5);
+    index.insert_graph(&g, &nodes);
+    let probe = NodeSignature::extract(&g, 13, 2);
+
+    let (mut writer, reader) = ConcurrentNedIndex::split(index);
+    let snap = reader.snapshot();
+    let weak = Arc::downgrade(&snap);
+    let id = writer.insert(probe);
+    // The publication superseded `snap`; the reader's drop is not the
+    // last one, because the writer still holds it.
+    drop(snap);
+    assert!(
+        weak.upgrade().is_some(),
+        "a reader's drop freed a superseded snapshot"
+    );
+    // The next publication finds the writer its only owner and frees it.
+    writer.remove(id);
+    assert!(
+        weak.upgrade().is_none(),
+        "the writer kept a snapshot no reader holds"
+    );
 }

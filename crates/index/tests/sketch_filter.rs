@@ -7,11 +7,11 @@
 //!    road grids) and every extraction depth `k ∈ 1..=5`. A violated
 //!    bound would mean silent false drops in exact mode.
 //! 2. **Bit-identical exact mode** — with [`SketchMode::Exact`] (the
-//!    default), `query`/`range` return exactly what the unfiltered
-//!    VP-forest path ([`SketchMode::Off`]) and the full scan return —
-//!    ids *and* distances — under arbitrary insert/remove churn and
-//!    across a save/load round trip of the sketch-carrying snapshot
-//!    format.
+//!    default), `query`/`range` return exactly what an independently
+//!    built [`ShardedVpForest`] over the same entries and the full scan
+//!    return — ids *and* distances — under arbitrary insert/remove churn
+//!    and across a save/load round trip of the sketch-carrying snapshot
+//!    format. [`SketchMode::Off`] routes like `Exact`.
 //!
 //! A third suite pins the bank's refine order: [`SketchBank::knn`]
 //! visits rows in exactly ascending `(bound, id)` order — the order a
@@ -20,7 +20,7 @@
 use ned_core::{ted_star_degree_lower_bound, NodeSignature};
 use ned_graph::{generators, Graph};
 use ned_index::sketch::{sketch_estimate, sketch_lower_bound, Sketch, SketchStats, BOUND_CAP};
-use ned_index::{SignatureIndex, SketchBank, SketchMode};
+use ned_index::{ShardedVpForest, SignatureIndex, SignatureMetric, SketchBank, SketchMode};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -97,14 +97,38 @@ proptest! {
             .nodes()
             .map(|v| NodeSignature::extract(&g1, v, 3))
             .collect();
+        // A model of the live set, kept beside the index.
+        let mut model: HashMap<u64, NodeSignature> = index
+            .entries()
+            .map(|(id, sig)| (id, sig.clone()))
+            .collect();
+        prop_assert_eq!(model.len(), 115);
         for _ in 0..churn {
             if rng.gen_bool(0.5) {
-                index.remove(rng.gen_range(0..115u64));
+                let id = rng.gen_range(0..115u64);
+                prop_assert_eq!(index.remove(id), model.remove(&id).is_some());
             } else {
-                index.insert(pool[rng.gen_range(0..pool.len())].clone());
+                let sig = pool[rng.gen_range(0..pool.len())].clone();
+                model.insert(index.insert(sig.clone()), sig);
             }
         }
+        let mut live: Vec<(u64, NodeSignature)> = index
+            .entries()
+            .map(|(id, sig)| (id, sig.clone()))
+            .collect();
+        live.sort_by_key(|&(id, _)| id);
+        let mut want: Vec<(u64, NodeSignature)> = model.into_iter().collect();
+        want.sort_by_key(|&(id, _)| id);
+        prop_assert_eq!(&live, &want, "entries() diverged from the model");
 
+        // The reference forest is built from the live entries alone, with
+        // the generated freeze threshold, so it shares no state with the
+        // bank it checks.
+        let mut forest = ShardedVpForest::new(threshold, seed);
+        for (id, sig) in live {
+            forest.insert(&SignatureMetric, id, sig);
+        }
+        prop_assert_eq!(forest.len(), index.len());
         let mut off = index.clone();
         off.set_sketch_mode(SketchMode::Off);
         let reloaded = SignatureIndex::from_bytes(&index.to_bytes()).expect("round trip");
@@ -114,16 +138,29 @@ proptest! {
             let q = NodeSignature::extract(&g1, probe, 3);
             for k in [1usize, 5, 12] {
                 let sketched = index.query(&q, k, 0);
-                prop_assert_eq!(&sketched, &off.query(&q, k, 0), "knn k = {}", k);
-                prop_assert_eq!(&sketched, &off.scan(&q, k), "scan k = {}", k);
+                prop_assert_eq!(
+                    &sketched,
+                    &forest.knn(&SignatureMetric, &q, k, 0),
+                    "forest k = {}", k
+                );
+                prop_assert_eq!(&sketched, &index.scan(&q, k), "scan k = {}", k);
+                prop_assert_eq!(&sketched, &off.query(&q, k, 0), "off k = {}", k);
                 prop_assert_eq!(&sketched, &reloaded.query(&q, k, 0), "reload k = {}", k);
             }
             for radius in [0u64, 3, 10] {
                 let sketched = index.range(&q, radius, 0);
                 prop_assert_eq!(
                     &sketched,
+                    &forest.range(&SignatureMetric, &q, radius as f64, 0),
+                    "forest range r = {}", radius
+                );
+                let mut scanned = index.scan(&q, index.len());
+                scanned.retain(|h| h.distance <= radius as f64);
+                prop_assert_eq!(&sketched, &scanned, "scan range r = {}", radius);
+                prop_assert_eq!(
+                    &sketched,
                     &off.range(&q, radius, 0),
-                    "range r = {}", radius
+                    "off range r = {}", radius
                 );
                 prop_assert_eq!(
                     &sketched,
@@ -193,10 +230,9 @@ fn reference_knn(
 ) -> (Vec<(u64, u64)>, SketchStats, u64) {
     let qs = Sketch::of(q);
     let mut order: Vec<(u64, u64, usize)> = bank
-        .ids()
-        .iter()
+        .entries()
         .enumerate()
-        .map(|(row, &id)| {
+        .map(|(row, (id, _))| {
             let lanes = bank.lanes_of(id).expect("live id");
             let bound = match mode {
                 SketchMode::Approx => sketch_estimate(qs.lanes(), lanes),

@@ -82,13 +82,16 @@ fn print_usage() {
          \x20 index build <out.idx> <graph> [--k N] [--threshold N] [--seed N] [--bulk | --per-node]\n\
          \x20                                                    build + save a persistent signature index\n\
          \x20                                                    (--bulk, the default: shared-frontier\n\
-         \x20                                                    hash-consed ingest + balanced shards)\n\
+         \x20                                                    hash-consed ingest; --threshold and --seed\n\
+         \x20                                                    are only written to the file header, which\n\
+         \x20                                                    keeps its layout; nothing reads them)\n\
          \x20 index add <idx> <graph> [--out PATH]               index another graph's signatures\n\
          \x20 index query <idx> <graph> <node> [--top N] [--radius R] [--threads N] [--verify]\n\
          \x20       [--sketch off|exact|approx]                  --radius R: bounded threshold query;\n\
          \x20                                                    --sketch routes through the sketch filter\n\
          \x20                                                    tier (exact, the default, is bit-identical\n\
-         \x20                                                    to the forest; approx trades recall)\n\
+         \x20                                                    to a full scan; off routes like exact;\n\
+         \x20                                                    approx trades recall)\n\
          \x20 index save <idx> <out.idx>                         re-encode (verifies the file round-trips)\n\
          \x20 index load <idx>                                   load + print index stats\n\
          \x20 index split <idx> --shards N [--out-prefix P]      partition into N per-shard indexes by id\n\
@@ -401,14 +404,11 @@ fn save_index(index: &ned::index::SignatureIndex, path: &str) -> Result<(), Stri
 }
 
 fn print_index_stats(index: &ned::index::SignatureIndex) {
-    let stats = index.stats();
     println!(
-        "signatures: {} (k = {}), buffer {}, shards {:?}, tombstones {}",
-        stats.len,
+        "signatures: {} (k = {}), sketch mode {}",
+        index.len(),
         index.k(),
-        stats.buffer,
-        stats.shard_sizes,
-        stats.tombstones
+        index.sketch_mode()
     );
 }
 
@@ -437,8 +437,8 @@ fn cmd_index_build(raw: &[String]) -> Result<(), String> {
     let seed: u64 = args.get("seed", 42)?;
     let n = g.num_nodes();
     let t0 = std::time::Instant::now();
-    // Bulk (shared-frontier hash-consed extraction + balanced one-shot
-    // shards) is the default; --per-node keeps the independent
+    // Bulk (shared-frontier hash-consed extraction) is the default;
+    // --per-node keeps the independent
     // extract-and-canonicalize baseline reachable for comparison.
     let (index, mode) = if args.has("per-node") {
         let mut index = ned::index::SignatureIndex::new(k, threshold, seed);
