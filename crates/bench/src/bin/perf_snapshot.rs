@@ -35,7 +35,10 @@
 //! publication bank copy the PR 9 trajectory recorded on
 //! `delta/ba4000-edge-churn`. `sketch/ba4000-scan` prices the bank's
 //! scan layer alone: the bound pass and the `(bound, id)` order, walked
-//! as far as each probe's knn refine loop goes, without the refine.
+//! as far as each probe's knn refine loop goes, without the refine;
+//! `sketch/ba4000-scan-dense` times the bound pass alone over the same
+//! rows with random non-zero lanes, so every chunk scores all of its
+//! lanes.
 //! `sketch/ba4000-knn-cold` runs `sketch/ba4000-knn` with the memo
 //! cleared before every timed pass, pricing the rejections the kernel
 //! makes before it consults the memo. `concurrent/publish-ba4000` and
@@ -544,6 +547,34 @@ fn main() {
     entries.push(Entry {
         name: "sketch/ba4000-scan",
         ns_per_op: scan_ns,
+        p50_ns: None,
+        p99_ns: None,
+    });
+
+    // The bound pass over rows with every lane live: the bank's rows with
+    // random non-zero lanes in place of their sketches, so every chunk
+    // scores all 72 lanes (k = 3 sketches use about 14 per chunk). The
+    // pass alone: with random lanes nearly every bound lands in
+    // `order_by_bound`'s overflow bucket, so an order walk would time a
+    // sort. Own RNG stream, so the sections after this one measure the
+    // same inputs as before it existed.
+    let dense = {
+        let mut lane_rng = SmallRng::seed_from_u64(0xDE45E);
+        let rows: Vec<(u64, ned_core::NodeSignature)> =
+            bank.entries().map(|(id, sig)| (id, sig.clone())).collect();
+        let lanes: Vec<u16> = (0..rows.len() * ned_index::sketch::SKETCH_DIM)
+            .map(|_| lane_rng.gen_range(1..=u16::MAX))
+            .collect();
+        ned_index::SketchBank::from_rows(&rows, lanes)
+    };
+    let scan_dense_ns = measure(7, 4, || {
+        for q in &probes {
+            std::hint::black_box(dense.scan_bounds(q, 1, ned_index::SketchMode::Exact));
+        }
+    }) / probes.len() as f64;
+    entries.push(Entry {
+        name: "sketch/ba4000-scan-dense",
+        ns_per_op: scan_dense_ns,
         p50_ns: None,
         p99_ns: None,
     });

@@ -6,8 +6,9 @@
 //! cheap scalar distance between two sketches **provably lower-bounds**
 //! NED between the signatures. Candidate generation for knn/range then
 //! becomes a linear scan over a flat structure-of-arrays sketch bank —
-//! one contiguous `u16` array the CPU streams through and
-//! autovectorizes — instead of a pointer-chasing walk over two
+//! lane-major `u16` columns the CPU streams through and autovectorizes
+//! (see [the scan image](#the-scan-image)) — instead of a
+//! pointer-chasing walk over two
 //! [`PreparedTree`]s per candidate pair. Survivors are re-ranked by the
 //! budgeted early-abandoning kernel
 //! ([`ned_core::ted_star_prepared_within`] via
@@ -78,6 +79,22 @@
 //! trades a measured recall (`sketch_approx_recall` in the benchmark
 //! trajectory, asserted ≥ 0.95 on the BA-4000 workload) for fewer
 //! exact refinements.
+//!
+//! # The scan image
+//!
+//! A sketch of a `k`-level tree is zero past its first `k` levels, so
+//! the rows of one 64-row bank chunk share most of their zero lanes: at
+//! k = 3 they use about 14 of the 72. Besides its row-major rows (which
+//! [`SketchBank::lanes_of`] and persistence read), each chunk keeps a
+//! **scan image**: a `u128` mask of the lanes any of its rows has ever
+//! held non-zero, and one lane-major column of 64 lanes per such lane.
+//! Removes never clear the mask, so it is a superset of the lanes the
+//! current rows use; a lane outside it reads 0 in every row, and adds the
+//! query's own value to its group's L1 as a constant. The bound pass
+//! ([`SketchBank::scan_bounds`], [`SketchBank::range`]) scores all rows
+//! of a chunk at once from the image, bit-identical to
+//! [`sketch_lower_bound`] and [`sketch_estimate`] per row; at k = 3 it
+//! reads ~1.8 KB per chunk instead of 9.2 KB.
 
 use crate::forest::{BoundedHeap, ForestHit, SharedBound};
 use crate::signatures::SignatureMetric;
@@ -373,8 +390,9 @@ impl std::fmt::Display for SketchStats {
 }
 
 /// Rows per copy-on-write bank chunk. A chunk holds its rows' ids,
-/// signatures and lanes (64 × (8 + 16 + 144) bytes ≈ 10.8 KB), so a
-/// write batch copies about 10.8 KB per chunk it touches. Chosen by
+/// signatures and lanes (64 × (8 + 16 + 144) bytes ≈ 10.8 KB) plus its
+/// scan image (128 bytes per live lane, ~1.8 KB at k = 3), so a write
+/// batch copies about 12.6 KB per chunk it touches. Chosen by
 /// measurement (k = 3, 2-vCPU host). On BA-4000, one edge flip's batch
 /// through apply and publication took 42.6, 40.9 and 53.1 µs at 16, 32
 /// and 64 rows (medians of seven alternating runs), and a memo-warm knn
@@ -400,15 +418,113 @@ fn chunk_loc(r: usize) -> (usize, usize) {
     (r / CHUNK_ROWS, r % CHUNK_ROWS)
 }
 
+/// The lane groups [`sketch_lower_bound`] combines, as lane ranges: the
+/// size lanes first, then one group per level's histogram.
+const EXACT_GROUPS: [(usize, usize); 1 + SKETCH_LEVELS] = {
+    let mut groups = [(0, SKETCH_LEVELS); 1 + SKETCH_LEVELS];
+    let mut l = 0;
+    while l < SKETCH_LEVELS {
+        let s = SKETCH_LEVELS + l * SKETCH_BUCKETS;
+        groups[1 + l] = (s, s + SKETCH_BUCKETS);
+        l += 1;
+    }
+    groups
+};
+
+/// The lane groups [`sketch_estimate`] combines: the size lanes, then
+/// every histogram lane as one group.
+const APPROX_GROUPS: [(usize, usize); 2] = [(0, SKETCH_LEVELS), (SKETCH_LEVELS, SKETCH_DIM)];
+
+// A chunk's live mask has one bit per lane, and masks the lanes below
+// any lane index up to `SKETCH_DIM` by a shift.
+const _: () = assert!(SKETCH_DIM < 128);
+
+/// A query's lanes, prepared once per scan for [`Chunk::bounds`].
+struct ScanQuery {
+    lanes: [u16; SKETCH_DIM],
+    /// The lane groups of the mode's bound ([`EXACT_GROUPS`] or
+    /// [`APPROX_GROUPS`]); the first is the size lanes.
+    groups: &'static [(usize, usize)],
+    /// The query's lane sum over each group.
+    sums: [u32; 1 + SKETCH_LEVELS],
+}
+
+impl ScanQuery {
+    fn new(query: &NodeSignature, mode: SketchMode) -> ScanQuery {
+        let mut lanes = [0u16; SKETCH_DIM];
+        sketch_cached(query.prepared(), &mut lanes);
+        let groups: &[(usize, usize)] = if mode == SketchMode::Approx {
+            &APPROX_GROUPS
+        } else {
+            &EXACT_GROUPS
+        };
+        let mut sums = [0u32; 1 + SKETCH_LEVELS];
+        for (sum, &(s, e)) in sums.iter_mut().zip(groups) {
+            *sum = lanes[s..e].iter().map(|&v| u32::from(v)).sum();
+        }
+        ScanQuery {
+            lanes,
+            groups,
+            sums,
+        }
+    }
+}
+
+/// One lane's column of a chunk's scan image: the lane's value in each
+/// row of the chunk.
+type Column = [u16; CHUNK_ROWS];
+
+/// Raises each row's `worst` to its L1 over one lane group: `k` (the
+/// group's dead-lane constant) plus `|q − column|` over the group's live
+/// `cols` and their query values `qs`. `a.saturating_sub(b) |
+/// b.saturating_sub(a)` is the exact `u16` distance (one side is 0).
+///
+/// Column by column, 32 rows at a time: the 32 `u32` sums fill half the
+/// vector registers, so they stay there across the columns. It is kept
+/// out of line so that the sums provably alias no column.
+#[inline(never)]
+fn raise_to_group_l1(worst: &mut [u32; CHUNK_ROWS], k: u32, cols: &[Column], qs: &[u16]) {
+    const STRIP: usize = 32;
+    for (s, worst) in worst.chunks_exact_mut(STRIP).enumerate() {
+        let mut acc = [k; STRIP];
+        for (col, &q) in cols.iter().zip(qs) {
+            let col: &[u16; STRIP] = col[s * STRIP..][..STRIP].try_into().expect("strip");
+            // The `u16` distances first, so they are taken 8 rows to a
+            // vector instead of 4.
+            let mut d = [0u16; STRIP];
+            for (d, &v) in d.iter_mut().zip(col) {
+                *d = q.saturating_sub(v) | v.saturating_sub(q);
+            }
+            for (a, d) in acc.iter_mut().zip(d) {
+                *a += u32::from(d);
+            }
+        }
+        for (w, a) in worst.iter_mut().zip(acc) {
+            *w = (*w).max(a);
+        }
+    }
+}
+
 /// One copy-on-write piece of a [`SketchBank`]: up to [`CHUNK_ROWS`]
 /// consecutive rows, each row's id, signature and lanes side by side
-/// under the chunk's single `Arc`.
+/// under the chunk's single `Arc`, plus the chunk's **scan image**.
+///
+/// Bit `j` of `live` is set once any row of the chunk has held a
+/// non-zero lane `j`. Removes and replacements never clear it, so it is
+/// a superset of the lanes the current rows use, and a lane outside it
+/// reads 0 in every row. `image` holds one lane-major column per live
+/// lane, in lane order; a column's entries past the last row are
+/// don't-cares. The row-major lanes stay the rows' record (persistence
+/// and [`SketchBank::lanes_of`] read them); the bound pass reads the
+/// image (see [`Chunk::bounds`]).
 #[derive(Debug, Clone)]
 struct Chunk {
     ids: Vec<u64>,
     sigs: Vec<NodeSignature>,
     /// `ids.len() × SKETCH_DIM` lanes, row-major.
     lanes: Vec<u16>,
+    live: u128,
+    image: Vec<Column>,
 }
 
 impl Chunk {
@@ -417,6 +533,8 @@ impl Chunk {
             ids: Vec::with_capacity(CHUNK_ROWS),
             sigs: Vec::with_capacity(CHUNK_ROWS),
             lanes: Vec::with_capacity(CHUNK_ROWS * SKETCH_DIM),
+            live: 0,
+            image: Vec::new(),
         }
     }
 
@@ -432,12 +550,89 @@ impl Chunk {
         self.ids.push(id);
         self.sigs.push(sig);
         self.lanes.extend_from_slice(lanes);
+        self.image_row(self.len() - 1, lanes);
     }
 
     fn set(&mut self, i: usize, id: u64, sig: NodeSignature, lanes: &[u16]) {
         self.ids[i] = id;
         self.sigs[i] = sig;
         self.lanes[i * SKETCH_DIM..(i + 1) * SKETCH_DIM].copy_from_slice(lanes);
+        self.image_row(i, lanes);
+    }
+
+    /// Writes row `i`'s lanes into the scan image, first giving a column
+    /// to every lane the row makes live.
+    fn image_row(&mut self, i: usize, lanes: &[u16]) {
+        // 16 lanes to a `u32` at a time: folding all 72 into a `u128`
+        // shifted by the running lane index took ~0.5 µs per row, this
+        // ~40 ns.
+        let used = lanes.chunks(16).enumerate().fold(0u128, |m, (c, lanes)| {
+            let bits = (0..lanes.len()).fold(0u32, |b, j| b | (u32::from(lanes[j] != 0) << j));
+            m | (u128::from(bits) << (16 * c))
+        });
+        if used & !self.live != 0 {
+            self.widen(self.live | used);
+        }
+        let mut bits = self.live;
+        for col in &mut self.image {
+            col[i] = lanes[bits.trailing_zeros() as usize];
+            bits &= bits - 1;
+        }
+    }
+
+    /// Rebuilds the image over the live set `live ⊇ self.live`: existing
+    /// columns move to their new places, new ones start at 0.
+    fn widen(&mut self, live: u128) {
+        let mut image = vec![[0u16; CHUNK_ROWS]; live.count_ones() as usize];
+        let (mut bits, mut old) = (live, self.image.iter());
+        for col in &mut image {
+            if (self.live >> bits.trailing_zeros()) & 1 == 1 {
+                *col = *old.next().expect("one column per live lane");
+            }
+            bits &= bits - 1;
+        }
+        self.live = live;
+        self.image = image;
+    }
+
+    /// Every row's sketch bound to `q` into `out` (`out.len() ==
+    /// self.len()`), bit-identical to [`sketch_lower_bound`] (or, for an
+    /// approximate query, [`sketch_estimate`]) against the row's lanes.
+    ///
+    /// From the image, all rows are scored at once, one column at a time.
+    /// Each lane group's L1 is the sum over its live columns plus a
+    /// constant: a lane that is not live reads 0 in every row, so it adds
+    /// the query's own value.
+    fn bounds(&self, q: &ScanQuery, out: &mut [u32]) {
+        debug_assert_eq!(out.len(), self.len());
+        // The query's value at each column.
+        let mut qcol = [0u16; SKETCH_DIM];
+        let mut bits = self.live;
+        for q_at in &mut qcol[..self.image.len()] {
+            *q_at = q.lanes[bits.trailing_zeros() as usize];
+            bits &= bits - 1;
+        }
+        // The columns of the live lanes below `lane`.
+        let below = |lane: usize| (self.live & ((1u128 << lane) - 1)).count_ones() as usize;
+        let mut size_l1 = [0u32; CHUNK_ROWS];
+        let mut worst = [0u32; CHUNK_ROWS];
+        // The largest L1 among histogram groups with no live lane.
+        let mut floor = 0u32;
+        for (g, (&(s, e), &sum)) in q.groups.iter().zip(&q.sums).enumerate() {
+            let cols = below(s)..below(e);
+            let qs = &qcol[cols.clone()];
+            let k = sum - qs.iter().map(|&v| u32::from(v)).sum::<u32>();
+            if g == 0 {
+                raise_to_group_l1(&mut size_l1, k, &self.image[cols], qs);
+            } else if cols.is_empty() {
+                floor = floor.max(k);
+            } else {
+                raise_to_group_l1(&mut worst, k, &self.image[cols], qs);
+            }
+        }
+        for ((b, &s), &w) in out.iter_mut().zip(&size_l1).zip(&worst) {
+            *b = s.max(w.max(floor).div_ceil(4));
+        }
     }
 
     /// Removes and returns the last row.
@@ -859,25 +1054,15 @@ impl SketchBank {
     /// Every row's sketch bound to `query`, in row order: the
     /// [`sketch_lower_bound`] (or, in [`SketchMode::Approx`], the
     /// [`sketch_estimate`]) against the query's sketch. One pass streams
-    /// the chunks' lanes into a single buffer; with `threads > 1` the
-    /// chunk groups (1024 rows each) are split over scoped threads.
+    /// the chunks' scan images (see the [module docs](self)) into a
+    /// single buffer; with `threads > 1` the chunk groups (1024 rows
+    /// each) are split over scoped threads.
     pub fn scan_bounds(&self, query: &NodeSignature, threads: usize, mode: SketchMode) -> Vec<u32> {
-        let approx = mode == SketchMode::Approx;
-        let mut qs = [0u16; SKETCH_DIM];
-        sketch_cached(query.prepared(), &mut qs);
+        let q = ScanQuery::new(query, mode);
         let mut bounds = vec![0u32; self.len];
         ned_core::batch::par_chunks_mut(&mut bounds, GROUP_ROWS, threads, |g, out| {
             for (chunk, out) in self.groups[g].iter().zip(out.chunks_mut(CHUNK_ROWS)) {
-                for (b, row) in out.iter_mut().zip(chunk.lanes.chunks_exact(SKETCH_DIM)) {
-                    let row: &[u16; SKETCH_DIM] = row.try_into().expect("row dim");
-                    let bound = if approx {
-                        sketch_estimate(&qs, row)
-                    } else {
-                        sketch_lower_bound(&qs, row)
-                    };
-                    // Both are at most a `u32` lane sum.
-                    *b = bound as u32;
-                }
+                chunk.bounds(&q, out);
             }
         });
         bounds
@@ -940,21 +1125,17 @@ impl SketchBank {
         if self.len == 0 {
             return Vec::new();
         }
-        let approx = mode == SketchMode::Approx;
-        let mut qs = [0u16; SKETCH_DIM];
-        sketch_cached(query.prepared(), &mut qs);
+        let q = ScanQuery::new(query, mode);
         let refined = AtomicU64::new(0);
         let per_group = ned_core::batch::par_map(self.groups.len(), threads, |g| {
             let mut out = Vec::new();
             let mut local_refined = 0u64;
+            let mut bounds = [0u32; CHUNK_ROWS];
             for chunk in self.groups[g].iter() {
-                for (i, row) in chunk.lanes.chunks_exact(SKETCH_DIM).enumerate() {
-                    let b = if approx {
-                        sketch_estimate(&qs, row)
-                    } else {
-                        sketch_lower_bound(&qs, row)
-                    };
-                    if b > radius {
+                let bounds = &mut bounds[..chunk.len()];
+                chunk.bounds(&q, bounds);
+                for (i, &b) in bounds.iter().enumerate() {
+                    if u64::from(b) > radius {
                         continue;
                     }
                     local_refined += 1;
@@ -1084,6 +1265,125 @@ mod tests {
                     want,
                     "{mode}, {threads} threads"
                 );
+            }
+        }
+    }
+
+    /// Random lanes shaped like the sketch of a tree `depth` levels deep:
+    /// the size lanes and some buckets of each level below `depth`, with
+    /// 0 and `u16::MAX` among the values.
+    fn random_lanes(rng: &mut SmallRng, depth: usize) -> [u16; SKETCH_DIM] {
+        let value = |rng: &mut SmallRng| match rng.gen_range(0..6) {
+            0 => 0,
+            1 => u16::MAX,
+            2 => rng.gen_range(1..4),
+            _ => rng.gen_range(0..=u16::MAX),
+        };
+        let mut lanes = [0u16; SKETCH_DIM];
+        for l in 0..depth {
+            lanes[l] = value(rng);
+            for _ in 0..rng.gen_range(0..=SKETCH_BUCKETS) {
+                let bucket = rng.gen_range(0..SKETCH_BUCKETS);
+                lanes[SKETCH_LEVELS + l * SKETCH_BUCKETS + bucket] = value(rng);
+            }
+        }
+        lanes
+    }
+
+    #[test]
+    fn image_bounds_match_per_row_bounds_under_churn() {
+        // Rows get random lanes through `from_rows` and `put`; ids come in
+        // blocks of one depth, so chunks start with few live lanes, and
+        // the churn (replacements at other depths, swap-removes that move
+        // the tail row across chunks, fresh ids) gives them new ones. The
+        // queries are real sketches three and six levels deep, so they
+        // hold lanes that many chunks have never used.
+        let pool = sigs(40, 3, 15);
+        let queries: Vec<NodeSignature> =
+            sigs(6, 3, 16).into_iter().chain(sigs(6, 6, 17)).collect();
+        let depths = [1, 2, 3, SKETCH_LEVELS];
+        for seed in 0..3u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let entries: Vec<(u64, NodeSignature)> = (0..1500u64)
+                .map(|id| (id, pool[id as usize % pool.len()].clone()))
+                .collect();
+            let lanes: Vec<u16> = entries
+                .iter()
+                .flat_map(|&(id, _)| random_lanes(&mut rng, depths[(id / 100 % 4) as usize]))
+                .collect();
+            let mut bank = SketchBank::from_rows(&entries, lanes);
+            let mut fresh = 1500u64;
+            for round in 0..4 {
+                for _ in 0..150 {
+                    let live = bank.id_at(rng.gen_range(0..bank.len()) as u32);
+                    let depth = depths[rng.gen_range(0..4)];
+                    let lanes = random_lanes(&mut rng, depth);
+                    let sig = pool[rng.gen_range(0..pool.len())].clone();
+                    match rng.gen_range(0..3) {
+                        0 => bank.put(live, sig, &lanes),
+                        1 => assert!(bank.remove(live)),
+                        _ => {
+                            bank.put(fresh, sig, &lanes);
+                            fresh += 1;
+                        }
+                    }
+                }
+                for (qi, q) in queries.iter().enumerate() {
+                    let qs = Sketch::of(q);
+                    for mode in [SketchMode::Exact, SketchMode::Approx] {
+                        let want: Vec<u32> = bank
+                            .entries()
+                            .map(|(id, _)| {
+                                let row = bank.lanes_of(id).expect("live id");
+                                let b = match mode {
+                                    SketchMode::Approx => sketch_estimate(qs.lanes(), row),
+                                    _ => sketch_lower_bound(qs.lanes(), row),
+                                };
+                                b as u32
+                            })
+                            .collect();
+                        for threads in [1usize, 2, 3] {
+                            assert_eq!(
+                                bank.scan_bounds(q, threads, mode),
+                                want,
+                                "seed {seed}, round {round}, query {qi}, {mode}, {threads} threads"
+                            );
+                        }
+                        if qi % 4 != 0 {
+                            continue;
+                        }
+                        // `range` refines exactly the rows whose reference
+                        // bound is within the radius, and keeps those
+                        // within it by distance.
+                        let mut sorted = want.clone();
+                        sorted.sort_unstable();
+                        let radius = u64::from(sorted[sorted.len() / 50]);
+                        let survivors: Vec<(u64, &NodeSignature)> = bank
+                            .entries()
+                            .zip(&want)
+                            .filter(|&(_, &b)| u64::from(b) <= radius)
+                            .map(|(e, _)| e)
+                            .collect();
+                        let mut hits: Vec<(u64, u64)> = survivors
+                            .iter()
+                            .map(|&(id, s)| (q.distance(s), id))
+                            .filter(|&(d, _)| d <= radius)
+                            .collect();
+                        hits.sort_unstable();
+                        for threads in [1usize, 2, 3] {
+                            let before = bank.stats().refined;
+                            let got: Vec<(u64, u64)> = bank
+                                .range(q, radius, threads, mode)
+                                .iter()
+                                .map(|h| (h.distance as u64, h.id))
+                                .collect();
+                            let refined = bank.stats().refined - before;
+                            let at = format!("seed {seed}, round {round}, query {qi}, {mode}");
+                            assert_eq!(refined, survivors.len() as u64, "{at}");
+                            assert_eq!(got, hits, "{at}");
+                        }
+                    }
+                }
             }
         }
     }
