@@ -3,12 +3,13 @@
 //! the per-pair cost behind Figures 7b and 9a.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ned_core::{ned, ted_star_with, TedStarConfig};
+use ned_bench::frozen::{ted_star_with, Matcher, TedStarConfig};
+use ned_core::{ned, ted_star};
 use ned_datasets::Dataset;
 use ned_graph::bfs::TreeExtractor;
 
-/// The collapsed engine against the dense baseline on real extracted
-/// signature pairs (identical distances, different cost engines).
+/// The production kernel against the frozen dense baseline on real
+/// extracted signature pairs.
 fn bench_ned_pair_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("ned/engine");
     group.sample_size(10);
@@ -24,28 +25,23 @@ fn bench_ned_pair_engines(c: &mut Criterion) {
             )
         })
         .collect();
-    for (name, config) in [
-        ("collapsed", TedStarConfig::standard()),
-        // original path, no transportation/cross-check overhead
-        (
-            "dense-legacy",
-            TedStarConfig {
-                matcher: ned_core::Matcher::LegacyHungarian,
-                ..TedStarConfig::standard()
-            },
-        ),
-        // dense Hungarian cost + collapsed cross-check (validation mode)
-        ("dense-checked", TedStarConfig::dense()),
-    ] {
-        group.bench_function(name, |bencher| {
-            bencher.iter(|| {
-                pairs
-                    .iter()
-                    .map(|(a, b)| ted_star_with(a, b, &config))
-                    .sum::<u64>()
-            });
+    group.bench_function("collapsed", |bencher| {
+        bencher.iter(|| pairs.iter().map(|(a, b)| ted_star(a, b)).sum::<u64>());
+    });
+    // The original uncollapsed path: dense Hungarian, bijection straight
+    // from the assignment, no transportation overhead.
+    let legacy = TedStarConfig {
+        matcher: Matcher::LegacyHungarian,
+        ..TedStarConfig::standard()
+    };
+    group.bench_function("dense-legacy", |bencher| {
+        bencher.iter(|| {
+            pairs
+                .iter()
+                .map(|(a, b)| ted_star_with(a, b, &legacy))
+                .sum::<u64>()
         });
-    }
+    });
     group.finish();
 }
 

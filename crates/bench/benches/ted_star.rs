@@ -1,8 +1,10 @@
 //! Criterion micro-benchmarks for TED\* itself: scaling in tree size,
-//! tree shape, and the matcher/zero-pair ablation knobs.
+//! tree shape, and the matcher/zero-pair ablation knobs of the frozen
+//! configurable engine (`ned_bench::frozen`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ned_core::{ted_star_prepared, ted_star_with, Matcher, PreparedTree, TedStarConfig};
+use ned_bench::frozen::{ted_star_with, Matcher, TedStarConfig};
+use ned_core::{ted_star_prepared, PreparedTree};
 use ned_tree::generate::{caterpillar_tree, perfect_tree, random_bounded_depth_tree};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;

@@ -1,6 +1,8 @@
-//! Machine-readable performance snapshot: writes `BENCH_10.json` with
-//! ns/op for the pipeline's hot paths — the duplicate-collapsed
-//! TED\*/NED engine against the dense Hungarian baseline, the sharded
+//! Machine-readable performance snapshot: writes ns/op for the
+//! pipeline's hot paths to the JSON file named on the command line
+//! (default `BENCH_ci.json`, the file `perf_gate` reads by default) — the
+//! production TED\*/NED kernel against the frozen dense Hungarian
+//! baseline, the sharded
 //! forest against the linear scan, the budget-aware bounded kernel
 //! against the frozen PR 2 unbounded forest path, a memo-cold/memo-warm
 //! pair for the cross-pair distance memo, the PR 4 concurrent serving
@@ -22,8 +24,11 @@
 //! Since PR 8 the pair path is the **SoA kernel**: `ted_star` routes
 //! through the flat `PreparedTree` layout and the thread-local bounded
 //! sweep, gated in-run at ≥ 2x over the frozen pre-SoA engine
-//! (`ted_star_with(standard)`, which still runs the PR 2-7 directional
-//! path verbatim), with a per-phase `kernel_phase/*` time split recorded
+//! (`ned_bench::frozen` with `frozen_baseline`: the directional sweep
+//! with the preparation and transportation solver it had before the SoA
+//! rebuild; `ned_pair/width192/collapsed` times the production
+//! `ted_star`, `ned_pair/width192/dense-legacy` the frozen engine's dense
+//! per-slot Hungarian), with a per-phase `kernel_phase/*` time split recorded
 //! from the instrumented sweep. Since PR 9 the candidate-generation tier
 //! is priced too: `sketch/ba4000-knn` runs the identical knn workload
 //! through the flat sketch bank (linear lower-bound scan + shared-radius
@@ -51,14 +56,14 @@
 //! differ in size).
 //!
 //! Run with `cargo run --release -p ned-bench --bin perf_snapshot
-//! [output.json]`. Every workload is seeded, so successive runs measure
-//! identical work.
+//! [output.json]`. Name a `BENCH_<n>.json` only to record a new point of
+//! the committed trajectory. Every workload is seeded, so successive runs
+//! measure identical work.
 
+use ned_bench::frozen::{ted_star_with, Matcher, TedStarConfig};
 use ned_bench::loadgen::{knn_read_workload, scaling_floor, LatencySummary};
 use ned_bench::util::ClassicSignatureMetric;
-use ned_core::{
-    ned_with_extractors, ted_star_with, KernelProfile, PreparedTree, TedMemo, TedStarConfig,
-};
+use ned_core::{ned_with_extractors, ted_star, KernelProfile, PreparedTree, TedMemo};
 use ned_graph::bfs::TreeExtractor;
 use ned_graph::generators;
 use ned_index::sketch::order_by_bound;
@@ -179,10 +184,10 @@ struct Entry {
 fn main() {
     let out_path = std::env::args()
         .nth(1)
-        .unwrap_or_else(|| "BENCH_10.json".to_string());
+        .unwrap_or_else(|| "BENCH_ci.json".to_string());
     let mut entries: Vec<Entry> = Vec::new();
 
-    // --- ned_pair: wide-level synthetic trees, collapsed vs dense -------
+    // --- ned_pair: wide-level synthetic trees, kernel vs dense ----------
     let mut rng = SmallRng::seed_from_u64(0xBE7C);
     let widths = [1usize, 8, 64, 128, 192];
     let pairs: Vec<(Tree, Tree)> = (0..4u64)
@@ -193,28 +198,25 @@ fn main() {
             )
         })
         .collect();
-    let standard = TedStarConfig::standard();
-    // sanity: identical distances across the exact engines before timing
-    // anything (the checked dense engine cross-asserts the transportation
-    // optimum against the dense Hungarian optimum on every level)
+    // sanity: the production kernel equals the frozen Algorithm 1 before
+    // timing anything
     for (a, b) in &pairs {
         assert_eq!(
-            ted_star_with(a, b, &standard),
-            ted_star_with(a, b, &TedStarConfig::dense()),
-            "collapsed and dense engines disagree"
+            ted_star(a, b),
+            ted_star_with(a, b, &TedStarConfig::standard()),
+            "kernel and frozen Algorithm 1 disagree"
         );
     }
     // The timing baseline is the *original* uncollapsed path (dense
     // Hungarian, bijection straight from the assignment) — it pays no
-    // transportation or cross-check overhead, so the comparison is
-    // engine-vs-engine, not engine-vs-validation-harness.
+    // transportation overhead, so the comparison is engine-vs-engine.
     let legacy = TedStarConfig {
-        matcher: ned_core::Matcher::LegacyHungarian,
+        matcher: Matcher::LegacyHungarian,
         ..TedStarConfig::standard()
     };
     let collapsed_ns = measure(7, 3, || {
         for (a, b) in &pairs {
-            std::hint::black_box(ted_star_with(a, b, &standard));
+            std::hint::black_box(ted_star(a, b));
         }
     }) / pairs.len() as f64;
     entries.push(Entry {
@@ -280,7 +282,7 @@ fn main() {
     // bit-identity before timing: the rebuilt kernel is exact first
     for (a, b) in &ned_trees {
         assert_eq!(
-            ned_core::ted_star(a, b),
+            ted_star(a, b),
             ted_star_with(a, b, &presoa_config),
             "SoA kernel diverged from the frozen pre-SoA engine"
         );

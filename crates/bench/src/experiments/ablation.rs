@@ -6,10 +6,11 @@
 //! 4. The `GED ≤ 2·TED*` bound (Equation 18) on neighborhood trees.
 //! 5. Algorithm 1 vs the exhaustive Definition-3 reference on small trees.
 
+use crate::frozen::{ted_star_with, Matcher, TedStarConfig};
 use crate::util::{fmt_duration, mean, sample_nodes, time, ExpConfig, Table};
 use ned_core::reference::exhaustive_ted_star;
+use ned_core::ted_star;
 use ned_core::weighted::ted_upper_bound;
-use ned_core::{ted_star, ted_star_with, Matcher, TedStarConfig};
 use ned_datasets::Dataset;
 use ned_graph::bfs::TreeExtractor;
 use ned_graph::exact_ged::{exact_ged_rooted, SmallGraph};
@@ -142,7 +143,8 @@ pub fn index_ablation(cfg: &ExpConfig) -> String {
     )
 }
 
-/// Ablation 1 & 2: matcher variants on AMZN trees (wide levels).
+/// Ablation 1 & 2: matcher variants on AMZN trees (wide levels), run on
+/// the frozen configurable engine ([`crate::frozen`]).
 pub fn matching_ablation(cfg: &ExpConfig) -> String {
     let g = Dataset::Amazon.generate(cfg.scale, cfg.seed);
     let mut rng = cfg.rng(0xAB1);

@@ -18,11 +18,15 @@
 //! | Fig 10a/10b (de-anonymization precision) | [`experiments::deanon`] | `fig10` |
 //! | Fig 11a/11b (ratio / top-l sweeps) | [`experiments::deanon`] | `fig11` |
 //! | Ablations (DESIGN.md §6) | [`experiments::ablation`] | `ablation` |
+//!
+//! [`frozen`] keeps the configurable Algorithm 1 engine that `ned-core`'s
+//! kernel replaced, as the timing baseline and the matcher ablation.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod chaos;
 pub mod experiments;
+pub mod frozen;
 pub mod loadgen;
 pub mod util;

@@ -2,14 +2,15 @@
 //! sampling, lightweight parallel map, CLI argument parsing, and the
 //! frozen pre-memo metric baseline.
 
-use ned_core::{ted_star_prepared_report, NodeSignature, TedStarConfig};
+use crate::frozen::{ted_star_prepared_report, TedStarConfig};
+use ned_core::NodeSignature;
 use ned_index::{BoundedMetric, Metric};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
 
 /// The PR 2 exact query stack, frozen in time: the classic (allocating)
-/// Algorithm 1 engine via [`ted_star_prepared_report`] — no scratch
+/// Algorithm 1 engine of [`crate::frozen`] — no scratch
 /// arena, no cross-pair memo, no budget threading (`distance_within`
 /// stays on the trait's compute-then-filter default). This is the
 /// honest unbounded baseline for benchmarking the bounded kernel:

@@ -9,7 +9,7 @@
 //! leaf deletions (if larger), and the matching cost becomes same-level
 //! moves.
 
-use crate::ted_star::{ted_star_report, TedStarConfig};
+use crate::ted_star::ted_star_report;
 use ned_tree::{ahu, Tree};
 
 /// Edit-operation counts at one level (0-based, root = level 0).
@@ -96,7 +96,7 @@ impl EditSummary {
 /// paper's "move node nv from y to fi(x)" example in Section 5.6), so
 /// moves are attributed to `l + 1`.
 pub fn explain(t1: &Tree, t2: &Tree) -> EditSummary {
-    let report = ted_star_report(t1, t2, &TedStarConfig::standard());
+    let report = ted_star_report(t1, t2);
     let k = report.levels.len();
     let mut per_level = vec![(0u64, 0u64, 0u64); k + 1]; // (ins, del, mov)
     for (level, costs) in report.levels.iter().enumerate() {

@@ -5,7 +5,7 @@
 //! the extraction is deterministic, NED is a metric on nodes — across
 //! graphs — and admits metric indexing (crate `ned-index`).
 
-use crate::ted_star::{ted_star, ted_star_prepared, PreparedTree, TedStarConfig, TedStarReport};
+use crate::ted_star::{ted_star, ted_star_prepared, PreparedTree, TedStarReport};
 use ned_graph::bfs::{k_adjacent_tree, k_adjacent_tree_dir, TreeExtractor};
 use ned_graph::{Direction, Graph, NodeId};
 use ned_tree::Tree;
@@ -140,11 +140,7 @@ impl NodeSignature {
 
     /// Per-level cost breakdown against another signature.
     pub fn distance_report(&self, other: &NodeSignature) -> TedStarReport {
-        crate::ted_star::ted_star_prepared_report(
-            &self.prepared,
-            &other.prepared,
-            &TedStarConfig::standard(),
-        )
+        crate::ted_star::ted_star_prepared_report(&self.prepared, &other.prepared)
     }
 }
 

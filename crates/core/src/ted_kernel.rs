@@ -4,8 +4,10 @@
 //! with an unlimited budget, by
 //! [`ted_star_prepared`](crate::ted_star_prepared)).
 //!
-//! Three things distinguish it from the configurable engine in
-//! [`crate::ted_star`]:
+//! It is the crate's only implementation of Algorithm 1: distances,
+//! budgeted distances, per-level reports and the phase profile all run
+//! [`sweep_core`], differing only in the [`SweepProbe`] they pass. Three
+//! things shape it:
 //!
 //! 1. **Early abandoning.** The sweep maintains
 //!    `partial_cost + P_l + residual(l)` — the cost banked at already
@@ -23,21 +25,21 @@
 //!    steady-state call performs **zero heap allocations** (pinned by
 //!    the counting-allocator test in `tests/alloc_counting.rs`).
 //! 3. **Hash-consed pair-local labels.** Node canonization uses a flat,
-//!    reusable hash table ([`LabelTable`]) instead of a per-call
+//!    reusable hash table ([`LabelTable`]) instead of a
 //!    [`SignatureInterner`](ned_tree::SignatureInterner). Labels only
 //!    ever feed equality checks, so any injective relabeling leaves the
 //!    distance unchanged.
 //!
-//! The kernel always runs the standard configuration semantics
-//! (zero-pair elimination, duplicate-collapsed transportation matching,
-//! canonical flow expansion) and is **bit-identical** to every exact
-//! engine of [`crate::ted_star`] whenever it completes — classes are
+//! Each level runs zero-pair elimination, the duplicate-collapsed
+//! transportation matching and a canonical flow expansion: classes are
 //! ordered by their smallest member slot, the transportation solver
 //! breaks ties toward lower indices, and flows expand to slots in
-//! ascending order, exactly as in `match_levels`. The cross-engine
-//! property tests pin this.
+//! ascending order. That choice pins re-canonization, and so the
+//! distance, for every pair. `ned-bench` keeps the configurable engine
+//! this kernel replaced as a frozen baseline, and its tests pin the
+//! kernel's distances and per-level reports to it bit for bit.
 
-use crate::ted_star::{symmetric_difference, PreparedTree};
+use crate::ted_star::{LevelCosts, PreparedTree, TedStarReport};
 use ned_matching::{transportation_into, TransportScratch};
 use ned_tree::Tree;
 use std::cell::RefCell;
@@ -68,6 +70,9 @@ trait SweepProbe {
     fn begin(&mut self, _phase: SweepPhase) {}
     #[inline(always)]
     fn end(&mut self, _phase: SweepPhase) {}
+    /// Called once per completed level `l` with its Algorithm 1 costs.
+    #[inline(always)]
+    fn level(&mut self, _l: usize, _costs: LevelCosts) {}
 }
 
 /// The zero-cost probe: every hook is an empty inline body.
@@ -147,6 +152,19 @@ impl SweepProbe for TimingProbe {
     fn end(&mut self, phase: SweepPhase) {
         let elapsed = self.mark.elapsed().as_nanos() as u64;
         *self.slot(phase) += elapsed;
+    }
+}
+
+/// A probe recording each level's `(Pᵢ, Mᵢ, m(G²ᵢ))`: the per-level
+/// report of [`report_sweep_tl`].
+struct LevelProbe {
+    levels: Vec<LevelCosts>,
+}
+
+impl SweepProbe for LevelProbe {
+    #[inline]
+    fn level(&mut self, l: usize, costs: LevelCosts) {
+        self.levels[l] = costs;
     }
 }
 
@@ -279,11 +297,10 @@ impl LabelTable {
 }
 
 /// The kernel's whole working set, recycled across calls through a
-/// thread-local (see [`bounded_sweep`]). Nothing here outlives a call
-/// semantically — the struct exists purely so the backing heap blocks
-/// do.
+/// thread-local. Nothing here outlives a call semantically — the struct
+/// exists purely so the backing heap blocks do.
 #[derive(Debug, Default)]
-pub(crate) struct TedStarScratch {
+struct TedStarScratch {
     /// `residual[l]` = padding still forced at levels `0..l`.
     residual: Vec<u64>,
     /// Cached per-level widths of both trees, padded with zeros to the
@@ -351,9 +368,19 @@ fn fill_sizes_from_slices(a: &[u32], b: &[u32], sc: &mut TedStarScratch) {
     sc.sizes2.resize(k, 0);
 }
 
-/// [`bounded_sweep`] on this thread's recycled scratch arena.
+/// Algorithm 1, bottom-up, abandoning the moment the distance is proven
+/// to exceed `budget`, on this thread's recycled scratch arena. Returns
+/// `Some(d)` **iff** `d <= budget`.
+///
+/// Callers are expected to have handled the isomorphic fast path
+/// (`Some(0)`) and to pass the trees ordered by canonical code, exactly
+/// as [`crate::ted_star_within`] does.
 pub(crate) fn bounded_sweep_tl(t1: &Tree, t2: &Tree, budget: u64) -> Option<u64> {
-    SCRATCH.with(|s| bounded_sweep(t1, t2, budget, &mut s.borrow_mut()))
+    SCRATCH.with(|s| {
+        let sc = &mut *s.borrow_mut();
+        fill_sizes_from_trees(t1, t2, sc);
+        sweep_core(t1, t2, budget, sc, &mut NoProbe)
+    })
 }
 
 /// The prepared-pair entry: level sizes come straight from the
@@ -389,21 +416,23 @@ pub(crate) fn bounded_sweep_profiled_tl(
     })
 }
 
-/// Algorithm 1, bottom-up, abandoning the moment the distance is proven
-/// to exceed `budget`. Returns `Some(d)` **iff** `d <= budget`; a
-/// completed sweep's distance is bit-identical to the unbounded engines.
-///
-/// Callers are expected to have handled the isomorphic fast path
-/// (`Some(0)`) and to pass the trees ordered by canonical code, exactly
-/// as [`crate::ted_star_prepared_report`] does.
-pub(crate) fn bounded_sweep(
-    t1: &Tree,
-    t2: &Tree,
-    budget: u64,
-    sc: &mut TedStarScratch,
-) -> Option<u64> {
-    fill_sizes_from_trees(t1, t2, sc);
-    sweep_core(t1, t2, budget, sc, &mut NoProbe)
+/// The reporting entry: one unbudgeted sweep that records every level's
+/// costs through a [`LevelProbe`]. Like every entry here, the caller has
+/// ordered the pair by canonical code.
+pub(crate) fn report_sweep_tl(t1: &Tree, t2: &Tree) -> TedStarReport {
+    SCRATCH.with(|s| {
+        let sc = &mut *s.borrow_mut();
+        fill_sizes_from_trees(t1, t2, sc);
+        let mut probe = LevelProbe {
+            levels: vec![LevelCosts::default(); sc.sizes1.len()],
+        };
+        let distance = sweep_core(t1, t2, u64::MAX, sc, &mut probe)
+            .expect("an unlimited budget never abandons");
+        TedStarReport {
+            distance,
+            levels: probe.levels,
+        }
+    })
 }
 
 /// The generic sweep body. `sc.sizes1`/`sc.sizes2` must already hold both
@@ -556,9 +585,8 @@ fn sweep_core<P: SweepProbe>(
                         for p in 0..zero {
                             f[pairs1[i + p].1 as usize] = pairs2[j + p].1;
                         }
-                        // Leftovers are the larger run's suffix — the
-                        // same slots `drain(..pairs)` leaves behind in
-                        // the configurable engine.
+                        // Leftovers are the larger run's suffix: its
+                        // first `zero` slots were paired off.
                         push_leftover(pairs1, i + zero, ie, slots1, classes1);
                         push_leftover(pairs2, j + zero, je, slots2, classes2);
                         i = ie;
@@ -748,6 +776,14 @@ fn sweep_core<P: SweepProbe>(
             "odd matching residue at level {l}"
         );
         let matching = bipartite.saturating_sub(prev_padding) / 2;
+        probe.level(
+            l,
+            LevelCosts {
+                padding,
+                matching,
+                bipartite,
+            },
+        );
 
         // Step 6: re-canonization — the smaller (padded) side adopts the
         // labels of its matched partners, so both levels expose equal
@@ -779,4 +815,41 @@ fn sweep_core<P: SweepProbe>(
 
     debug_assert!(partial <= budget, "completed sweep exceeded its budget");
     Some(partial)
+}
+
+/// `|a Δ b|` for sorted multisets — the edge weight of `G²ᵢ` (Section 5.4).
+/// The sweep builds its class costs by label inversion instead; debug
+/// builds check every cost against this pairwise merge.
+fn symmetric_difference(a: &[u32], b: &[u32]) -> usize {
+    let (mut i, mut j, mut d) = (0usize, 0usize, 0usize);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => {
+                d += 1;
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                d += 1;
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    d + (a.len() - i) + (b.len() - j)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::symmetric_difference;
+
+    #[test]
+    fn symmetric_difference_multiset_semantics() {
+        assert_eq!(symmetric_difference(&[0, 0, 1], &[0, 2]), 3);
+        assert_eq!(symmetric_difference(&[], &[]), 0);
+        assert_eq!(symmetric_difference(&[1, 1, 1], &[1]), 2);
+        assert_eq!(symmetric_difference(&[0, 1], &[0, 1]), 0);
+    }
 }

@@ -16,114 +16,13 @@
 //! size difference — pure leaf inserts/deletes) and
 //! `Mᵢ = (m(G²ᵢ) − Pᵢ₊₁)/2` is the number of same-level moves derived from
 //! the minimum bipartite matching cost `m(G²ᵢ)` (Equation 5).
+//!
+//! Algorithm 1 itself has one implementation, the budget-aware kernel in
+//! `ted_kernel`; every entry point here (distances, budgeted distances,
+//! per-level reports, the phase profile) runs it.
 
 pub use crate::ted_kernel::{KernelProfile, SweepPhase};
-use ned_matching::{greedy_matching, hungarian, transportation, CostMatrix};
 use ned_tree::{SignatureInterner, Tree};
-
-/// Which bipartite matcher drives step 4 of Algorithm 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Matcher {
-    /// Exact minimum-cost matching — required for TED\* to be a metric.
-    /// Solved on the duplicate-collapsed class problem by default
-    /// ([`TedStarConfig::collapse_duplicates`]), or by the dense `O(n³)`
-    /// Hungarian algorithm when collapsing is disabled (with the
-    /// transportation solve cross-checked and reused for the canonical
-    /// matching, so distances stay engine-independent).
-    #[default]
-    Hungarian,
-    /// The original formulation exactly as first implemented: dense
-    /// `O(n³)` Hungarian with the matching taken straight from the dense
-    /// assignment. Optimal cost, but which optimum it returns is an
-    /// implementation accident, so re-canonization — and occasionally the
-    /// distance — is tie-break sensitive. Kept as the honest *timing*
-    /// baseline for the uncollapsed path (it pays no transportation
-    /// overhead); use [`Matcher::Hungarian`] everywhere else.
-    LegacyHungarian,
-    /// Cheapest-edge-first greedy matching. Faster, but the resulting
-    /// "distance" can over-estimate and lose the metric guarantees; kept
-    /// for the ablation benchmarks.
-    Greedy,
-}
-
-/// Tuning knobs for the TED\* computation.
-///
-/// `TedStarConfig::default()` (all `false`, `Hungarian`) reproduces the
-/// original dense formulation; [`TedStarConfig::standard`] — what
-/// [`ted_star`] uses — enables every fast path. **All Hungarian-matcher
-/// combinations produce bit-identical distances**: the engines differ only
-/// in how the optimal matching *cost* is computed, while the matching that
-/// feeds re-canonization (step 6) is always derived from one canonical,
-/// deterministic transportation solution over duplicate classes ordered by
-/// their collection content.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TedStarConfig {
-    /// Bipartite matcher choice.
-    pub matcher: Matcher,
-    /// When `true` (the default behaviour of [`ted_star`]), slots whose
-    /// children-label collections are identical are paired off before the
-    /// matching runs. Pairing zero-weight edges first is always optimal
-    /// here because the symmetric-difference weight satisfies the triangle
-    /// inequality across slots; on near-isomorphic levels this skips the
-    /// matching entirely.
-    pub skip_zero_pairs: bool,
-    /// When `true`, step 4 groups the remaining slots of each level into
-    /// *multiplicity classes* (slots with identical children collections),
-    /// solves the reduced transportation problem on distinct classes only,
-    /// and never materializes the dense per-slot [`CostMatrix`]. Real BFS
-    /// levels are dominated by repeated signatures, so this turns the
-    /// `O(n³)` bottleneck into `O((R + C)·R·C)` for `R`, `C` distinct
-    /// classes. Costs (and distances) are identical to the dense path:
-    /// duplicated rows/columns are interchangeable in any optimum.
-    pub collapse_duplicates: bool,
-    /// When `true`, node canonization (step 3) labels each collection with
-    /// its dense id from the process-wide
-    /// [`SignatureInterner`](ned_tree::SignatureInterner) — one hash
-    /// lookup per slot — instead of jointly sorting both levels'
-    /// collections. TED\* only ever compares labels for equality, so the
-    /// distance is unchanged; the sort-based ranking is kept for A/B
-    /// validation.
-    pub interned_canonization: bool,
-    /// When `true`, the pair path runs **frozen pre-rebuild code end to
-    /// end**: preparation uses the byte-materializing
-    /// [`ned_tree::ahu::canonical_form_reference`] plus the general
-    /// sorting [`ned_tree::ahu::canonical_code`], and the class-level
-    /// matching runs on [`ned_matching::transportation_reference`] — the
-    /// solver frozen as it stood before the SoA kernel rebuild — instead
-    /// of the optimized implementations. Results are bit-identical either
-    /// way; this knob exists so benchmarks can time the pre-rebuild pair
-    /// path on today's code without the frozen baseline silently
-    /// inheriting canonicalization or solver speedups.
-    pub frozen_baseline: bool,
-}
-
-impl TedStarConfig {
-    /// The configuration [`ted_star`] uses: exact matching with every
-    /// fast path enabled.
-    pub fn standard() -> Self {
-        TedStarConfig {
-            matcher: Matcher::Hungarian,
-            skip_zero_pairs: true,
-            collapse_duplicates: true,
-            interned_canonization: true,
-            frozen_baseline: false,
-        }
-    }
-
-    /// The original dense formulation: joint-sort canonization, per-slot
-    /// cost matrix, `O(n³)` Hungarian. Distances equal
-    /// [`TedStarConfig::standard`] everywhere; useful as the baseline in
-    /// benchmarks and equivalence tests.
-    pub fn dense() -> Self {
-        TedStarConfig {
-            matcher: Matcher::Hungarian,
-            skip_zero_pairs: true,
-            collapse_duplicates: false,
-            interned_canonization: false,
-            frozen_baseline: false,
-        }
-    }
-}
 
 /// Per-level cost breakdown (indexed by 0-based level; the paper's level
 /// `i` is our `i - 1`).
@@ -270,25 +169,6 @@ impl PreparedTree {
         let code = ned_tree::ahu::ordered_code(&tree).into_boxed_slice();
         // BFS layout makes levels contiguous, so the per-node subtree ids
         // are already the flat level-ordered class array.
-        let classes = SignatureInterner::global().subtree_ids(&tree);
-        let k = tree.num_levels();
-        let mut level_offsets = Vec::with_capacity(k + 1);
-        level_offsets.push(0u32);
-        for l in 0..k {
-            level_offsets.push(tree.level(l).end);
-        }
-        Self::build(tree, code, classes, level_offsets)
-    }
-
-    /// [`PreparedTree::new`] routed through the frozen pre-rebuild
-    /// canonicalization ([`ned_tree::ahu::canonical_form_reference`] +
-    /// the general sorting [`ned_tree::ahu::canonical_code`]). Output is
-    /// bit-identical to [`PreparedTree::new`]; exists solely so
-    /// `TedStarConfig::frozen_baseline` can time the old preparation
-    /// path.
-    pub(crate) fn new_reference(t: &Tree) -> Self {
-        let tree = ned_tree::ahu::canonical_form_reference(t);
-        let code = ned_tree::ahu::canonical_code(&tree).into_boxed_slice();
         let classes = SignatureInterner::global().subtree_ids(&tree);
         let k = tree.num_levels();
         let mut level_offsets = Vec::with_capacity(k + 1);
@@ -451,10 +331,8 @@ impl PreparedTree {
 /// of Definition 3.
 ///
 /// Runs on the scratch-arena kernel with an unlimited budget (see
-/// [`ted_star_within`]) — bit-identical to every exact-matcher
-/// configuration of [`ted_star_with`], but allocation-free in steady
-/// state and without the per-call global-interner traffic of the
-/// report-producing engine.
+/// [`ted_star_within`]), allocation-free in steady state; its per-level
+/// breakdown is [`ted_star_report`].
 ///
 /// ```
 /// use ned_tree::Tree;
@@ -809,471 +687,52 @@ pub fn ted_star_prepared_profiled(a: &PreparedTree, b: &PreparedTree) -> (u64, K
     (d.expect("an unlimited budget never abandons"), profile)
 }
 
-/// `TED*` under an explicit [`TedStarConfig`].
-pub fn ted_star_with(t1: &Tree, t2: &Tree, config: &TedStarConfig) -> u64 {
-    ted_star_report(t1, t2, config).distance
-}
-
-/// Canonicalizes both trees and runs Algorithm 1 on the canonically
-/// ordered pair; see [`PreparedTree`] for why.
-pub fn ted_star_report(t1: &Tree, t2: &Tree, config: &TedStarConfig) -> TedStarReport {
-    if config.frozen_baseline {
-        return ted_star_prepared_report(
-            &PreparedTree::new_reference(t1),
-            &PreparedTree::new_reference(t2),
-            config,
-        );
-    }
-    ted_star_prepared_report(&PreparedTree::new(t1), &PreparedTree::new(t2), config)
+/// Per-level breakdown of [`ted_star`]: the same unbudgeted kernel
+/// sweep, recording each level's `(Pᵢ, Mᵢ, m(G²ᵢ))` as it completes.
+///
+/// Like [`ted_star_within`], this canonicalizes per call and touches
+/// **neither the process-global [`SignatureInterner`] nor the cross-pair
+/// memo**: edit summaries and weighted distances over ephemeral trees
+/// leave no process state behind.
+pub fn ted_star_report(t1: &Tree, t2: &Tree) -> TedStarReport {
+    let a = ned_tree::ahu::canonical_form(t1);
+    let b = ned_tree::ahu::canonical_form(t2);
+    let code_a = ned_tree::ahu::ordered_code(&a);
+    let code_b = ned_tree::ahu::ordered_code(&b);
+    ordered_report(&a, &code_a, &b, &code_b)
 }
 
 /// TED\* between pre-canonicalized trees — the fast path for query
 /// workloads that compare each signature many times. Runs on the
 /// budget-aware kernel with an unlimited budget, so it shares the
 /// scratch arena and the cross-pair memo with
-/// [`ted_star_prepared_within`]; distances are bit-identical to every
-/// configuration of [`ted_star_prepared_report`] with an exact matcher.
+/// [`ted_star_prepared_within`]; distances equal
+/// [`ted_star_prepared_report`]'s.
 pub fn ted_star_prepared(a: &PreparedTree, b: &PreparedTree) -> u64 {
     ted_star_prepared_within(a, b, u64::MAX).expect("an unlimited budget never abandons")
 }
 
-/// Report variant of [`ted_star_prepared`].
-pub fn ted_star_prepared_report(
-    a: &PreparedTree,
-    b: &PreparedTree,
-    config: &TedStarConfig,
-) -> TedStarReport {
-    if a.code == b.code {
-        // Isomorphic signatures: the whole sweep would zero-pair every
-        // level. Interned stores are full of duplicate shapes, so this
-        // O(1)-after-compare exit carries real workloads.
+/// Report variant of [`ted_star_prepared`]: the kernel sweep with every
+/// level's costs recorded. Bypasses the memo, which keeps distances only.
+pub fn ted_star_prepared_report(a: &PreparedTree, b: &PreparedTree) -> TedStarReport {
+    ordered_report(&a.tree, &a.code, &b.tree, &b.code)
+}
+
+/// Reports on a canonical pair, swept in canonical-code order (see
+/// [`PreparedTree`] for why the order matters).
+fn ordered_report(a: &Tree, code_a: &[u8], b: &Tree, code_b: &[u8]) -> TedStarReport {
+    if code_a == code_b {
+        // Isomorphic: every level zero-pairs away.
         return TedStarReport {
             distance: 0,
-            levels: vec![LevelCosts::default(); a.tree.num_levels()],
+            levels: vec![LevelCosts::default(); a.num_levels()],
         };
     }
-    if a.code <= b.code {
-        ted_star_directional(&a.tree, &b.tree, config)
+    if code_a <= code_b {
+        crate::ted_kernel::report_sweep_tl(a, b)
     } else {
-        ted_star_directional(&b.tree, &a.tree, config)
+        crate::ted_kernel::report_sweep_tl(b, a)
     }
-}
-
-/// Algorithm 1 exactly as printed, sweeping levels bottom-up on the trees
-/// in the orientation given. Exposed for study and for the ablation
-/// benchmarks; prefer [`ted_star`], which wraps this in the
-/// canonicalization that makes the distance well-defined (the per-level
-/// padding costs are orientation-independent either way).
-pub fn ted_star_directional(t1: &Tree, t2: &Tree, config: &TedStarConfig) -> TedStarReport {
-    let k = t1.num_levels().max(t2.num_levels());
-    let mut levels = vec![LevelCosts::default(); k];
-    let mut distance = 0u64;
-    let sweep_interner = config.interned_canonization.then(SignatureInterner::new);
-
-    // Labels of the *real* nodes one level below the one being processed,
-    // indexed by position within their level. Re-canonization (step 6)
-    // updates these so each level only ever needs its children's labels.
-    let mut child_labels1: Vec<u32> = Vec::new();
-    let mut child_labels2: Vec<u32> = Vec::new();
-    let mut prev_padding = 0u64; // P_{i+1}, zero below the bottom level
-
-    for l in (0..k).rev() {
-        let n1 = t1.level_size(l);
-        let n2 = t2.level_size(l);
-        let n = n1.max(n2);
-        let padding = n1.abs_diff(n2) as u64;
-
-        // Steps 1–2: padding + children-label collections. Padded slots
-        // (positions >= real size) keep empty collections: a padded node
-        // has no children and is attached to no parent.
-        let s1 = collections(t1, l, &child_labels1, n);
-        let s2 = collections(t2, l, &child_labels2, n);
-
-        // Step 3 of the paper's six (node canonization): either dense
-        // joint ranks over both levels' collections (Algorithm 2), or —
-        // the fast path — interned signature ids, which induce the same
-        // equality partition with one hash lookup per slot. The interner
-        // is *local to this sweep*: re-canonization manufactures hybrid
-        // multisets that exist only for this pair, and feeding those into
-        // the process-global interner would grow it with every pair
-        // compared instead of with every distinct shape.
-        let (c1, c2) = match &sweep_interner {
-            Some(interner) => canonize_interned(&s1, &s2, interner),
-            None => canonize(&s1, &s2),
-        };
-
-        // Steps 4–5: bipartite construction + minimum matching.
-        let (bipartite, f) = match_levels(&s1, &s2, &c1, &c2, config);
-
-        // Equation 5. With the exact matcher the subtraction is provably
-        // non-negative and even; the greedy matcher voids that warranty,
-        // so clamp instead of panicking there.
-        if matches!(
-            config.matcher,
-            Matcher::Hungarian | Matcher::LegacyHungarian
-        ) {
-            debug_assert!(
-                bipartite >= prev_padding,
-                "m(G²)={bipartite} < P_below={prev_padding} at level {l}"
-            );
-            debug_assert_eq!(
-                (bipartite - prev_padding) % 2,
-                0,
-                "odd matching residue at level {l}"
-            );
-        }
-        let matching = bipartite.saturating_sub(prev_padding) / 2;
-
-        // Step 6: re-canonization — the smaller (padded) side adopts the
-        // labels of its matched partners, so both levels now expose equal
-        // label multisets to the level above.
-        if n1 < n2 {
-            child_labels1 = (0..n1).map(|x| c2[f[x] as usize]).collect();
-            child_labels2 = c2[..n2].to_vec();
-        } else {
-            let mut inv = vec![0u32; n];
-            for (x, &y) in f.iter().enumerate() {
-                inv[y as usize] = x as u32;
-            }
-            child_labels1 = c1[..n1].to_vec();
-            child_labels2 = (0..n2).map(|y| c1[inv[y] as usize]).collect();
-        }
-
-        distance += padding + matching;
-        levels[l] = LevelCosts {
-            padding,
-            matching,
-            bipartite,
-        };
-        prev_padding = padding;
-    }
-
-    TedStarReport { distance, levels }
-}
-
-/// Children-label collections for the `n` (padded) slots of level `l`.
-/// Each collection is sorted so weights and canonization can merge-scan.
-fn collections(t: &Tree, l: usize, child_labels: &[u32], n: usize) -> Vec<Vec<u32>> {
-    let mut s: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let lvl = t.level(l);
-    let below = t.level(l + 1);
-    for v in lvl.clone() {
-        let slot = (v - lvl.start) as usize;
-        let children = t.children(v);
-        if children.is_empty() {
-            continue;
-        }
-        let coll = &mut s[slot];
-        coll.reserve(children.len());
-        for c in children {
-            coll.push(child_labels[(c - below.start) as usize]);
-        }
-        coll.sort_unstable();
-    }
-    s
-}
-
-/// Algorithm 2: joint canonization of two levels. Collections are ordered
-/// by (length, lexicographic) and assigned dense integer ranks; equal
-/// collections — i.e. isomorphic subtrees, by Lemma 1 — share a label.
-fn canonize(s1: &[Vec<u32>], s2: &[Vec<u32>]) -> (Vec<u32>, Vec<u32>) {
-    let n = s1.len();
-    debug_assert_eq!(n, s2.len());
-    let get = |i: u32| -> &[u32] {
-        if (i as usize) < n {
-            &s1[i as usize]
-        } else {
-            &s2[i as usize - n]
-        }
-    };
-    let mut order: Vec<u32> = (0..2 * n as u32).collect();
-    order.sort_unstable_by(|&a, &b| {
-        let (x, y) = (get(a), get(b));
-        x.len().cmp(&y.len()).then_with(|| x.cmp(y))
-    });
-    let mut c1 = vec![0u32; n];
-    let mut c2 = vec![0u32; n];
-    let mut next = 0u32;
-    let mut prev: Option<&[u32]> = None;
-    for &i in &order {
-        let cur = get(i);
-        if let Some(p) = prev {
-            if p != cur {
-                next += 1;
-            }
-        }
-        if (i as usize) < n {
-            c1[i as usize] = next;
-        } else {
-            c2[i as usize - n] = next;
-        }
-        prev = Some(cur);
-    }
-    (c1, c2)
-}
-
-/// Interned canonization: each (sorted) collection's label is its global
-/// interner id. Induces exactly the equality partition of [`canonize`]
-/// with one hash lookup per slot, and ids are reusable across levels,
-/// pairs, and threads.
-fn canonize_interned(
-    s1: &[Vec<u32>],
-    s2: &[Vec<u32>],
-    interner: &SignatureInterner,
-) -> (Vec<u32>, Vec<u32>) {
-    let label = |s: &Vec<u32>| interner.intern(s);
-    (
-        s1.iter().map(label).collect(),
-        s2.iter().map(label).collect(),
-    )
-}
-
-/// One side's multiplicity class: slots sharing a canonization label
-/// (i.e. carrying identical children collections).
-struct SlotClass {
-    label: u32,
-    /// Member slots, ascending.
-    slots: Vec<u32>,
-}
-
-/// Groups a level's slots by label, ascending by label (members ascending
-/// by slot index).
-fn group_by_label(c: &[u32]) -> Vec<SlotClass> {
-    let mut pairs: Vec<(u32, u32)> = c
-        .iter()
-        .enumerate()
-        .map(|(slot, &label)| (label, slot as u32))
-        .collect();
-    pairs.sort_unstable();
-    let mut out: Vec<SlotClass> = Vec::new();
-    for (label, slot) in pairs {
-        match out.last_mut() {
-            Some(class) if class.label == label => class.slots.push(slot),
-            _ => out.push(SlotClass {
-                label,
-                slots: vec![slot],
-            }),
-        }
-    }
-    out
-}
-
-/// Steps 4–5: compute the minimum matching cost of `G²ᵢ` plus the
-/// bijection `f` (as `f[slot1] = slot2` over all `n` padded slots).
-///
-/// The matching never needs individual slots: slots with equal labels are
-/// interchangeable, so the problem is grouped into multiplicity classes
-/// and solved as a transportation problem over *distinct* collections
-/// only. For determinism — and so that every [`Matcher::Hungarian`]
-/// engine yields the same distance — classes are ordered by their
-/// smallest member slot (the slot partition, unlike label values or the
-/// label-bearing collections, is identical under every canonization
-/// engine), the transportation solve breaks ties toward lower indices,
-/// and flows expand to slots in ascending order. The checked dense engine
-/// (`collapse_duplicates: false`) then only replaces how the *cost* is
-/// obtained; the legacy and greedy matchers keep their original per-slot
-/// semantics.
-fn match_levels(
-    s1: &[Vec<u32>],
-    s2: &[Vec<u32>],
-    c1: &[u32],
-    c2: &[u32],
-    config: &TedStarConfig,
-) -> (u64, Vec<u32>) {
-    let n = s1.len();
-    let mut f = vec![u32::MAX; n];
-    if n == 0 {
-        return (0, f);
-    }
-
-    let mut g1 = group_by_label(c1);
-    let mut g2 = group_by_label(c2);
-
-    if config.skip_zero_pairs {
-        // Merge-scan the label-sorted class lists; equal labels mean
-        // identical collections (zero-weight edges), and pairing those
-        // first is always part of some optimal matching (triangle
-        // inequality through the identical pair). Which partner a slot
-        // zero-pairs with never matters: both carry the same label, so
-        // re-canonization adopts the same value either way.
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < g1.len() && j < g2.len() {
-            match g1[i].label.cmp(&g2[j].label) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    let pairs = g1[i].slots.len().min(g2[j].slots.len());
-                    for p in 0..pairs {
-                        f[g1[i].slots[p] as usize] = g2[j].slots[p];
-                    }
-                    g1[i].slots.drain(..pairs);
-                    g2[j].slots.drain(..pairs);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        g1.retain(|class| !class.slots.is_empty());
-        g2.retain(|class| !class.slots.is_empty());
-    }
-    debug_assert_eq!(
-        g1.iter().map(|c| c.slots.len()).sum::<usize>(),
-        g2.iter().map(|c| c.slots.len()).sum::<usize>()
-    );
-
-    if g1.is_empty() {
-        return (0, f);
-    }
-
-    // Canonical class order: by smallest member slot. Label *values* (and
-    // hence the label-sorted grouping order, and even the lexicographic
-    // order of the collections, which contain child labels) depend on the
-    // canonization engine — but the *partition of slots into classes* does
-    // not, so ordering classes by their first slot pins one deterministic
-    // transportation instance for every configuration.
-    g1.sort_by_key(|class| class.slots[0]);
-    g2.sort_by_key(|class| class.slots[0]);
-
-    match config.matcher {
-        // Original per-slot paths: build their own dense matrices, take
-        // the bijection straight from the assignment. No class matrix or
-        // transportation work happens for them.
-        Matcher::Greedy => {
-            let cost = slot_level_matching(s1, s2, &g1, &g2, &mut f, greedy_matching);
-            return (cost, f);
-        }
-        Matcher::LegacyHungarian => {
-            let cost = slot_level_matching(s1, s2, &g1, &g2, &mut f, hungarian);
-            return (cost, f);
-        }
-        Matcher::Hungarian => {}
-    }
-
-    let (rows, cols) = (g1.len(), g2.len());
-    let mut class_costs = vec![0i64; rows * cols];
-    for (i, rc) in g1.iter().enumerate() {
-        let sx = &s1[rc.slots[0] as usize];
-        for (j, cc) in g2.iter().enumerate() {
-            class_costs[i * cols + j] = symmetric_difference(sx, &s2[cc.slots[0] as usize]) as i64;
-        }
-    }
-
-    let supplies: Vec<u64> = g1.iter().map(|c| c.slots.len() as u64).collect();
-    let demands: Vec<u64> = g2.iter().map(|c| c.slots.len() as u64).collect();
-    let transport = if config.frozen_baseline {
-        ned_matching::transportation_reference(&supplies, &demands, &class_costs)
-    } else {
-        transportation(&supplies, &demands, &class_costs)
-    };
-
-    let cost = if config.collapse_duplicates {
-        transport.cost
-    } else {
-        // Dense engine: expand classes back to the per-slot matrix and run
-        // the O(n³) Hungarian algorithm. Kept as the validation baseline —
-        // its optimum must agree with the collapsed solver on every level
-        // of every pair, which the test suite exercises heavily.
-        let dense = dense_cost(&g1, &g2, &class_costs);
-        assert_eq!(
-            dense, transport.cost,
-            "collapsed transportation disagrees with dense Hungarian"
-        );
-        dense
-    };
-
-    // Canonical expansion: consume flows in ascending (row class, column
-    // class) order, slots within each class in ascending order. Step 6
-    // (re-canonization) reads `f`, so this choice — not the cost engine —
-    // is what pins the distance.
-    let mut col_cursor = vec![0usize; cols];
-    for (i, rc) in g1.iter().enumerate() {
-        let mut row_cursor = 0usize;
-        for (j, cc) in g2.iter().enumerate() {
-            for _ in 0..transport.flows[i * cols + j] {
-                f[rc.slots[row_cursor] as usize] = cc.slots[col_cursor[j]];
-                row_cursor += 1;
-                col_cursor[j] += 1;
-            }
-        }
-        debug_assert_eq!(row_cursor, rc.slots.len(), "row class not exhausted");
-    }
-
-    (cost as u64, f)
-}
-
-/// The dense-matrix optimal cost over the leftover classes (expanded back
-/// to per-slot rows/columns).
-fn dense_cost(g1: &[SlotClass], g2: &[SlotClass], class_costs: &[i64]) -> i64 {
-    let m: usize = g1.iter().map(|c| c.slots.len()).sum();
-    let cols = g2.len();
-    let mut costs = CostMatrix::zeros(m);
-    let mut row = 0usize;
-    for (i, rc) in g1.iter().enumerate() {
-        for _ in &rc.slots {
-            let mut col = 0usize;
-            for (j, cc) in g2.iter().enumerate() {
-                for _ in &cc.slots {
-                    costs.set(row, col, class_costs[i * cols + j]);
-                    col += 1;
-                }
-            }
-            row += 1;
-        }
-    }
-    hungarian(&costs).cost
-}
-
-/// Original per-slot matching over the dense leftover matrix; the
-/// bijection comes straight from whichever assignment `matcher` returns
-/// (the greedy and legacy-Hungarian paths keep their original
-/// semantics, tie-breaks included).
-fn slot_level_matching(
-    s1: &[Vec<u32>],
-    s2: &[Vec<u32>],
-    g1: &[SlotClass],
-    g2: &[SlotClass],
-    f: &mut [u32],
-    matcher: fn(&CostMatrix) -> ned_matching::Assignment,
-) -> u64 {
-    let mut rest1: Vec<u32> = g1.iter().flat_map(|c| c.slots.iter().copied()).collect();
-    let mut rest2: Vec<u32> = g2.iter().flat_map(|c| c.slots.iter().copied()).collect();
-    rest1.sort_unstable();
-    rest2.sort_unstable();
-    let r = rest1.len();
-    let mut costs = CostMatrix::zeros(r);
-    for (i, &x) in rest1.iter().enumerate() {
-        let sx = &s1[x as usize];
-        for (j, &y) in rest2.iter().enumerate() {
-            costs.set(i, j, symmetric_difference(sx, &s2[y as usize]) as i64);
-        }
-    }
-    let assignment = matcher(&costs);
-    for (i, &j) in assignment.row_to_col.iter().enumerate() {
-        f[rest1[i] as usize] = rest2[j];
-    }
-    assignment.cost as u64
-}
-
-/// `|a Δ b|` for sorted multisets — the edge weight of `G²ᵢ` (Section 5.4).
-pub(crate) fn symmetric_difference(a: &[u32], b: &[u32]) -> usize {
-    let (mut i, mut j, mut d) = (0usize, 0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                d += 1;
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                d += 1;
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    d + (a.len() - i) + (b.len() - j)
 }
 
 #[cfg(test)]
@@ -1318,7 +777,7 @@ mod tests {
         let alpha = t(&[0, 0, 0, 1, 1, 4, 4]);
         let beta = t(&[0, 0, 0, 0, 2, 4, 4]);
         assert_eq!(ted_star(&alpha, &beta), 2);
-        let report = ted_star_report(&alpha, &beta, &TedStarConfig::standard());
+        let report = ted_star_report(&alpha, &beta);
         assert_eq!(report.total_padding(), 2);
         assert_eq!(report.total_matching(), 0);
     }
@@ -1331,7 +790,7 @@ mod tests {
         let t1 = t(&[0, 0, 0, 1, 1]);
         let t2 = t(&[0, 0, 0, 1, 2]);
         assert_eq!(ted_star(&t1, &t2), 1);
-        let report = ted_star_report(&t1, &t2, &TedStarConfig::standard());
+        let report = ted_star_report(&t1, &t2);
         assert_eq!(report.total_matching(), 1);
         assert_eq!(report.total_padding(), 0);
     }
@@ -1445,60 +904,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_pair_skip_agrees_on_bipartite_costs() {
-        // Disabling zero-pair elimination must not change the per-level
-        // *bottom* bipartite cost (identical inputs there); upper levels
-        // may differ through matching tie-breaks (see PreparedTree docs),
-        // but both variants must stay within the hard bounds and agree on
-        // isomorphic pairs.
-        let mut rng = SmallRng::seed_from_u64(8);
-        let plain = TedStarConfig {
-            matcher: Matcher::Hungarian,
-            skip_zero_pairs: false,
-            ..TedStarConfig::standard()
-        };
-        for _ in 0..40 {
-            let a = random_bounded_depth_tree(22, 4, &mut rng);
-            let b = random_bounded_depth_tree(22, 4, &mut rng);
-            let with_skip = ted_star(&a, &b);
-            let without = ted_star_with(&a, &b, &plain);
-            let k = a.num_levels().max(b.num_levels());
-            let lower: u64 = (0..k)
-                .map(|l| a.level_size(l).abs_diff(b.level_size(l)) as u64)
-                .sum();
-            let upper = (a.len() + b.len() - 2) as u64;
-            for d in [with_skip, without] {
-                assert!(d >= lower && d <= upper, "{d} outside [{lower}, {upper}]");
-            }
-            assert_eq!(ted_star_with(&a, &a, &plain), 0);
-        }
-    }
-
-    #[test]
-    fn greedy_matcher_sane() {
-        let mut rng = SmallRng::seed_from_u64(9);
-        let greedy = TedStarConfig {
-            matcher: Matcher::Greedy,
-            skip_zero_pairs: true,
-            ..TedStarConfig::standard()
-        };
-        for _ in 0..40 {
-            let a = random_bounded_depth_tree(20, 4, &mut rng);
-            let b = random_bounded_depth_tree(20, 4, &mut rng);
-            // greedy on an isomorphic pair is still exactly 0 (all slots
-            // zero-pair away before the matcher runs)
-            assert_eq!(ted_star_with(&a, &a, &greedy), 0);
-            // and on a general pair it respects the same hard bounds
-            let d = ted_star_with(&a, &b, &greedy);
-            let k = a.num_levels().max(b.num_levels());
-            let lower: u64 = (0..k)
-                .map(|l| a.level_size(l).abs_diff(b.level_size(l)) as u64)
-                .sum();
-            assert!(d >= lower && d <= (a.len() + b.len() - 2) as u64);
-        }
-    }
-
-    #[test]
     fn prepared_trees_match_direct_api() {
         let mut rng = SmallRng::seed_from_u64(20);
         for _ in 0..20 {
@@ -1530,7 +935,7 @@ mod tests {
         for _ in 0..30 {
             let a = random_bounded_depth_tree(16, 4, &mut rng);
             let b = random_bounded_depth_tree(24, 3, &mut rng);
-            let r = ted_star_report(&a, &b, &TedStarConfig::standard());
+            let r = ted_star_report(&a, &b);
             assert_eq!(r.distance, r.total_padding() + r.total_matching());
             assert_eq!(r.distance, ted_star(&a, &b));
             assert_eq!(r.levels.len(), a.num_levels().max(b.num_levels()));
@@ -1579,13 +984,5 @@ mod tests {
         assert_eq!(ted_star_within(&a, &b, u64::MAX), Some(d));
         // a limit below the lower bound abandons without computing
         assert_eq!(ted_star_within(&a, &b, 0), None);
-    }
-
-    #[test]
-    fn symmetric_difference_multiset_semantics() {
-        assert_eq!(symmetric_difference(&[0, 0, 1], &[0, 2]), 3);
-        assert_eq!(symmetric_difference(&[], &[]), 0);
-        assert_eq!(symmetric_difference(&[1, 1, 1], &[1]), 2);
-        assert_eq!(symmetric_difference(&[0, 1], &[0, 1]), 0);
     }
 }

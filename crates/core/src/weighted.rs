@@ -7,7 +7,7 @@
 //! classic unordered tree edit distance (Lemma 7): every move at level `i`
 //! can be simulated by at most `4·i` classic insert/delete operations.
 
-use crate::ted_star::{ted_star_report, TedStarConfig};
+use crate::ted_star::ted_star_report;
 use ned_tree::Tree;
 
 /// Per-level operation weights. Both must be strictly positive for the
@@ -25,7 +25,7 @@ pub struct LevelWeights {
 /// `weights` is called with the paper's 1-based level index (1 = root
 /// level).
 pub fn weighted_ted_star(t1: &Tree, t2: &Tree, weights: impl Fn(usize) -> LevelWeights) -> f64 {
-    let report = ted_star_report(t1, t2, &TedStarConfig::standard());
+    let report = ted_star_report(t1, t2);
     report
         .levels
         .iter()

@@ -1,167 +1,21 @@
-//! Cross-engine equivalence: every exact TED\* configuration must produce
-//! the same distance on every input.
+//! Soundness of the cheap TED\* lower bounds against the kernel, and the
+//! shape of the kernel's per-level report on isomorphic pairs.
 //!
-//! The collapsed transportation engine, the dense Hungarian engine, and
-//! both canonization strategies (joint sort ranks vs interned signature
-//! ids) share one canonical matching expansion, so equality is by
-//! construction — these tests exercise that construction hard, including
-//! the internal `assert!` in the dense path that cross-checks the
-//! collapsed solver's optimum against the dense Hungarian optimum on
-//! every level of every pair.
+//! The kernel's equivalence to the frozen Algorithm 1 engine, distances
+//! and per-level reports, is pinned in ned-bench
+//! (`crates/bench/tests/frozen_algorithm1.rs`), where that engine lives.
 
 use ned_core::{
     ted_star, ted_star_class_lower_bound, ted_star_degree_lower_bound, ted_star_lower_bound,
-    ted_star_prepared, ted_star_prepared_report, ted_star_summary_lower_bound, ted_star_with,
-    Matcher, PreparedTree, TedStarConfig,
+    ted_star_prepared, ted_star_prepared_report, ted_star_summary_lower_bound, PreparedTree,
 };
 use ned_graph::bfs::k_adjacent_tree;
 use ned_graph::generators::{barabasi_albert, erdos_renyi_gnm};
-use ned_tree::generate::{
-    caterpillar_tree, mutate, path_tree, perfect_tree, random_attachment_tree,
-    random_bounded_depth_tree, star_tree,
-};
+use ned_tree::generate::{mutate, random_bounded_depth_tree, star_tree};
 use ned_tree::Tree;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-/// All exact-engine combinations, including the frozen pre-rebuild
-/// transportation solver (a pure timing baseline, so it must stay
-/// bit-identical to every other exact engine).
-fn exact_configs() -> [(&'static str, TedStarConfig); 5] {
-    let base = TedStarConfig::standard();
-    [
-        ("collapsed+interned", base),
-        (
-            "collapsed+ranked",
-            TedStarConfig {
-                interned_canonization: false,
-                ..base
-            },
-        ),
-        (
-            "dense+interned",
-            TedStarConfig {
-                collapse_duplicates: false,
-                ..base
-            },
-        ),
-        ("dense+ranked", TedStarConfig::dense()),
-        (
-            "collapsed+frozen-baseline",
-            TedStarConfig {
-                frozen_baseline: true,
-                ..base
-            },
-        ),
-    ]
-}
-
-#[test]
-fn engines_agree_on_random_bounded_depth_pairs() {
-    let mut rng = SmallRng::seed_from_u64(0xEDED);
-    let configs = exact_configs();
-    for round in 0..300 {
-        let a = random_bounded_depth_tree(4 + round % 60, 2 + round % 5, &mut rng);
-        let b = random_bounded_depth_tree(4 + (round * 7) % 60, 2 + (round / 3) % 5, &mut rng);
-        let reference = ted_star_with(&a, &b, &configs[0].1);
-        for (name, config) in &configs[1..] {
-            assert_eq!(
-                ted_star_with(&a, &b, config),
-                reference,
-                "engine {name} diverged on round {round}: {a:?} vs {b:?}"
-            );
-        }
-    }
-}
-
-#[test]
-fn engines_agree_on_random_attachment_pairs() {
-    let mut rng = SmallRng::seed_from_u64(0xA77A);
-    let configs = exact_configs();
-    for round in 0..200 {
-        let a = random_attachment_tree(2 + round % 40, &mut rng);
-        let b = random_attachment_tree(2 + (round * 3) % 40, &mut rng);
-        let reference = ted_star_with(&a, &b, &configs[0].1);
-        for (name, config) in &configs[1..] {
-            assert_eq!(
-                ted_star_with(&a, &b, config),
-                reference,
-                "{name} round {round}"
-            );
-        }
-    }
-}
-
-#[test]
-fn engines_agree_on_structured_extremes() {
-    let configs = exact_configs();
-    let shapes: Vec<Tree> = vec![
-        Tree::singleton(),
-        path_tree(12),
-        star_tree(40),
-        perfect_tree(2, 5),
-        perfect_tree(3, 4),
-        caterpillar_tree(6, 3),
-    ];
-    for a in &shapes {
-        for b in &shapes {
-            let reference = ted_star_with(a, b, &configs[0].1);
-            for (name, config) in &configs[1..] {
-                assert_eq!(
-                    ted_star_with(a, b, config),
-                    reference,
-                    "{name}: {a:?} vs {b:?}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn engines_agree_with_zero_pair_skip_disabled() {
-    // With zero-pairing off, every slot flows through the matching — the
-    // strongest exercise of collapsed-vs-dense cost agreement.
-    let mut rng = SmallRng::seed_from_u64(0x2052);
-    for round in 0..80 {
-        let a = random_bounded_depth_tree(4 + round % 30, 3, &mut rng);
-        let b = random_bounded_depth_tree(4 + (round * 5) % 30, 4, &mut rng);
-        let collapsed = TedStarConfig {
-            skip_zero_pairs: false,
-            ..TedStarConfig::standard()
-        };
-        let dense = TedStarConfig {
-            skip_zero_pairs: false,
-            ..TedStarConfig::dense()
-        };
-        assert_eq!(
-            ted_star_with(&a, &b, &collapsed),
-            ted_star_with(&a, &b, &dense),
-            "round {round}"
-        );
-    }
-}
-
-#[test]
-fn default_config_matches_its_fast_twin() {
-    // TedStarConfig::default() is the all-legacy engine with zero-pairing
-    // off. Zero-pairing itself selects among optimal matchings (the
-    // documented tie-break sensitivity), so the invariant is: at *fixed*
-    // `skip_zero_pairs`, every exact engine computes the same distance.
-    let mut rng = SmallRng::seed_from_u64(0xDEF0);
-    for _ in 0..100 {
-        let a = random_bounded_depth_tree(20, 4, &mut rng);
-        let b = random_bounded_depth_tree(25, 3, &mut rng);
-        let reference = ted_star_with(&a, &b, &TedStarConfig::default());
-        for (name, config) in exact_configs() {
-            let config = TedStarConfig {
-                skip_zero_pairs: false,
-                ..config
-            };
-            assert_eq!(ted_star_with(&a, &b, &config), reference, "{name}");
-        }
-    }
-}
 
 /// A random tree with the exact level widths given (so two draws share a
 /// level profile and the level-size lower bound between them is 0).
@@ -400,50 +254,12 @@ fn prepared_report_early_exit_matches_full_sweep() {
         let a = random_bounded_depth_tree(16, 4, &mut rng);
         let pa = PreparedTree::new(&a);
         let pb = PreparedTree::new(&a);
-        let report = ted_star_prepared_report(&pa, &pb, &TedStarConfig::standard());
+        let report = ted_star_prepared_report(&pa, &pb);
         assert_eq!(report.distance, 0);
         assert_eq!(report.levels.len(), a.num_levels());
         assert!(report
             .levels
             .iter()
             .all(|l| l.padding == 0 && l.matching == 0));
-    }
-}
-
-#[test]
-fn legacy_hungarian_is_exact_per_level() {
-    // The legacy matcher takes its bijection straight from the dense
-    // assignment (tie-break sensitive), but its per-level costs are still
-    // optimal, so the distance respects every hard bound and the metric
-    // identity.
-    let mut rng = SmallRng::seed_from_u64(0x1E6A);
-    let legacy = TedStarConfig {
-        matcher: Matcher::LegacyHungarian,
-        ..TedStarConfig::standard()
-    };
-    for _ in 0..60 {
-        let a = random_bounded_depth_tree(20, 4, &mut rng);
-        let b = random_bounded_depth_tree(24, 3, &mut rng);
-        assert_eq!(ted_star_with(&a, &a, &legacy), 0);
-        let d = ted_star_with(&a, &b, &legacy);
-        assert!(d <= (a.len() + b.len() - 2) as u64);
-        assert!(d >= ned_core::ted_star_lower_bound(&a, &b));
-    }
-}
-
-#[test]
-fn greedy_stays_sane_under_new_grouping() {
-    let mut rng = SmallRng::seed_from_u64(0x6EED);
-    let greedy = TedStarConfig {
-        matcher: Matcher::Greedy,
-        ..TedStarConfig::standard()
-    };
-    for _ in 0..60 {
-        let a = random_bounded_depth_tree(22, 4, &mut rng);
-        let b = random_bounded_depth_tree(22, 4, &mut rng);
-        assert_eq!(ted_star_with(&a, &a, &greedy), 0);
-        let d = ted_star_with(&a, &b, &greedy);
-        assert!(d <= (a.len() + b.len() - 2) as u64);
-        assert!(d >= ned_core::ted_star_lower_bound(&a, &b));
     }
 }

@@ -8,12 +8,12 @@
 //! exercises the bounded path: [`SignatureMetric`] overrides
 //! `BoundedMetric::distance_within`, so `knn`/`range` issue each exact
 //! TED\* call under the current pruning radius. Reference results go
-//! through the classic Algorithm 1 engine (no bounded kernel, no scratch
-//! arena, no memo — see [`classic_distance`]), so these tests pin the
-//! bounded serving stack bit-identical to an independent implementation,
-//! not merely to itself.
+//! through the per-level report (no budget, no static bounds, no memo —
+//! see [`classic_distance`]), so these tests pin the bounded serving
+//! stack to an unbudgeted sweep; ned-bench's `tests/frozen_algorithm1.rs`
+//! pins that sweep to an independent implementation of Algorithm 1.
 
-use ned_core::{signatures, ted_star_prepared_report, NodeSignature, TedStarConfig};
+use ned_core::{signatures, NodeSignature};
 use ned_graph::generators;
 use ned_index::{
     BoundedMetric, ForestHit, Metric, ShardedVpForest, SignatureIndex, SignatureMetric,
@@ -24,12 +24,13 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
-/// Exact NED computed through the classic Algorithm 1 engine — a code
-/// path that shares neither the bounded kernel, the scratch arena, nor
-/// the cross-pair memo with the forest under test, so a defect in any
-/// of those cannot corrupt reference and result identically.
+/// Exact NED computed through the per-level report — an unbudgeted
+/// sweep that shares neither the budget threading, the static lower
+/// bounds, nor the cross-pair memo with the forest under test, so a
+/// defect in any of those cannot corrupt reference and result
+/// identically.
 fn classic_distance(a: &NodeSignature, b: &NodeSignature) -> f64 {
-    ted_star_prepared_report(a.prepared(), b.prepared(), &TedStarConfig::standard()).distance as f64
+    a.distance_report(b).distance as f64
 }
 
 /// Reference result computed from first principles: classic-engine NED
