@@ -14,8 +14,8 @@
 //!   feature vectors, and the distance is not a metric.
 //!
 //! Both implementations follow the cited constructions as described in the
-//! NED paper; see DESIGN.md for the per-pair neighborhood scoping choice
-//! for HITS.
+//! NED paper; see ARCHITECTURE.md, "Baseline scoping", for the per-pair
+//! neighborhood scoping choice for HITS.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -55,6 +55,12 @@
 //! keeps them within a small factor (the two graphs' flip batches also
 //! differ in size).
 //!
+//! Three in-run floors compare two paths timed here:
+//! `soa_kernel_speedup_vs_presoa`, `bounded_knn_speedup_vs_unbounded_forest`
+//! and `fleet_overhead_vs_single`. Each times its two sides in
+//! alternating rounds and gates on the median of the per-round ratios
+//! (`measure_pair`), so host drift between rounds cannot decide it.
+//!
 //! Run with `cargo run --release -p ned-bench --bin perf_snapshot
 //! [output.json]`. Name a `BENCH_<n>.json` only to record a new point of
 //! the committed trajectory. Every workload is seeded, so successive runs
@@ -76,21 +82,50 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
+/// ns/op of one timed batch of `iters` calls.
+fn time_batch(iters: usize, f: &mut impl FnMut()) -> f64 {
+    let start = Instant::now();
+    for _ in 0..iters {
+        f();
+    }
+    start.elapsed().as_nanos() as f64 / iters as f64
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(|a, b| a.partial_cmp(b).expect("NaN time"));
+    xs[xs.len() / 2]
+}
+
 /// Median ns/op over `samples` timed batches of `iters` iterations.
 fn measure<F: FnMut()>(samples: usize, iters: usize, mut f: F) -> f64 {
     // warm-up
     f();
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_nanos() as f64 / iters as f64
-        })
+    median((0..samples).map(|_| time_batch(iters, &mut f)).collect())
+}
+
+/// Interleaved A/B timing for an in-run ratio gate: `rounds` rounds,
+/// each timing one batch of `a` and then one of `b`. Returns each
+/// side's median ns/op and the median of the per-round `a / b` ratios.
+/// Host drift between rounds hits both halves of a round alike, so the
+/// ratio median cancels it where two medians taken at different times
+/// would not.
+fn measure_pair(
+    rounds: usize,
+    iters: usize,
+    mut a: impl FnMut(),
+    mut b: impl FnMut(),
+) -> (f64, f64, f64) {
+    // warm-up
+    a();
+    b();
+    let timed: Vec<(f64, f64)> = (0..rounds)
+        .map(|_| (time_batch(iters, &mut a), time_batch(iters, &mut b)))
         .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).expect("NaN time"));
-    times[times.len() / 2]
+    (
+        median(timed.iter().map(|t| t.0).collect()),
+        median(timed.iter().map(|t| t.1).collect()),
+        median(timed.iter().map(|t| t.0 / t.1).collect()),
+    )
 }
 
 /// Per-metric median over repeated fleet runs — the drift discipline
@@ -238,30 +273,12 @@ fn main() {
     });
     let ned_pair_speedup = dense_ns / collapsed_ns;
 
-    // --- ned_pair on real generator graphs (end-to-end NED) -------------
+    // --- ned_pair on real generator graphs (end-to-end NED), against the
+    // frozen pre-SoA comparator ------------------------------------------
     let g1 = generators::barabasi_albert(4000, 3, &mut rng);
     let g2 = generators::barabasi_albert(4000, 3, &mut rng);
     let mut e1 = TreeExtractor::new(&g1);
     let mut e2 = TreeExtractor::new(&g2);
-    let ned_ns = measure(7, 2, || {
-        for i in 0..8u32 {
-            std::hint::black_box(ned_with_extractors(
-                &mut e1,
-                i * 97 % 4000,
-                &mut e2,
-                i * 131 % 4000,
-                4,
-            ));
-        }
-    }) / 8.0;
-    entries.push(Entry {
-        name: "ned_pair/ba4000-k4",
-        ns_per_op: ned_ns,
-        p50_ns: None,
-        p99_ns: None,
-    });
-
-    // --- ned_pair frozen pre-SoA comparator -----------------------------
     // `ned_with_extractors` now rides the SoA kernel: flat CSR class
     // arrays on PreparedTree, rank-based canonicalization, the
     // thread-local scratch sweep, the specialized small-level transport
@@ -271,7 +288,8 @@ fn main() {
     // preparation to the byte-materializing reference canonicalization
     // and the matching to the pre-rebuild transportation solver — so the
     // ratio is measured in-run on this hardware against a baseline that
-    // does not inherit this PR's speedups.
+    // does not inherit this PR's speedups. The two sides are timed in
+    // alternating rounds and gated on the median per-round ratio.
     let presoa_config = TedStarConfig {
         frozen_baseline: true,
         ..TedStarConfig::standard()
@@ -287,20 +305,44 @@ fn main() {
             "SoA kernel diverged from the frozen pre-SoA engine"
         );
     }
-    let presoa_ns = measure(5, 1, || {
-        for i in 0..8u32 {
-            let a = e1.extract(i * 97 % 4000, 4);
-            let b = e2.extract(i * 131 % 4000, 4);
-            std::hint::black_box(ted_star_with(&a, &b, &presoa_config));
-        }
-    }) / 8.0;
+    // Each side extracts through its own extractors, so the two closures
+    // can alternate.
+    let (mut f1, mut f2) = (TreeExtractor::new(&g1), TreeExtractor::new(&g2));
+    let (presoa_ns, ned_ns, soa_speedup) = measure_pair(
+        7,
+        1,
+        || {
+            for i in 0..8u32 {
+                let a = f1.extract(i * 97 % 4000, 4);
+                let b = f2.extract(i * 131 % 4000, 4);
+                std::hint::black_box(ted_star_with(&a, &b, &presoa_config));
+            }
+        },
+        || {
+            for i in 0..8u32 {
+                std::hint::black_box(ned_with_extractors(
+                    &mut e1,
+                    i * 97 % 4000,
+                    &mut e2,
+                    i * 131 % 4000,
+                    4,
+                ));
+            }
+        },
+    );
+    let (presoa_ns, ned_ns) = (presoa_ns / 8.0, ned_ns / 8.0);
+    entries.push(Entry {
+        name: "ned_pair/ba4000-k4",
+        ns_per_op: ned_ns,
+        p50_ns: None,
+        p99_ns: None,
+    });
     entries.push(Entry {
         name: "ned_pair/ba4000-k4-presoa",
         ns_per_op: presoa_ns,
         p50_ns: None,
         p99_ns: None,
     });
-    let soa_speedup = presoa_ns / ned_ns;
 
     // --- kernel_phase: per-phase time split of the SoA sweep ------------
     // The instrumented sweep on the same BA-4000 pairs, per-op ns for
@@ -429,11 +471,28 @@ fn main() {
             "bounded forest kNN diverged from the linear scan"
         );
     }
-    let forest_ns = measure(7, 2, || {
-        for q in &probes {
-            std::hint::black_box(forest.knn(&ClassicSignatureMetric, q, 5, 0));
-        }
-    }) / probes.len() as f64;
+    // The frozen path and the bounded one below (whose gate this ratio
+    // is) are timed in alternating rounds, memo cleared first: the
+    // bounded side's warm-up warms it, the serving regime it prices.
+    TedMemo::global().clear();
+    let (forest_ns, bounded_ns, bounded_speedup) = measure_pair(
+        7,
+        2,
+        || {
+            for q in &probes {
+                std::hint::black_box(forest.knn(&ClassicSignatureMetric, q, 5, 0));
+            }
+        },
+        || {
+            for q in &probes {
+                std::hint::black_box(forest.knn(&SignatureMetric, q, 5, 0));
+            }
+        },
+    );
+    let (forest_ns, bounded_ns) = (
+        forest_ns / probes.len() as f64,
+        bounded_ns / probes.len() as f64,
+    );
     entries.push(Entry {
         name: "sharded_knn/ba4000-k3-forest",
         ns_per_op: forest_ns,
@@ -459,20 +518,14 @@ fn main() {
     // budget, runs allocation-free on the thread-local scratch, and
     // repeated (query class, candidate class) pairs hit the cross-pair
     // memo. Steady state (memo warm across repeat queries — the serving
-    // regime) must beat the frozen PR 2 path by ≥ 1.5×.
-    TedMemo::global().clear();
-    let bounded_ns = measure(7, 2, || {
-        for q in &probes {
-            std::hint::black_box(forest.knn(&SignatureMetric, q, 5, 0));
-        }
-    }) / probes.len() as f64;
+    // regime) must beat the frozen PR 2 path by ≥ 1.5×; timed above,
+    // interleaved with the frozen path.
     entries.push(Entry {
         name: "sharded_knn/ba4000-k3-bounded",
         ns_per_op: bounded_ns,
         p50_ns: None,
         p99_ns: None,
     });
-    let bounded_speedup = forest_ns / bounded_ns;
 
     // --- sketch: flat-bank filter tier in front of the exact kernel ------
     // The PR 9 candidate-generation tier on the identical workload: the
@@ -959,36 +1012,45 @@ fn main() {
             "scatter-gather diverged from the single server"
         );
     }
-    let fleet_knn_ns = measure(7, 2, || {
-        for shape in &probe_shapes {
-            std::hint::black_box(router.knn(shape, 5, None).expect("fleet knn"));
-        }
-    }) / probe_shapes.len() as f64;
+    // Router and single server alternate round by round, so host drift
+    // cancels out of the gated ratio.
+    let (fleet_knn_ns, wire_knn_ns, fleet_overhead) = measure_pair(
+        7,
+        2,
+        || {
+            for shape in &probe_shapes {
+                std::hint::black_box(router.knn(shape, 5, None).expect("fleet knn"));
+            }
+        },
+        || {
+            for shape in &probe_shapes {
+                std::hint::black_box(
+                    wire.request(&ned_core::Request::Sig {
+                        shape: shape.clone(),
+                        top: 5,
+                        within: None,
+                    })
+                    .expect("single-server knn"),
+                );
+            }
+        },
+    );
+    let (fleet_knn_ns, wire_knn_ns) = (
+        fleet_knn_ns / probe_shapes.len() as f64,
+        wire_knn_ns / probe_shapes.len() as f64,
+    );
     entries.push(Entry {
         name: "fleet/ba4000-knn-s3",
         ns_per_op: fleet_knn_ns,
         p50_ns: None,
         p99_ns: None,
     });
-    let wire_knn_ns = measure(7, 2, || {
-        for shape in &probe_shapes {
-            std::hint::black_box(
-                wire.request(&ned_core::Request::Sig {
-                    shape: shape.clone(),
-                    top: 5,
-                    within: None,
-                })
-                .expect("single-server knn"),
-            );
-        }
-    }) / probe_shapes.len() as f64;
     entries.push(Entry {
         name: "fleet/ba4000-knn-wire1",
         ns_per_op: wire_knn_ns,
         p50_ns: None,
         p99_ns: None,
     });
-    let fleet_overhead = fleet_knn_ns / wire_knn_ns;
     drop(wire);
     drop(router);
     single_srv.initiate_shutdown();

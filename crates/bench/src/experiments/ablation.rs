@@ -1,4 +1,5 @@
-//! Ablation experiments for the design choices DESIGN.md §6 calls out.
+//! Ablation experiments for the design choices ARCHITECTURE.md,
+//! "Ablations", calls out.
 //!
 //! 1. Zero-pair elimination inside TED\*'s matching step (on vs off).
 //! 2. Hungarian (exact) vs greedy matching — speed and value drift.

@@ -17,7 +17,7 @@
 //! | Fig 9a/9b (method comparison, query time) | [`experiments::fig9`] | `fig9` |
 //! | Fig 10a/10b (de-anonymization precision) | [`experiments::deanon`] | `fig10` |
 //! | Fig 11a/11b (ratio / top-l sweeps) | [`experiments::deanon`] | `fig11` |
-//! | Ablations (DESIGN.md §6) | [`experiments::ablation`] | `ablation` |
+//! | Ablations (ARCHITECTURE.md, "Ablations") | [`experiments::ablation`] | `ablation` |
 //!
 //! [`frozen`] keeps the configurable Algorithm 1 engine that `ned-core`'s
 //! kernel replaced, as the timing baseline and the matcher ablation.

@@ -307,7 +307,8 @@ fn directional_algorithm_is_tie_break_sensitive() {
     assert!(
         asymmetries > 0,
         "expected to observe directional asymmetries; if this starts \
-         failing, the finding in DESIGN.md §7.1 needs re-examination"
+         failing, the finding in ARCHITECTURE.md, \"Algorithm 1 tie-breaks\", \
+         needs re-examination"
     );
 }
 

@@ -273,7 +273,8 @@ mod tests {
         // the *target* is dense. Aligning a dense social graph into a
         // sparse road target makes EC an honest relatedness signal.
         // (Grid-like road-to-road alignment is additionally confounded by
-        // their huge automorphism-like tie sets — see DESIGN.md §7.)
+        // their huge automorphism-like tie sets — see ARCHITECTURE.md,
+        // "Algorithm 1 tie-breaks".)
         let mut rng = SmallRng::seed_from_u64(4);
         let road = generators::road_network(10, 10, 0.4, 0.0, &mut rng);
         let social = generators::barabasi_albert(100, 3, &mut rng);

@@ -74,7 +74,7 @@ impl TedStarReport {
 /// well-defined, exactly symmetric function of the two isomorphism
 /// classes; the identity axiom is exact as well, and the triangle
 /// inequality is validated empirically by the property-test suite (see
-/// DESIGN.md).
+/// ARCHITECTURE.md, "Algorithm 1 tie-breaks").
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PreparedTree {
     tree: Tree,

@@ -3,8 +3,8 @@
 //! The paper's Table 2 datasets come from SNAP and KONECT and cannot be
 //! redistributed here, so each is replaced by a random-graph model chosen
 //! to match the structural properties NED actually exercises: degree
-//! distribution and local BFS-tree shape. See DESIGN.md §4 for the
-//! substitution rationale per dataset. All generation is deterministic
+//! distribution and local BFS-tree shape. See ARCHITECTURE.md, "Dataset
+//! substitutions", for the model per dataset. All generation is deterministic
 //! given `(dataset, scale, seed)`.
 
 #![warn(missing_docs)]

@@ -1,9 +1,10 @@
 //! Seeded random-graph generators.
 //!
 //! These models are the stand-ins for the paper's six real-world datasets
-//! (KONECT / SNAP graphs we cannot redistribute here); DESIGN.md §4 maps
-//! each dataset to a model and argues why the substitution preserves the
-//! behaviour NED exercises (degree distribution and local BFS-tree shape).
+//! (KONECT / SNAP graphs we cannot redistribute here); ARCHITECTURE.md,
+//! "Dataset substitutions", maps each dataset to a model and the
+//! behaviour the substitution preserves (degree distribution and local
+//! BFS-tree shape).
 
 use crate::{Graph, GraphBuilder, NodeId};
 use rand::seq::SliceRandom;

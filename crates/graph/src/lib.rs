@@ -14,7 +14,8 @@
 //! * [`delta`] — dynamic graphs: [`GraphDelta`] edits with truncated-BFS
 //!   dirty sets for incremental signature maintenance.
 //! * [`generators`] — seeded random-graph models used as stand-ins for the
-//!   paper's datasets (see DESIGN.md §4 for the substitution table).
+//!   paper's datasets (see ARCHITECTURE.md, "Dataset substitutions", for
+//!   the substitution table).
 //! * [`anonymize`] — the three anonymization schemes of the
 //!   de-anonymization case study (naive, sparsification, perturbation).
 //! * [`exact_ged`] — exponential exact graph edit distance on small

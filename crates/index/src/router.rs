@@ -26,23 +26,30 @@
 //! batch is in flight on several shards at once.
 //!
 //! Failure model: the router tracks a per-replica lifecycle
-//! (**healthy → degraded → catching-up → rejoined**). Writes need a
+//! (**healthy → degraded → catching-up → healthy**). Writes need a
 //! configurable **quorum** of a shard's replicas
 //! ([`RouterOptions::quorum`], default majority) instead of all of them —
 //! a replica that times out or refuses is marked *degraded* and the write
 //! still acks, at the minimum epoch across the acking replicas, so a
 //! shard keeps taking writes with a replica down. Degraded replicas take
-//! no direct writes (that would fork their history); instead each heal
-//! pass probes them — one that recovered on its own (restarted, replayed
-//! its own WAL) rejoins immediately, and a stale one is put through a
-//! **WAL-suffix catch-up** from a healthy peer
-//! ([`ned_core::Request::CatchUp`]), held out of the read rotation until
-//! the stream completes. Because the hot paths trigger healing, it is
-//! kept off their latency profile: degraded replicas are probed at most
-//! once per [`HEAL_PROBE_INTERVAL`] (a dead endpoint costs a connect
-//! attempt per interval, not per write) and a catch-up stream runs on a
-//! background thread over a dedicated long-deadline connection (a real
-//! replay outlives the pooled clients' request timeout).
+//! no direct writes (that would fork their history).
+//!
+//! Recovery has one owner, the **heal routine**. The request paths
+//! (reads, writes, `connect`) only record what they observe: they demote
+//! a replica, with a reason, on a retryable error, a stale reply or a
+//! sub-watermark ack, and a read reply at or past the shard's acked
+//! epoch re-admits one. They never probe, stream or spawn. One
+//! background thread per router, started by `connect`, runs a heal pass
+//! every [`HEAL_PROBE_INTERVAL`]: each degraded replica gets an `epoch`
+//! probe; one at or past the acked epoch (restarted, replayed its own
+//! WAL) rejoins, and a stale one is put through a **WAL-suffix
+//! catch-up** from a healthy peer ([`ned_core::Request::CatchUp`]), held
+//! *catching-up* — out of both rotations — until the stream completes.
+//! The stream runs in the pass, on a dedicated long-deadline connection
+//! (a real replay outlives the pooled clients' request timeout). A mutex
+//! makes passes exclusive, so at most one stream runs per router; a pass
+//! that finds no degraded replica sends nothing. The thread holds only a
+//! [`Weak`] to the shard state and exits once the router is dropped.
 //!
 //! The degraded state itself is only the router's in-memory view, so it
 //! cannot be the *load-bearing* fork guard — a restarted router, or a
@@ -59,13 +66,12 @@
 //! [`ServerError::Corrupt`] on mismatch instead of silently splicing a
 //! forked history (see `NedServer::catch_up_from`).
 //!
-//! Scatter reads that observe a stale reply mark the replica degraded
-//! and trigger that same repair instead of just re-polling; a
-//! `fingerprint` probe ([`ShardRouter::probe_health`]) additionally
-//! compares per-replica live-set fingerprints and fails **loudly** when
-//! two replicas claim the same epoch with different contents — silent
-//! divergence is the one fault retrying cannot fix. When no quorum can
-//! be reached the operation fails with a *retryable*
+//! A `fingerprint` probe ([`ShardRouter::probe_health`]) compares
+//! per-replica live-set fingerprints and fails **loudly** when two
+//! replicas claim the same epoch with different contents — silent
+//! divergence is the one fault retrying cannot fix — and runs the heal
+//! routine inline for every laggard it finds. When no quorum can be
+//! reached the operation fails with a *retryable*
 //! [`ServerError::Overloaded`]; acked writes are never lost, because a
 //! read is only accepted from a replica at or past the acked epoch.
 
@@ -80,15 +86,16 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, RwLock, Weak};
+use std::time::Duration;
 
 /// Largest number of idle pooled connections kept per replica.
 const POOL_CAP: usize = 8;
 
-/// Minimum spacing between heal probes of one degraded replica. The
-/// heal pass runs on the write path, so an unreachable replica must
-/// cost a connect attempt at most once per interval — not per write.
+/// Spacing of the router's background heal passes: a degraded replica
+/// gets one `epoch` probe per interval, so an unreachable one costs a
+/// connect attempt once per interval. The first pass runs one interval
+/// after [`ShardRouter::connect`].
 pub const HEAL_PROBE_INTERVAL: Duration = Duration::from_secs(2);
 
 /// Read deadline for the `catchup` RPC specifically. A WAL-suffix
@@ -200,11 +207,13 @@ impl Default for RouterOptions {
 }
 
 /// Replica lifecycle states, as tracked router-side. A replica starts
-/// [`HEALTHY`]; a retryable failure or a stale reply demotes it to
-/// [`DEGRADED`] (skipped for writes, probed by heal passes); a
-/// WAL-suffix stream in flight holds it at [`CATCHING_UP`] (out of the
-/// read rotation entirely); completion — or an epoch probe showing it
-/// already caught up on its own — returns it to [`HEALTHY`].
+/// [`HEALTHY`]; a retryable failure, a stale reply or a sub-watermark
+/// ack demotes it to [`DEGRADED`] (skipped for writes, probed by heal
+/// passes); a WAL-suffix stream in flight holds it at [`CATCHING_UP`]
+/// (out of the read rotation entirely); completion — or an epoch probe
+/// showing it already caught up on its own — returns it to [`HEALTHY`].
+/// Demotions come from any path, catch-ups only from the heal routine
+/// ([`Shard::heal`]).
 const HEALTHY: u8 = 0;
 const DEGRADED: u8 = 1;
 const CATCHING_UP: u8 = 2;
@@ -215,12 +224,12 @@ struct Replica {
     addr: String,
     pool: Mutex<Vec<WireClient>>,
     health: AtomicU8,
-    /// When the last heal probe of this replica ran — the write-path
-    /// rate limiter ([`Replica::probe_due`]).
-    last_probe: Mutex<Option<Instant>>,
     /// Why the replica is degraded, for `stats`/`fingerprint` surfaces;
     /// cleared on rejoin.
     last_error: Mutex<Option<String>>,
+    /// A catch-up completed since the last `fingerprint` report, whichever
+    /// pass ran it; the report says so once and clears the mark.
+    caught_up: AtomicBool,
 }
 
 impl Replica {
@@ -229,8 +238,8 @@ impl Replica {
             addr,
             pool: Mutex::new(Vec::new()),
             health: AtomicU8::new(HEALTHY),
-            last_probe: Mutex::new(None),
             last_error: Mutex::new(None),
+            caught_up: AtomicBool::new(false),
         }
     }
 
@@ -238,38 +247,17 @@ impl Replica {
         self.health.load(Ordering::Acquire)
     }
 
-    fn set_health(&self, state: u8) {
-        self.health.store(state, Ordering::Release);
-        if state == HEALTHY {
+    /// Marks the replica DEGRADED, recording why.
+    fn demote(&self, reason: String) {
+        *self.last_error.lock().unwrap_or_else(|p| p.into_inner()) = Some(reason);
+        self.health.store(DEGRADED, Ordering::Release);
+    }
+
+    /// Marks the replica HEALTHY and forgets the demotion reason.
+    fn rejoin(&self) {
+        if self.health.swap(HEALTHY, Ordering::AcqRel) != HEALTHY {
             *self.last_error.lock().unwrap_or_else(|p| p.into_inner()) = None;
         }
-    }
-
-    /// Atomically enters CATCHING_UP from DEGRADED. `false` means some
-    /// other path (a concurrent read repair, another heal pass) already
-    /// owns a stream toward this replica — exactly one may.
-    fn begin_catch_up(&self) -> bool {
-        self.health
-            .compare_exchange(DEGRADED, CATCHING_UP, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-    }
-
-    /// Consumes one rate-limited heal-probe slot: `true` at most once
-    /// per [`HEAL_PROBE_INTERVAL`], so the hot paths never pay a
-    /// connect attempt to a dead endpoint on every request.
-    fn probe_due(&self) -> bool {
-        let mut last = self.last_probe.lock().unwrap_or_else(|p| p.into_inner());
-        match *last {
-            Some(at) if at.elapsed() < HEAL_PROBE_INTERVAL => false,
-            _ => {
-                *last = Some(Instant::now());
-                true
-            }
-        }
-    }
-
-    fn note_error(&self, msg: String) {
-        *self.last_error.lock().unwrap_or_else(|p| p.into_inner()) = Some(msg);
     }
 
     fn health_name(&self) -> &'static str {
@@ -366,14 +354,83 @@ fn backoff(round: u32) -> Duration {
 }
 
 /// One shard: its replicas plus the highest epoch the router has seen a
-/// write acked at — the shard's slot in the fleet epoch vector. The
-/// replicas are `Arc`-shared so a background catch-up thread can outlive
-/// the request that spawned it.
+/// write acked at — the shard's slot in the fleet epoch vector.
 struct Shard {
-    replicas: Vec<Arc<Replica>>,
+    replicas: Vec<Replica>,
     acked_epoch: AtomicU64,
     /// Rotation cursor so concurrent reads spread across replicas.
     cursor: AtomicUsize,
+}
+
+impl Shard {
+    /// The heal routine for replica `idx`; the caller holds the fleet's
+    /// heal lock, so at most one stream runs per router. An `epoch`
+    /// probe decides: at or past the shard's acked epoch the replica
+    /// rejoins; below it, the replica streams the WAL suffix from
+    /// another healthy replica (`catchup <peer>`), held at CATCHING_UP
+    /// meanwhile. The stream runs on a **dedicated** connection whose
+    /// read deadline is [`CATCHUP_REPLAY_TIMEOUT`]: the pooled clients'
+    /// request timeout would report any real replay as failed while the
+    /// server side kept replaying. An unreachable replica, or one with
+    /// no healthy peer to stream from (never a silent resurrection from
+    /// a stale snapshot), stays degraded for the next pass.
+    fn heal(&self, idx: usize, opts: &RouterOptions) {
+        let replica = &self.replicas[idx];
+        let Ok(Response::Epoch { epoch, .. }) = replica.request(opts, &Request::Epoch) else {
+            return;
+        };
+        if epoch >= self.acked_epoch.load(Ordering::Acquire) {
+            replica.rejoin();
+            return;
+        }
+        let Some(peer) = self
+            .replicas
+            .iter()
+            .enumerate()
+            .find(|&(i, p)| i != idx && p.health() == HEALTHY)
+            .map(|(_, p)| p.addr.clone())
+        else {
+            return;
+        };
+        replica.health.store(CATCHING_UP, Ordering::Release);
+        let result = WireClient::builder()
+            .timeouts(Some(CATCHUP_REPLAY_TIMEOUT), opts.write_timeout)
+            .connect(&replica.addr)
+            .map_err(|e| ServerError::Io(format!("{}: {e}", replica.addr)))
+            .and_then(|mut client| client.request(&Request::CatchUp { peer }));
+        match result {
+            Ok(Response::Error(e)) | Err(e) => replica.demote(format!("catch-up failed: {e}")),
+            Ok(_) => {
+                replica.caught_up.store(true, Ordering::Release);
+                replica.rejoin();
+            }
+        }
+    }
+}
+
+/// The shard state the request paths share with the heal thread, which
+/// holds it through a [`Weak`] so dropping the router ends the loop.
+struct Fleet {
+    shards: Vec<Shard>,
+    opts: RouterOptions,
+    /// Held for a whole heal pass: the background loop's passes and
+    /// [`ShardRouter::probe_health`] never overlap.
+    heal: Mutex<()>,
+}
+
+impl Fleet {
+    /// One heal pass: the heal routine for every degraded replica. A
+    /// fleet with none sends nothing.
+    fn heal_pass(&self) {
+        let _pass = self.heal.lock().unwrap_or_else(|p| p.into_inner());
+        for shard in &self.shards {
+            for (idx, replica) in shard.replicas.iter().enumerate() {
+                if replica.health() == DEGRADED {
+                    shard.heal(idx, &self.opts);
+                }
+            }
+        }
+    }
 }
 
 /// A merged scatter-read result: globally ordered hits plus the
@@ -395,8 +452,7 @@ pub struct FleetHits {
 /// single-writer idiom); scatter reads run concurrently.
 pub struct ShardRouter {
     map: ShardMap,
-    shards: Vec<Shard>,
-    opts: RouterOptions,
+    fleet: Arc<Fleet>,
     /// Fleet-wide id assignment — held across a whole write so a failed
     /// write never leaks its id into a later insert's way.
     next_id: Mutex<u64>,
@@ -420,7 +476,8 @@ impl ShardRouter {
     /// writes and accept reads that miss them. Replicas lagging the max
     /// (or unreachable) start **degraded**: a fresh coordinator must
     /// never write to a stale replica at its own lower epoch, which
-    /// would fork its history.
+    /// would fork its history. On success the router's heal thread
+    /// starts (see the [module docs](self)).
     pub fn connect(
         map: ShardMap,
         replicas: Vec<Vec<String>>,
@@ -441,26 +498,15 @@ impl ShardRouter {
         let shards: Vec<Shard> = replicas
             .into_iter()
             .map(|group| Shard {
-                replicas: group
-                    .into_iter()
-                    .map(|addr| Arc::new(Replica::new(addr)))
-                    .collect(),
+                replicas: group.into_iter().map(Replica::new).collect(),
                 acked_epoch: AtomicU64::new(0),
                 cursor: AtomicUsize::new(0),
             })
             .collect();
-        let router = ShardRouter {
-            map,
-            shards,
-            opts,
-            next_id: Mutex::new(opts.next_id),
-            fleet_lock: RwLock::new(()),
-            maintained: Mutex::new(None),
-        };
-        for (i, shard) in router.shards.iter().enumerate() {
+        for (i, shard) in shards.iter().enumerate() {
             let mut epochs: Vec<Option<u64>> = Vec::with_capacity(shard.replicas.len());
             for replica in &shard.replicas {
-                let probed = match replica.request_retrying(&router.opts, &[Request::Epoch]) {
+                let probed = match replica.request_retrying(&opts, &[Request::Epoch]) {
                     Ok(resps) => match resps.first() {
                         Some(Response::Epoch { epoch, .. }) => Some(*epoch),
                         _ => None,
@@ -468,8 +514,7 @@ impl ShardRouter {
                     Err(_) => None,
                 };
                 if probed.is_none() {
-                    replica.note_error("unreachable at connect".to_string());
-                    replica.set_health(DEGRADED);
+                    replica.demote("unreachable at connect".to_string());
                 }
                 epochs.push(probed);
             }
@@ -482,14 +527,33 @@ impl ShardRouter {
             for (replica, epoch) in shard.replicas.iter().zip(&epochs) {
                 if let Some(e) = epoch {
                     if *e < max {
-                        replica
-                            .note_error(format!("lagged the fleet at connect (epoch {e} < {max})"));
-                        replica.set_health(DEGRADED);
+                        replica.demote(format!("lagged the fleet at connect (epoch {e} < {max})"));
                     }
                 }
             }
         }
-        Ok(router)
+        let fleet = Arc::new(Fleet {
+            shards,
+            opts,
+            heal: Mutex::new(()),
+        });
+        // Detached: joining on drop would block the dropper for up to an
+        // interval, or for a whole catch-up stream. The `Weak` ends it.
+        let weak: Weak<Fleet> = Arc::downgrade(&fleet);
+        std::thread::spawn(move || loop {
+            std::thread::sleep(HEAL_PROBE_INTERVAL);
+            match weak.upgrade() {
+                Some(fleet) => fleet.heal_pass(),
+                None => return,
+            }
+        });
+        Ok(ShardRouter {
+            map,
+            fleet,
+            next_id: Mutex::new(opts.next_id),
+            fleet_lock: RwLock::new(()),
+            maintained: Mutex::new(None),
+        })
     }
 
     /// The id-range partition this router routes by.
@@ -499,12 +563,13 @@ impl ShardRouter {
 
     /// The options the router was built with.
     pub fn options(&self) -> &RouterOptions {
-        &self.opts
+        &self.fleet.opts
     }
 
     /// The current fleet epoch vector (highest acked epoch per shard).
     pub fn acked_epochs(&self) -> Vec<u64> {
-        self.shards
+        self.fleet
+            .shards
             .iter()
             .map(|s| s.acked_epoch.load(Ordering::Acquire))
             .collect()
@@ -518,12 +583,11 @@ impl ShardRouter {
     /// One read against shard `shard_idx`, requiring a reply epoch of at
     /// least `min_epoch` when the reply carries one. Rotates across
     /// replicas (skipping ones mid catch-up — they are out of the
-    /// rotation until their WAL stream completes); a stale reply marks
-    /// the replica degraded and triggers **read repair** — a catch-up
-    /// from a healthy peer — instead of just re-polling, and a reply at
-    /// the required epoch is proof of health, re-admitting a previously
-    /// degraded replica. When every round is exhausted the shard is
-    /// *degraded* and the error is a retryable
+    /// rotation until their WAL stream completes); a stale reply or a
+    /// retryable error demotes the replica (the next heal pass repairs
+    /// it), and a reply at the required epoch is proof of health,
+    /// re-admitting a previously degraded replica. When every round is
+    /// exhausted the shard is *degraded* and the error is a retryable
     /// [`ServerError::Overloaded`].
     fn shard_read(
         &self,
@@ -531,47 +595,40 @@ impl ShardRouter {
         req: &Request,
         min_epoch: u64,
     ) -> Result<Response, ServerError> {
-        let shard = &self.shards[shard_idx];
+        let shard = &self.fleet.shards[shard_idx];
         let n = shard.replicas.len();
         let mut last: Option<ServerError> = None;
-        for round in 0..self.opts.read_rounds.max(1) {
+        for round in 0..self.fleet.opts.read_rounds.max(1) {
             if round > 0 {
                 std::thread::sleep(backoff(round - 1));
             }
             let start = shard.cursor.fetch_add(1, Ordering::Relaxed);
-            let mut stale: Vec<usize> = Vec::new();
             for i in 0..n {
-                let idx = (start + i) % n;
-                let replica = &shard.replicas[idx];
+                let replica = &shard.replicas[(start + i) % n];
                 if replica.health() == CATCHING_UP {
                     continue;
                 }
-                match replica.request(&self.opts, req) {
+                match replica.request(&self.fleet.opts, req) {
                     Ok(resp) => match resp.epoch() {
                         Some(epoch) if epoch < min_epoch => {
-                            replica.set_health(DEGRADED);
-                            stale.push(idx);
+                            replica
+                                .demote(format!("stale read reply (epoch {epoch} < {min_epoch})"));
                             last = Some(ServerError::Overloaded(format!(
                                 "replica {} lags at epoch {epoch} (need {min_epoch})",
                                 replica.addr
                             )));
                         }
                         _ => {
-                            replica.set_health(HEALTHY);
+                            replica.rejoin();
                             return Ok(resp);
                         }
                     },
                     Err(e) if e.is_retryable() => {
-                        replica.set_health(DEGRADED);
+                        replica.demote(format!("read failed: {e}"));
                         last = Some(e);
                     }
                     Err(e) => return Err(e),
                 }
-            }
-            for idx in stale {
-                // Read repair, off the read path: the replica is out of
-                // rotation the moment the background stream starts.
-                self.spawn_catch_up(shard_idx, idx);
             }
         }
         Err(ServerError::Overloaded(format!(
@@ -584,114 +641,11 @@ impl ShardRouter {
     /// [`RouterOptions::quorum`], defaulting to a majority, clamped to
     /// `1..=replicas`.
     fn effective_quorum(&self, replicas: usize) -> usize {
-        let q = if self.opts.quorum == 0 {
-            replicas / 2 + 1
-        } else {
-            self.opts.quorum
+        let q = match self.fleet.opts.quorum {
+            0 => replicas / 2 + 1,
+            q => q,
         };
         q.clamp(1, replicas)
-    }
-
-    /// Best-effort heal pass over a shard's degraded replicas, run from
-    /// the hot paths — so it is **rate-limited** (one epoch probe per
-    /// replica per [`HEAL_PROBE_INTERVAL`]; a dead endpoint costs a
-    /// connect attempt once per interval, not per write) and
-    /// **non-blocking** (a stale replica's WAL-suffix stream runs on a
-    /// background thread, the CATCHING_UP state keeping it out of both
-    /// rotations meanwhile). A replica that already caught up on its own
-    /// (restarted and replayed its local WAL) rejoins immediately; an
-    /// unreachable one stays degraded for the next pass.
-    fn heal_shard(&self, shard_idx: usize) {
-        let shard = &self.shards[shard_idx];
-        let acked = shard.acked_epoch.load(Ordering::Acquire);
-        for (idx, replica) in shard.replicas.iter().enumerate() {
-            if replica.health() != DEGRADED || !replica.probe_due() {
-                continue;
-            }
-            let Ok(Response::Epoch { epoch, .. }) = replica.request(&self.opts, &Request::Epoch)
-            else {
-                continue;
-            };
-            if epoch >= acked {
-                replica.set_health(HEALTHY);
-            } else {
-                self.spawn_catch_up(shard_idx, idx);
-            }
-        }
-    }
-
-    /// A healthy donor for replica `idx`: any *other* healthy replica of
-    /// the shard. `None` means the shard is down to its last copy — the
-    /// stale replica stays degraded, and only a loud operator-visible
-    /// error can follow, never a silent resurrection from a stale
-    /// snapshot.
-    fn healthy_peer(&self, shard_idx: usize, idx: usize) -> Option<String> {
-        self.shards[shard_idx]
-            .replicas
-            .iter()
-            .enumerate()
-            .find(|&(i, p)| i != idx && p.health() == HEALTHY)
-            .map(|(_, p)| p.addr.clone())
-    }
-
-    /// The `catchup <peer>` RPC against `replica` (already flipped to
-    /// CATCHING_UP by the caller), on a **dedicated** connection whose
-    /// read deadline is [`CATCHUP_REPLAY_TIMEOUT`] — the pooled clients'
-    /// request timeout would report any real replay as failed while the
-    /// server side kept replaying, then burn repeat repair attempts
-    /// against its "already in progress" refusal. Health is updated from
-    /// the outcome; returns whether the replica rejoined.
-    fn run_catch_up(replica: &Replica, peer: String, write_timeout: Option<Duration>) -> bool {
-        let result = WireClient::builder()
-            .timeouts(Some(CATCHUP_REPLAY_TIMEOUT), write_timeout)
-            .connect(&replica.addr)
-            .map_err(|e| ServerError::Io(format!("{}: {e}", replica.addr)))
-            .and_then(|mut client| client.request(&Request::CatchUp { peer }));
-        match result {
-            Ok(_) => {
-                replica.set_health(HEALTHY);
-                true
-            }
-            Err(e) => {
-                replica.note_error(format!("catch-up failed: {e}"));
-                replica.set_health(DEGRADED);
-                false
-            }
-        }
-    }
-
-    /// Blocking WAL-suffix catch-up from a healthy peer into a stale
-    /// replica — the explicit anti-entropy pass
-    /// ([`ShardRouter::probe_health`]) uses it because its caller wants
-    /// the outcome in the report. Returns whether the replica rejoined;
-    /// `false` also covers "a stream is already in flight elsewhere".
-    fn catch_up_replica(&self, shard_idx: usize, idx: usize) -> bool {
-        let Some(peer) = self.healthy_peer(shard_idx, idx) else {
-            return false;
-        };
-        let replica = &self.shards[shard_idx].replicas[idx];
-        if !replica.begin_catch_up() {
-            return false;
-        }
-        Self::run_catch_up(replica, peer, self.opts.write_timeout)
-    }
-
-    /// Fire-and-forget catch-up for the hot paths (read repair, the
-    /// write-path heal pass): the replica flips to CATCHING_UP at once —
-    /// out of both rotations — and a background thread drives the
-    /// stream, so no client request blocks on a WAL replay.
-    fn spawn_catch_up(&self, shard_idx: usize, idx: usize) {
-        let Some(peer) = self.healthy_peer(shard_idx, idx) else {
-            return;
-        };
-        let replica = Arc::clone(&self.shards[shard_idx].replicas[idx]);
-        if !replica.begin_catch_up() {
-            return;
-        }
-        let write_timeout = self.opts.write_timeout;
-        std::thread::spawn(move || {
-            Self::run_catch_up(&replica, peer, write_timeout);
-        });
     }
 
     /// One (idempotent) write batch against shard `shard_idx`, committed
@@ -703,26 +657,25 @@ impl ShardRouter {
     /// past that epoch — so an acked write is never served from a
     /// replica that missed it. Degraded replicas are skipped rather than
     /// written directly (a write applied out of step would fork their
-    /// epoch history); they rejoin through the heal pass that runs
-    /// first. A replica that fails retryably is marked degraded and the
-    /// write continues; below quorum the whole write fails with a
-    /// retryable [`ServerError::Overloaded`] and no id or epoch is
-    /// consumed router-side. An ack whose epoch is **below** the shard's
+    /// epoch history); they rejoin through the heal loop. A replica that
+    /// fails retryably is marked degraded and the write continues; below
+    /// quorum the whole write fails with a retryable
+    /// [`ServerError::Overloaded`] and no id or epoch is consumed
+    /// router-side. An ack whose epoch is **below** the shard's
     /// acked watermark is proof of staleness, not of replication: the
     /// replica missed acked writes (a restarted router or a second
     /// coordinator saw it as healthy) and has just forked its history —
     /// folding its low epoch into the watermark would let it pass the
     /// read gate while missing acked writes, so it is degraded and its
-    /// ack excluded from the quorum count instead; the catch-up it is
-    /// scheduled for verifies the fork point and refuses loudly.
+    /// ack excluded from the quorum count instead; the heal loop's
+    /// catch-up verifies the fork point and refuses loudly.
     /// Returns the first counted ack's replies.
     fn write_shard(
         &self,
         shard_idx: usize,
         reqs: &[Request],
     ) -> Result<Vec<Response>, ServerError> {
-        self.heal_shard(shard_idx);
-        let shard = &self.shards[shard_idx];
+        let shard = &self.fleet.shards[shard_idx];
         let n = shard.replicas.len();
         let quorum = self.effective_quorum(n);
         let floor = shard.acked_epoch.load(Ordering::Acquire);
@@ -735,7 +688,7 @@ impl ShardRouter {
                 out.push(replica.addr.as_str());
                 continue;
             }
-            match replica.request_retrying(&self.opts, reqs) {
+            match replica.request_retrying(&self.fleet.opts, reqs) {
                 Ok(resps) => {
                     let epoch = resps
                         .iter()
@@ -747,11 +700,10 @@ impl ShardRouter {
                             ))
                         })?;
                     if epoch < floor {
-                        replica.note_error(format!(
+                        replica.demote(format!(
                             "acked a write at epoch {epoch}, below the shard's acked \
                              watermark {floor}: stale or forked history"
                         ));
-                        replica.set_health(DEGRADED);
                         out.push(replica.addr.as_str());
                         continue;
                     }
@@ -762,7 +714,7 @@ impl ShardRouter {
                     }
                 }
                 Err(e) if e.is_retryable() => {
-                    replica.set_health(DEGRADED);
+                    replica.demote(format!("write failed: {e}"));
                     out.push(replica.addr.as_str());
                 }
                 Err(e) => return Err(e),
@@ -797,9 +749,9 @@ impl ShardRouter {
         // replies fill the merge heap.
         let budget = AtomicU64::new(within.unwrap_or(u64::MAX));
         let merge = Mutex::new(BoundedMerge::new(top));
-        let epochs = Mutex::new(vec![0u64; self.shards.len()]);
+        let epochs = Mutex::new(vec![0u64; self.fleet.shards.len()]);
         let results: Vec<Result<(), ServerError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.shards.len())
+            let handles: Vec<_> = (0..self.fleet.shards.len())
                 .map(|i| {
                     let (budget, merge, epochs, min_epochs) =
                         (&budget, &merge, &epochs, &min_epochs);
@@ -852,7 +804,7 @@ impl ShardRouter {
         let _fleet = self.fleet_lock.read().unwrap_or_else(|p| p.into_inner());
         let min_epochs = self.acked_epochs();
         let results: Vec<Result<(u64, Vec<WireHit>), ServerError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.shards.len())
+            let handles: Vec<_> = (0..self.fleet.shards.len())
                 .map(|i| {
                     let min_epochs = &min_epochs;
                     scope.spawn(move || {
@@ -875,7 +827,7 @@ impl ShardRouter {
                 .collect()
         });
         let mut hits: Vec<ForestHit> = Vec::new();
-        let mut epochs = Vec::with_capacity(self.shards.len());
+        let mut epochs = Vec::with_capacity(self.fleet.shards.len());
         for r in results {
             let (epoch, shard_hits) = r?;
             epochs.push(epoch);
@@ -980,7 +932,7 @@ impl ShardRouter {
     /// `v` (the layout a split of an `insert_graph`-built index has).
     pub fn track(&self, graph: &Graph) -> Result<String, ServerError> {
         let mut tracked = self.maintained.lock().unwrap_or_else(|p| p.into_inner());
-        let maintainer = GraphMaintainer::attach(graph, self.opts.k, 0, 0);
+        let maintainer = GraphMaintainer::attach(graph, self.fleet.opts.k, 0, 0);
         let line = format!(
             "tracking graph ({} nodes, {} edges, k = {})",
             maintainer.num_nodes(),
@@ -1034,7 +986,7 @@ impl ShardRouter {
         };
         let mut next = self.next_id.lock().unwrap_or_else(|p| p.into_inner());
         let mut assigned = Vec::with_capacity(batch.added.len());
-        let mut per_shard: Vec<Vec<Request>> = vec![Vec::new(); self.shards.len()];
+        let mut per_shard: Vec<Vec<Request>> = vec![Vec::new(); self.fleet.shards.len()];
         for op in &batch.ops {
             match op {
                 WriteOp::Remove(id) => {
@@ -1079,9 +1031,9 @@ impl ShardRouter {
     /// error. Returns how many replicas answered (used by `checkpoint`).
     pub fn broadcast(&self, req: &Request) -> Result<usize, ServerError> {
         let mut count = 0;
-        for shard in &self.shards {
+        for shard in &self.fleet.shards {
             for replica in &shard.replicas {
-                replica.request_retrying(&self.opts, std::slice::from_ref(req))?;
+                replica.request_retrying(&self.fleet.opts, std::slice::from_ref(req))?;
                 count += 1;
             }
         }
@@ -1093,9 +1045,12 @@ impl ShardRouter {
     /// how many acknowledged the drain.
     pub fn shutdown_fleet(&self) -> usize {
         let mut count = 0;
-        for shard in &self.shards {
+        for shard in &self.fleet.shards {
             for replica in &shard.replicas {
-                if replica.request(&self.opts, &Request::Shutdown).is_ok() {
+                if replica
+                    .request(&self.fleet.opts, &Request::Shutdown)
+                    .is_ok()
+                {
                     count += 1;
                 }
             }
@@ -1106,22 +1061,26 @@ impl ShardRouter {
     /// One anti-entropy pass over the whole fleet: every replica answers
     /// a `fingerprint` probe (publication epoch, live size, and the
     /// process-stable live-set fingerprint). A replica lagging its
-    /// shard's acked epoch is marked degraded and put through a
-    /// WAL-suffix catch-up from a healthy peer; an unreachable one is
-    /// marked degraded for the next pass. Two replicas claiming the
-    /// **same** epoch with **different** fingerprints is silent
-    /// divergence — a loud, non-retryable [`ServerError::Corrupt`],
-    /// because no amount of retrying makes bit-different replicas agree
-    /// and serving from either would violate the quorum invariant.
+    /// shard's acked epoch is marked degraded and put through the heal
+    /// routine inline, under the heal lock (a background pass
+    /// mid-stream finishes first); an unreachable one is marked degraded
+    /// for the next pass. A replica caught up since the last report, by
+    /// this pass or the loop's, is reported `rejoined after catch-up`
+    /// once. Two replicas claiming the **same** epoch with **different**
+    /// fingerprints is silent divergence — a loud, non-retryable
+    /// [`ServerError::Corrupt`], because no amount of retrying makes
+    /// bit-different replicas agree and serving from either would
+    /// violate the quorum invariant.
     /// Returns the per-replica health report (the fleet `fingerprint`
     /// surface).
     pub fn probe_health(&self) -> Result<String, ServerError> {
+        let _pass = self.fleet.heal.lock().unwrap_or_else(|p| p.into_inner());
         let mut lines = Vec::new();
-        for (i, shard) in self.shards.iter().enumerate() {
+        for (i, shard) in self.fleet.shards.iter().enumerate() {
             let acked = shard.acked_epoch.load(Ordering::Acquire);
             let mut seen: Vec<(u64, u64, String)> = Vec::new();
             for (idx, replica) in shard.replicas.iter().enumerate() {
-                match replica.request(&self.opts, &Request::Fingerprint) {
+                match replica.request(&self.fleet.opts, &Request::Fingerprint) {
                     Ok(Response::Fingerprint { epoch, len, hash }) => {
                         for (peer_epoch, peer_hash, peer) in &seen {
                             if *peer_epoch == epoch && *peer_hash != hash {
@@ -1135,24 +1094,18 @@ impl ShardRouter {
                             }
                         }
                         seen.push((epoch, hash, replica.addr.clone()));
-                        let state = if epoch < acked {
-                            // Leave a replica mid background stream to
-                            // its owner; degrade-and-heal the rest here,
-                            // synchronously — the operator asked for the
-                            // outcome.
-                            if replica.health() != CATCHING_UP {
-                                replica.set_health(DEGRADED);
-                            }
-                            if self.catch_up_replica(i, idx) {
-                                "rejoined after catch-up"
-                            } else if replica.health() == CATCHING_UP {
-                                "catching up (WAL stream in flight)"
-                            } else {
-                                "degraded (stale, awaiting catch-up)"
-                            }
+                        if epoch < acked {
+                            replica.demote(format!("lags at epoch {epoch} (acked {acked})"));
+                            shard.heal(idx, &self.fleet.opts);
                         } else {
-                            replica.set_health(HEALTHY);
+                            replica.rejoin();
+                        }
+                        let state = if replica.caught_up.swap(false, Ordering::AcqRel) {
+                            "rejoined after catch-up"
+                        } else if replica.health() == HEALTHY {
                             "healthy"
+                        } else {
+                            "degraded (stale, awaiting catch-up)"
                         };
                         lines.push(format!(
                             "shard {i} replica {}: {state}, epoch {epoch}, len {len}, \
@@ -1168,7 +1121,7 @@ impl ShardRouter {
                         )))
                     }
                     Err(e) => {
-                        replica.set_health(DEGRADED);
+                        replica.demote(format!("fingerprint probe failed: {e}"));
                         lines.push(format!(
                             "shard {i} replica {}: degraded ({e})",
                             replica.addr
@@ -1190,9 +1143,9 @@ impl ShardRouter {
             self.map.shards(),
             self.map,
             self.peek_next_id(),
-            self.opts.k
+            self.fleet.opts.k
         )];
-        for (i, shard) in self.shards.iter().enumerate() {
+        for (i, shard) in self.fleet.shards.iter().enumerate() {
             let addrs: Vec<String> = shard
                 .replicas
                 .iter()
@@ -1594,7 +1547,7 @@ impl RouterServer {
                 graph.num_nodes()
             )));
         }
-        let sig = ned_core::NodeSignature::extract(&graph, node, self.router.opts.k);
+        let sig = ned_core::NodeSignature::extract(&graph, node, self.router.options().k);
         Ok(ned_tree::serialize::print(sig.tree()))
     }
 }

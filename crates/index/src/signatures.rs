@@ -15,8 +15,8 @@
 //! bound order, with the budgeted TED\* kernel through
 //! [`SignatureMetric`] (see [`crate::sketch`]). [`SketchMode`] picks the
 //! bound: `Exact` (the default) never drops a true neighbor, `Approx`
-//! prunes harder with measured recall, and `Off` — kept because index
-//! files and `sketch off` requests carry it — routes like `Exact`.
+//! prunes harder with measured recall. Files written with the retired
+//! `off` mode load as `Exact`, which it routed like.
 //! [`SignatureIndex::scan`] is the exhaustive reference every mode is
 //! tested against.
 //!
@@ -387,7 +387,7 @@ impl SignatureIndex {
     ///
     /// The bank scans every row's sketch bound and refines candidates in
     /// ascending bound order with the budgeted kernel. In
-    /// [`SketchMode::Exact`] (the default, and `Off`) the bound is
+    /// [`SketchMode::Exact`] (the default) the bound is
     /// provable, so the result is bit-identical to
     /// [`SignatureIndex::scan`]; [`SketchMode::Approx`] prunes by the
     /// sketch estimate (faster, measured rather than guaranteed recall).
@@ -893,51 +893,59 @@ mod tests {
         let mut index = SignatureIndex::new(3, 32, 9);
         index.insert_graph(&g, &g.nodes().collect::<Vec<_>>());
 
-        let mut w = Writer::with_magic(&INDEX_MAGIC);
-        w.put_u32(INDEX_VERSION_SKETCH);
-        w.put_u32(index.k as u32);
-        w.put_u64(index.threshold as u64);
-        w.put_u64(index.seed);
-        w.put_u64(index.next_id);
-        w.put_u64(0);
-        w.put_u32(SketchMode::Exact.to_u32());
-        let mut entries: Vec<(u64, &NodeSignature)> = index.entries().collect();
-        entries.sort_unstable_by_key(|&(id, _)| id);
-        let snapshot = store::encode_snapshot(
-            index.k,
-            entries
-                .iter()
-                .map(|&(id, sig)| (id, sig.node, sig.prepared())),
-        );
-        w.put_block(&snapshot);
-        // Correctly shaped bank block, but every histogram count shifted
-        // one bucket over — the signature of a foreign fingerprint
-        // layout (totals per level survive, positions do not).
-        let mut bank = Vec::new();
-        bank.extend_from_slice(&(sketch::SKETCH_DIM as u32).to_le_bytes());
-        bank.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-        for &(id, _) in &entries {
-            let row = index.bank.lanes_of(id).expect("live row");
-            for (lane, &v) in row.iter().enumerate() {
-                let skewed = if lane < 8 {
-                    v
-                } else {
-                    let level = (lane - 8) / 8;
-                    let bucket = (lane - 8) % 8;
-                    row[8 + level * 8 + (bucket + 1) % 8]
-                };
-                bank.extend_from_slice(&skewed.to_le_bytes());
+        // Mode word 0, the retired `off` mode, loads as `Exact`.
+        for mode_word in [SketchMode::Exact.to_u32(), 0] {
+            let mut w = Writer::with_magic(&INDEX_MAGIC);
+            w.put_u32(INDEX_VERSION_SKETCH);
+            w.put_u32(index.k as u32);
+            w.put_u64(index.threshold as u64);
+            w.put_u64(index.seed);
+            w.put_u64(index.next_id);
+            w.put_u64(0);
+            w.put_u32(mode_word);
+            let mut entries: Vec<(u64, &NodeSignature)> = index.entries().collect();
+            entries.sort_unstable_by_key(|&(id, _)| id);
+            let snapshot = store::encode_snapshot(
+                index.k,
+                entries
+                    .iter()
+                    .map(|&(id, sig)| (id, sig.node, sig.prepared())),
+            );
+            w.put_block(&snapshot);
+            // Correctly shaped bank block, but every histogram count shifted
+            // one bucket over — the signature of a foreign fingerprint
+            // layout (totals per level survive, positions do not).
+            let mut bank = Vec::new();
+            bank.extend_from_slice(&(sketch::SKETCH_DIM as u32).to_le_bytes());
+            bank.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+            for &(id, _) in &entries {
+                let row = index.bank.lanes_of(id).expect("live row");
+                for (lane, &v) in row.iter().enumerate() {
+                    let skewed = if lane < 8 {
+                        v
+                    } else {
+                        let level = (lane - 8) / 8;
+                        let bucket = (lane - 8) % 8;
+                        row[8 + level * 8 + (bucket + 1) % 8]
+                    };
+                    bank.extend_from_slice(&skewed.to_le_bytes());
+                }
             }
-        }
-        w.put_block(&bank);
+            w.put_block(&bank);
 
-        let (back, _) = SignatureIndex::decode_with_epoch(&w.finish()).expect("decode");
-        for (id, _) in index.entries() {
-            assert_eq!(back.bank.lanes_of(id), index.bank.lanes_of(id), "id {id}");
-        }
-        for probe in [0u32, 61, 119] {
-            let sig = NodeSignature::extract(&g, probe, 3);
-            assert_eq!(back.query(&sig, 6, 0), index.query(&sig, 6, 0));
+            let (back, _) = SignatureIndex::decode_with_epoch(&w.finish()).expect("decode");
+            assert_eq!(
+                back.sketch_mode(),
+                SketchMode::Exact,
+                "mode word {mode_word}"
+            );
+            for (id, _) in index.entries() {
+                assert_eq!(back.bank.lanes_of(id), index.bank.lanes_of(id), "id {id}");
+            }
+            for probe in [0u32, 61, 119] {
+                let sig = NodeSignature::extract(&g, probe, 3);
+                assert_eq!(back.query(&sig, 6, 0), index.query(&sig, 6, 0));
+            }
         }
     }
 

@@ -294,10 +294,6 @@ impl Sketch {
 /// with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SketchMode {
-    /// Routes like [`SketchMode::Exact`]. It used to bypass the bank for
-    /// a VP-forest that no longer exists; it stays because index files
-    /// and `sketch off` requests carry it.
-    Off,
     /// Pre-filter by [`sketch_lower_bound`] — results stay bit-identical
     /// to a full scan (no false drops; the default).
     #[default]
@@ -308,20 +304,20 @@ pub enum SketchMode {
 }
 
 impl SketchMode {
-    /// Stable wire/codec encoding (`0/1/2`).
+    /// Stable wire/codec encoding (`1/2`).
     pub fn to_u32(self) -> u32 {
         match self {
-            SketchMode::Off => 0,
             SketchMode::Exact => 1,
             SketchMode::Approx => 2,
         }
     }
 
     /// Inverse of [`SketchMode::to_u32`]; `None` for unknown values.
+    /// `0` is the retired `off` mode, which routed like `Exact`, so
+    /// files that carry it load as `Exact`.
     pub fn from_u32(v: u32) -> Option<SketchMode> {
         match v {
-            0 => Some(SketchMode::Off),
-            1 => Some(SketchMode::Exact),
+            0 | 1 => Some(SketchMode::Exact),
             2 => Some(SketchMode::Approx),
             _ => None,
         }
@@ -331,7 +327,6 @@ impl SketchMode {
 impl std::fmt::Display for SketchMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
-            SketchMode::Off => "off",
             SketchMode::Exact => "exact",
             SketchMode::Approx => "approx",
         })
@@ -342,11 +337,10 @@ impl std::str::FromStr for SketchMode {
     type Err = String;
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "off" => Ok(SketchMode::Off),
             "exact" => Ok(SketchMode::Exact),
             "approx" => Ok(SketchMode::Approx),
             other => Err(format!(
-                "unknown sketch mode '{other}' (expected off|exact|approx)"
+                "unknown sketch mode '{other}' (expected exact|approx)"
             )),
         }
     }
@@ -1069,9 +1063,9 @@ impl SketchBank {
     }
 
     /// The `k` nearest rows to `query`, sorted by `(distance, id)`.
-    /// In [`SketchMode::Exact`] (or `Off`, treated as exact) the result
-    /// is bit-identical to a full scan: rows are refined in ascending
-    /// `(bound, id)` order ([`order_by_bound`]) and the loop stops once
+    /// In [`SketchMode::Exact`] the result is bit-identical to a full
+    /// scan: rows are refined in ascending `(bound, id)` order
+    /// ([`order_by_bound`]) and the loop stops once
     /// the bound alone exceeds the current k-th best distance; every
     /// exact call runs the budgeted kernel with that radius. Only the
     /// buckets the loop reaches are ever sorted.
@@ -1553,7 +1547,7 @@ mod tests {
 
     #[test]
     fn mode_round_trips() {
-        for m in [SketchMode::Off, SketchMode::Exact, SketchMode::Approx] {
+        for m in [SketchMode::Exact, SketchMode::Approx] {
             assert_eq!(SketchMode::from_u32(m.to_u32()), Some(m));
             assert_eq!(m.to_string().parse::<SketchMode>().unwrap(), m);
         }

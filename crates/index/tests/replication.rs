@@ -13,11 +13,14 @@
 //! acked watermark degrades the acker instead of counting toward
 //! quorum, and catch-up refuses to splice over a forked WAL — while
 //! `walsuffix` streams in bounded chunks so the donor never stalls.
+//! The router's one heal loop is pinned last: it repairs a stale replica
+//! with no traffic at all, its catch-ups still surface in the next
+//! `fingerprint` report, and it ends with its router.
 
 use ned_core::{Request, Response, ServerError};
 use ned_graph::{generators, Graph};
 use ned_index::durable::{DurableIndex, DurableOptions};
-use ned_index::router::{RouterOptions, ShardMap, ShardRouter};
+use ned_index::router::{RouterOptions, ShardMap, ShardRouter, HEAL_PROBE_INTERVAL};
 use ned_index::server::WireClient;
 use ned_index::signatures::SignatureIndex;
 use ned_index::NedServer;
@@ -25,6 +28,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -842,4 +846,195 @@ fn error_taxonomy_drives_failover_table() {
             );
         }
     }
+}
+
+/// Two durable replicas of one shard behind a quorum-1 router. The
+/// second misses four acked writes while it is down and is then
+/// respawned from its pre-churn checkpoint with its WAL deleted, so it
+/// answers at epoch 0 against an acked epoch of 9 — and nothing but the
+/// router's heal loop can bring it level.
+struct StalePair {
+    dir: PathBuf,
+    healthy: ReplicaHandle,
+    stale: ReplicaHandle,
+    router: ShardRouter,
+}
+
+fn stale_pair(name: &str) -> StalePair {
+    let k = 3;
+    let g = ba_graph(30, 29);
+    let index = build_index(&g, k);
+    let dir = scratch_dir(name);
+    let paths: Vec<(PathBuf, PathBuf)> = (1..=2)
+        .map(|r| (dir.join(format!("r{r}.idx")), dir.join(format!("r{r}.wal"))))
+        .collect();
+    for (idx_path, _) in &paths {
+        index.save(idx_path).expect("save checkpoint");
+    }
+    let stale_checkpoint = dir.join("r2.stale.idx");
+    std::fs::copy(&paths[1].0, &stale_checkpoint).expect("stash stale checkpoint");
+    let healthy = ReplicaHandle::spawn(
+        &paths[0].0,
+        &paths[0].1,
+        TcpListener::bind("127.0.0.1:0").expect("bind"),
+    );
+    let doomed = ReplicaHandle::spawn(
+        &paths[1].0,
+        &paths[1].1,
+        TcpListener::bind("127.0.0.1:0").expect("bind"),
+    );
+    let stale_addr = doomed.addr.clone();
+    let router = ShardRouter::connect(
+        ShardMap::new(vec![0]).expect("single shard"),
+        vec![vec![healthy.addr.clone(), stale_addr.clone()]],
+        RouterOptions {
+            quorum: 1,
+            ..fast_options(k, index.next_id())
+        },
+    )
+    .expect("router connects");
+    let donor = ba_graph(20, 13);
+    for i in 0..5u64 {
+        router
+            .put_shape(i, &shape_of(&donor, i as u32, k))
+            .expect("healthy put");
+    }
+    doomed.shutdown();
+    for i in 5..9u64 {
+        router
+            .put_shape(i, &shape_of(&donor, i as u32, k))
+            .expect("quorum-1 put");
+    }
+    std::fs::copy(&stale_checkpoint, &paths[1].0).expect("rewind checkpoint");
+    std::fs::remove_file(&paths[1].1).expect("drop the wal");
+    let stale = ReplicaHandle::spawn(&paths[1].0, &paths[1].1, retry_bind(&stale_addr));
+    StalePair {
+        dir,
+        healthy,
+        stale,
+        router,
+    }
+}
+
+/// Polls `done` every 50 ms for up to four heal intervals.
+fn within_a_few_heal_intervals(mut done: impl FnMut() -> bool) -> bool {
+    let deadline = std::time::Instant::now() + 4 * HEAL_PROBE_INTERVAL;
+    while std::time::Instant::now() < deadline {
+        if done() {
+            return true;
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    done()
+}
+
+/// The heal loop needs no traffic: with no client request and no
+/// `fingerprint` through the router, a stale respawn still streams the
+/// WAL suffix from its peer and comes back bit-identical.
+#[test]
+fn an_idle_fleet_heals_a_stale_replica_on_its_own() {
+    let pair = stale_pair("idle");
+    assert_eq!(fingerprint_of(&pair.stale.addr).0, 0, "respawned stale");
+    assert!(
+        within_a_few_heal_intervals(|| {
+            fingerprint_of(&pair.healthy.addr) == fingerprint_of(&pair.stale.addr)
+        }),
+        "idle fleet never healed: {:?} vs {:?}",
+        fingerprint_of(&pair.healthy.addr),
+        fingerprint_of(&pair.stale.addr)
+    );
+    assert_eq!(fingerprint_of(&pair.stale.addr).0, 9, "every acked write");
+    let _ = std::fs::remove_dir_all(&pair.dir);
+}
+
+/// A catch-up the loop ran before the operator asked is still reported:
+/// the next `fingerprint` pass says `rejoined after catch-up` once, then
+/// the replica reads as plain healthy.
+#[test]
+fn a_loop_catch_up_is_reported_by_the_next_probe() {
+    let pair = stale_pair("report");
+    assert!(
+        within_a_few_heal_intervals(|| {
+            let stats = pair.router.stats_line();
+            !stats.contains("degraded") && !stats.contains("catching-up")
+        }),
+        "the loop never healed the stale replica: {}",
+        pair.router.stats_line()
+    );
+    let report = pair.router.probe_health().expect("probe passes");
+    assert!(
+        report.contains("rejoined after catch-up"),
+        "the loop's catch-up was reported: {report}"
+    );
+    let next = pair.router.probe_health().expect("second probe");
+    assert!(
+        next.lines().all(|l| l.contains("healthy")),
+        "reported once, then healthy: {next}"
+    );
+    let _ = std::fs::remove_dir_all(&pair.dir);
+}
+
+/// A stub replica that answers `epoch` probes at `epoch`, counting them,
+/// and refuses everything else (`catchup` included), so a lagging stub
+/// stays degraded and draws one probe per heal pass.
+fn spawn_counting_stub(epoch: u64) -> (String, Arc<AtomicUsize>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind stub");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let probes = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&probes);
+    std::thread::spawn(move || {
+        for conn in listener.incoming() {
+            let Ok(mut stream) = conn else { continue };
+            let counter = Arc::clone(&counter);
+            std::thread::spawn(move || {
+                use ned_core::wire;
+                while let Ok(Some(payload)) = wire::read_frame(&mut stream) {
+                    let text = String::from_utf8_lossy(&payload);
+                    let reply = text
+                        .lines()
+                        .map(|line| {
+                            if line.trim() == "epoch" {
+                                counter.fetch_add(1, Ordering::SeqCst);
+                                Response::Epoch { epoch, len: 0 }.to_string()
+                            } else {
+                                Response::Error(ServerError::Overloaded("stub".into())).to_string()
+                            }
+                        })
+                        .collect::<Vec<_>>()
+                        .join("\n");
+                    if wire::write_text_frame(&mut stream, &reply).is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    (addr, probes)
+}
+
+/// The heal thread ends with its router: once the router is dropped, a
+/// laggard that drew a probe every pass sees no more after one interval.
+#[test]
+fn a_dropped_router_stops_probing() {
+    let (peer, _) = spawn_counting_stub(5);
+    let (laggard, probes) = spawn_counting_stub(0);
+    let router = ShardRouter::connect(
+        ShardMap::new(vec![0]).expect("map"),
+        vec![vec![peer, laggard]],
+        fast_options(3, 0),
+    )
+    .expect("router connects");
+    assert!(
+        within_a_few_heal_intervals(|| probes.load(Ordering::SeqCst) >= 2),
+        "the loop never probed the laggard"
+    );
+    drop(router);
+    std::thread::sleep(HEAL_PROBE_INTERVAL + Duration::from_millis(500));
+    let settled = probes.load(Ordering::SeqCst);
+    std::thread::sleep(HEAL_PROBE_INTERVAL + Duration::from_millis(500));
+    assert_eq!(
+        probes.load(Ordering::SeqCst),
+        settled,
+        "a dropped router kept probing"
+    );
 }

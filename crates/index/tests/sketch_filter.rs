@@ -11,7 +11,7 @@
 //!    built [`ShardedVpForest`] over the same entries and the full scan
 //!    return — ids *and* distances — under arbitrary insert/remove churn
 //!    and across a save/load round trip of the sketch-carrying snapshot
-//!    format. [`SketchMode::Off`] routes like `Exact`.
+//!    format.
 //!
 //! A third suite pins the bank's refine order: [`SketchBank::knn`]
 //! visits rows in exactly ascending `(bound, id)` order — the order a
@@ -129,8 +129,6 @@ proptest! {
             forest.insert(&SignatureMetric, id, sig);
         }
         prop_assert_eq!(forest.len(), index.len());
-        let mut off = index.clone();
-        off.set_sketch_mode(SketchMode::Off);
         let reloaded = SignatureIndex::from_bytes(&index.to_bytes()).expect("round trip");
         prop_assert_eq!(reloaded.sketch_mode(), SketchMode::Exact);
 
@@ -144,7 +142,6 @@ proptest! {
                     "forest k = {}", k
                 );
                 prop_assert_eq!(&sketched, &index.scan(&q, k), "scan k = {}", k);
-                prop_assert_eq!(&sketched, &off.query(&q, k, 0), "off k = {}", k);
                 prop_assert_eq!(&sketched, &reloaded.query(&q, k, 0), "reload k = {}", k);
             }
             for radius in [0u64, 3, 10] {
@@ -157,11 +154,6 @@ proptest! {
                 let mut scanned = index.scan(&q, index.len());
                 scanned.retain(|h| h.distance <= radius as f64);
                 prop_assert_eq!(&sketched, &scanned, "scan range r = {}", radius);
-                prop_assert_eq!(
-                    &sketched,
-                    &off.range(&q, radius, 0),
-                    "off range r = {}", radius
-                );
                 prop_assert_eq!(
                     &sketched,
                     &reloaded.range(&q, radius, 0),

@@ -12,13 +12,13 @@
 //!                     [--bulk | --per-node]
 //! ned-cli index add <idx> <graph.edges> [--out PATH]
 //! ned-cli index query <idx> <graph.edges> <node> [--top N] [--radius R]
-//!                     [--threads N] [--verify] [--sketch off|exact|approx]
+//!                     [--threads N] [--verify] [--sketch exact|approx]
 //! ned-cli index save <idx> <out.idx>
 //! ned-cli index load <idx>
 //! ned-cli index split <idx> --shards N [--out-prefix P]
 //! ned-cli serve <idx> [--tcp ADDR] [--threads N] [--pool N] [--graph PATH]
 //!                     [--wal PATH] [--checkpoint-every N] [--fsync MODE]
-//!                     [--max-conns N] [--sketch off|exact|approx]
+//!                     [--max-conns N] [--sketch exact|approx]
 //! ned-cli route <idx> --shards N [--replicas R] [--tcp ADDR]
 //!                     [--shard-dir D] [--wal-dir D] [--quorum Q]
 //! ned-cli route --attach a1|a2,b1,... --bounds 0,x,... [--next-id N]
@@ -87,11 +87,10 @@ fn print_usage() {
          \x20                                                    keeps its layout; nothing reads them)\n\
          \x20 index add <idx> <graph> [--out PATH]               index another graph's signatures\n\
          \x20 index query <idx> <graph> <node> [--top N] [--radius R] [--threads N] [--verify]\n\
-         \x20       [--sketch off|exact|approx]                  --radius R: bounded threshold query;\n\
+         \x20       [--sketch exact|approx]                      --radius R: bounded threshold query;\n\
          \x20                                                    --sketch routes through the sketch filter\n\
          \x20                                                    tier (exact, the default, is bit-identical\n\
-         \x20                                                    to a full scan; off routes like exact;\n\
-         \x20                                                    approx trades recall)\n\
+         \x20                                                    to a full scan; approx trades recall)\n\
          \x20 index save <idx> <out.idx>                         re-encode (verifies the file round-trips)\n\
          \x20 index load <idx>                                   load + print index stats\n\
          \x20 index split <idx> --shards N [--out-prefix P]      partition into N per-shard indexes by id\n\
@@ -99,7 +98,7 @@ fn print_usage() {
          \x20                                                    detached `route --attach` needs\n\
          \x20 serve <idx> [--tcp ADDR] [--threads N] [--pool N]  long-lived serving: stdin REPL, or a\n\
          \x20       [--graph PATH] [--wal PATH]                  concurrent TCP server with --tcp;\n\
-         \x20       [--sketch off|exact|approx]                  --sketch overrides the persisted query\n\
+         \x20       [--sketch exact|approx]                      --sketch overrides the persisted query\n\
          \x20                                                    routing mode for this serving run;\n\
          \x20       [--checkpoint-every N] [--fsync MODE]        --graph pre-tracks a mutating graph\n\
          \x20       [--max-conns N]                              for addedge/deledge deltas;\n\
