@@ -53,7 +53,9 @@
 //! sizes. A publication that copied the index would make the second
 //! about ten times the first; one that copies only what a batch touched
 //! keeps them within a small factor (the two graphs' flip batches also
-//! differ in size).
+//! differ in size). `durable/ba4000-checkpoint` times one durable
+//! `save_at_epoch` of the BA-4000 index, the checkpoint a durable server
+//! takes every 64 journaled batches.
 //!
 //! Three in-run floors compare two paths timed here:
 //! `soa_kernel_speedup_vs_presoa`, `bounded_knn_speedup_vs_unbounded_forest`
@@ -854,6 +856,32 @@ fn main() {
     entries.push(Entry {
         name: "delta/ba4000-edge-churn-wal-unsynced",
         ns_per_op: unsynced_churn_ns,
+        p50_ns: None,
+        p99_ns: None,
+    });
+    // --- durable: one checkpoint of the BA-4000 index -------------------
+    // `save_at_epoch` of the churned BA-4000 index into a temp dir: the
+    // streamed NEDIDX encode, the temp-file fsync, the rename and the
+    // directory fsync — what every checkpoint of a durable server costs.
+    let ckpt_dir = std::env::temp_dir().join(format!("ned-perf-ckpt-{}", std::process::id()));
+    std::fs::create_dir_all(&ckpt_dir).expect("create checkpoint scratch dir");
+    let ckpt_path = ckpt_dir.join("index.idx");
+    let ckpt_epoch = delta_writer.epoch();
+    let checkpoint_ns = measure(9, 1, || {
+        delta_writer
+            .index()
+            .save_at_epoch(ckpt_epoch, &ckpt_path)
+            .expect("checkpoint save");
+    });
+    assert_eq!(
+        std::fs::read(&ckpt_path).expect("read checkpoint"),
+        delta_writer.index().to_bytes_at_epoch(ckpt_epoch),
+        "a streamed checkpoint differs from the in-memory encoding"
+    );
+    let _ = std::fs::remove_dir_all(&ckpt_dir);
+    entries.push(Entry {
+        name: "durable/ba4000-checkpoint",
+        ns_per_op: checkpoint_ns,
         p50_ns: None,
         p99_ns: None,
     });

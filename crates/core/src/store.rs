@@ -24,6 +24,11 @@
 //! checksum u64      FNV-1a64 over every preceding byte
 //! ```
 //!
+//! [`encode_snapshot_into`] streams the same bytes into any `io::Write`
+//! sink, and [`put_snapshot_block`] embeds them as a block of an
+//! enclosing file; [`Writer`] keeps the running checksums as bytes go
+//! out, so neither builds the encoding in memory first.
+//!
 //! Shapes are stored **once per distinct isomorphism class** (the on-disk
 //! analogue of the in-memory interning above); entries reference them by
 //! index. Interner ids are process-local and never serialized — decoding
@@ -35,7 +40,9 @@ use crate::ted_star::{ted_star_prepared, PreparedTree};
 use ned_graph::bfs::TreeExtractor;
 use ned_graph::{Graph, NodeId};
 use ned_tree::Tree;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::io::{self, Write};
 use std::sync::Arc;
 
 /// Lazy, interning cache of node signatures for one graph at one `k`.
@@ -239,47 +246,117 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// FNV-1a64 over `bytes` — the codec's integrity hash (not
 /// cryptographic; it guards against truncation and bit rot, not
 /// adversaries).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_extend(FNV_OFFSET, bytes)
+}
+
+/// Continues an FNV-1a64 hash `h` over `bytes`.
+fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }
 
-/// Little-endian byte writer for the snapshot family of formats. Public
-/// so sibling crates (the forest persistence in `ned-index`) can frame
-/// their own sections with the same primitives and checksum discipline.
-#[derive(Debug, Default)]
-pub struct Writer {
-    buf: Vec<u8>,
+/// Streaming little-endian writer for the snapshot family of formats.
+/// Every byte goes straight to the sink `W` while a running FNV-1a
+/// checksum is kept, so a file is never assembled in memory first; the
+/// default sink, a `Vec<u8>`, gives the in-memory form. Public so sibling
+/// crates (the index persistence in `ned-index`) can frame their own
+/// sections with the same primitives and checksum discipline.
+///
+/// A sink error does not surface from the `put_*` calls: the first one
+/// is kept, later writes are skipped, and [`Writer::close`] returns it.
+/// Writing a block whose length differs from the one it declared fails
+/// the same way, so a sizing mistake can never reach disk as a file the
+/// decoder rejects.
+#[derive(Debug)]
+pub struct Writer<W: Write = Vec<u8>> {
+    sink: W,
+    written: usize,
+    sum: u64,
+    block: Option<OpenBlock>,
+    error: Option<io::Error>,
+}
+
+/// A length-prefixed block whose length was declared up front.
+#[derive(Debug, Clone, Copy)]
+struct OpenBlock {
+    /// `written` once the block's last byte is out.
+    end: usize,
+    /// The block's own running checksum, when it is a nested framed
+    /// format with a checksum footer of its own.
+    sum: Option<u64>,
 }
 
 impl Writer {
-    /// An empty writer starting with `magic`.
+    /// An in-memory writer starting with `magic`.
     pub fn with_magic(magic: &[u8; 8]) -> Self {
-        let mut w = Writer { buf: Vec::new() };
-        w.buf.extend_from_slice(magic);
+        Writer::new(Vec::new(), magic)
+    }
+
+    /// Appends the checksum of everything written and returns the
+    /// finished bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a block was left open or overran its declared length.
+    pub fn finish(self) -> Vec<u8> {
+        self.close()
+            .expect("an in-memory snapshot writer cannot fail")
+    }
+}
+
+impl<W: Write> Writer<W> {
+    /// A writer streaming into `sink`, starting with `magic`.
+    pub fn new(sink: W, magic: &[u8; 8]) -> Self {
+        let mut w = Writer {
+            sink,
+            written: 0,
+            sum: FNV_OFFSET,
+            block: None,
+            error: None,
+        };
+        w.put_raw(magic);
         w
     }
 
     /// Appends a `u32`, little-endian.
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put_raw(&v.to_le_bytes());
     }
 
     /// Appends a `u64`, little-endian.
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put_raw(&v.to_le_bytes());
     }
 
     /// Appends raw bytes (no length prefix).
     pub fn put_raw(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        if self.error.is_some() {
+            return;
+        }
+        if let Err(e) = self.sink.write_all(bytes) {
+            self.error = Some(e);
+            return;
+        }
+        self.written += bytes.len();
+        match self.block.as_mut().and_then(|b| b.sum.as_mut()) {
+            Some(inner) => {
+                for &b in bytes {
+                    self.sum = (self.sum ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+                    *inner = (*inner ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+                }
+            }
+            None => self.sum = fnv1a64_extend(self.sum, bytes),
+        }
     }
 
     /// Appends a `u32` length prefix followed by the bytes.
@@ -288,22 +365,87 @@ impl Writer {
         self.put_raw(bytes);
     }
 
+    /// Writes the `u32` prefix of a `len`-byte block whose content the
+    /// following `put_*` calls stream; [`Writer::end_block`] closes it.
+    /// Declared blocks do not nest, but [`Writer::put_block`] may be
+    /// used inside one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a block is already open or `len` is over 4 GiB.
+    pub fn begin_block(&mut self, len: usize) {
+        assert!(self.block.is_none(), "declared blocks do not nest");
+        self.put_u32(u32::try_from(len).expect("block over 4 GiB"));
+        self.block = Some(OpenBlock {
+            end: self.written + len,
+            sum: None,
+        });
+    }
+
+    /// [`Writer::begin_block`] for a nested framed format: the block
+    /// opens with `magic` and keeps its own running checksum, which
+    /// [`Writer::end_block`] appends as its footer. `len` counts the
+    /// magic and the footer.
+    pub fn begin_framed_block(&mut self, len: usize, magic: &[u8; 8]) {
+        self.begin_block(len);
+        if let Some(block) = self.block.as_mut() {
+            block.sum = Some(FNV_OFFSET);
+        }
+        self.put_raw(magic);
+    }
+
+    /// Closes the open block, appending its checksum footer if it is
+    /// framed. A block that is not exactly its declared length fails the
+    /// writer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no block is open.
+    pub fn end_block(&mut self) {
+        let inner = self.block.as_mut().expect("no open block").sum.take();
+        if let Some(inner) = inner {
+            self.put_u64(inner);
+        }
+        let end = self.block.take().expect("still open").end;
+        if self.written != end && self.error.is_none() {
+            self.error = Some(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "block declared to end at byte {end} ended at byte {}",
+                    self.written
+                ),
+            ));
+        }
+    }
+
     /// Bytes written so far (before the checksum).
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.written
     }
 
     /// `true` when nothing has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.written == 0
     }
 
-    /// Appends the FNV-1a checksum of everything written and returns the
-    /// finished byte vector.
-    pub fn finish(mut self) -> Vec<u8> {
-        let sum = fnv1a64(&self.buf);
-        self.buf.extend_from_slice(&sum.to_le_bytes());
-        self.buf
+    /// Appends the checksum of everything written, flushes, and hands
+    /// the sink back — or the first error any write met.
+    pub fn close(mut self) -> io::Result<W> {
+        if self.block.is_some() && self.error.is_none() {
+            self.error = Some(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "block left open at the end of the file",
+            ));
+        }
+        let sum = self.sum;
+        self.put_u64(sum);
+        match self.error {
+            Some(e) => Err(e),
+            None => {
+                self.sink.flush()?;
+                Ok(self.sink)
+            }
+        }
     }
 }
 
@@ -413,44 +555,119 @@ impl Snapshot {
 /// Serializes `(id, node, prepared-tree)` triples — typically
 /// signatures — into the NEDSNAP1 format. Shapes are deduplicated by
 /// isomorphism class, so a million structurally-equal signatures cost one
-/// tree record plus a million 16-byte entries.
+/// tree record plus a million 16-byte entries. The in-memory form of
+/// [`encode_snapshot_into`].
 pub fn encode_snapshot<'a, I>(k: usize, entries: I) -> Vec<u8>
 where
     I: IntoIterator<Item = (u64, NodeId, &'a PreparedTree)>,
 {
-    let mut shapes: Vec<&PreparedTree> = Vec::new();
-    let mut shape_of: HashMap<u32, u32> = HashMap::new();
-    let mut rows: Vec<(u64, NodeId, u32)> = Vec::new();
-    for (id, node, prepared) in entries {
-        let idx = *shape_of.entry(prepared.root_class()).or_insert_with(|| {
-            shapes.push(prepared);
-            (shapes.len() - 1) as u32
-        });
-        rows.push((id, node, idx));
+    let entries: Vec<_> = entries.into_iter().collect();
+    encode_snapshot_into(k, entries.iter().copied(), Vec::new())
+        .expect("an in-memory snapshot writer cannot fail")
+}
+
+/// Streams the NEDSNAP1 encoding of `entries` into `sink` and hands the
+/// sink back. Nothing the size of the output is buffered: `entries` is
+/// walked twice, once to deduplicate shapes and once to write, so it
+/// must yield the same sequence both times.
+pub fn encode_snapshot_into<'a, I, W>(k: usize, entries: I, sink: W) -> io::Result<W>
+where
+    I: IntoIterator<Item = (u64, NodeId, &'a PreparedTree)> + Clone,
+    W: Write,
+{
+    let plan = SnapshotPlan::new(entries.clone());
+    let mut w = Writer::new(sink, &SNAPSHOT_MAGIC);
+    plan.write_body(&mut w, k, entries);
+    w.close()
+}
+
+/// Writes the NEDSNAP1 encoding of `entries` as one length-prefixed
+/// block of `w`, the form a container file embeds it in. The block's
+/// length is computed before its first byte goes out; `entries` is
+/// walked twice, as in [`encode_snapshot_into`].
+pub fn put_snapshot_block<'a, I, W>(w: &mut Writer<W>, k: usize, entries: I)
+where
+    I: IntoIterator<Item = (u64, NodeId, &'a PreparedTree)> + Clone,
+    W: Write,
+{
+    let plan = SnapshotPlan::new(entries.clone());
+    w.begin_framed_block(plan.encoded_len(), &SNAPSHOT_MAGIC);
+    plan.write_body(w, k, entries);
+    w.end_block();
+}
+
+/// The sizing pass of a NEDSNAP1 encoding: the distinct shapes in
+/// first-seen order, and enough counts to know the encoded length before
+/// writing.
+struct SnapshotPlan<'a> {
+    shapes: Vec<&'a PreparedTree>,
+    shape_of: HashMap<u32, u32>,
+    rows: usize,
+    /// Total parent words over the distinct shapes.
+    parents: usize,
+}
+
+impl<'a> SnapshotPlan<'a> {
+    fn new(entries: impl IntoIterator<Item = (u64, NodeId, &'a PreparedTree)>) -> Self {
+        let mut plan = SnapshotPlan {
+            shapes: Vec::new(),
+            shape_of: HashMap::new(),
+            rows: 0,
+            parents: 0,
+        };
+        for (_, _, prepared) in entries {
+            plan.rows += 1;
+            let next = plan.shapes.len() as u32;
+            if let Entry::Vacant(slot) = plan.shape_of.entry(prepared.root_class()) {
+                slot.insert(next);
+                plan.shapes.push(prepared);
+                plan.parents += prepared.tree().len() - 1;
+            }
+        }
+        plan
     }
 
-    let mut w = Writer::with_magic(&SNAPSHOT_MAGIC);
-    w.put_u32(SNAPSHOT_VERSION);
-    w.put_u32(u32::try_from(k).expect("k fits u32"));
-    w.put_u32(u32::try_from(shapes.len()).expect("shape count fits u32"));
-    let mut record = Vec::new();
-    for prepared in shapes {
-        let tree = prepared.tree();
-        record.clear();
-        record.extend_from_slice(&(tree.len() as u32).to_le_bytes());
-        for v in 1..tree.len() as u32 {
-            let p = tree.parent(v).expect("non-root has a parent");
-            record.extend_from_slice(&p.to_le_bytes());
+    /// Bytes of the whole encoding, magic and checksum included. A shape
+    /// record is `4 + 4 + 4·(n − 1)` bytes (length prefix, node count,
+    /// parents), an entry 16.
+    fn encoded_len(&self) -> usize {
+        8 + 4 + 4 + 4 + 8 * self.shapes.len() + 4 * self.parents + 4 + 16 * self.rows + 8
+    }
+
+    /// Everything between the magic and the checksum footer.
+    fn write_body<W: Write>(
+        &self,
+        w: &mut Writer<W>,
+        k: usize,
+        entries: impl IntoIterator<Item = (u64, NodeId, &'a PreparedTree)>,
+    ) {
+        w.put_u32(SNAPSHOT_VERSION);
+        w.put_u32(u32::try_from(k).expect("k fits u32"));
+        w.put_u32(u32::try_from(self.shapes.len()).expect("shape count fits u32"));
+        let mut record = Vec::new();
+        for prepared in &self.shapes {
+            let tree = prepared.tree();
+            record.clear();
+            record.extend_from_slice(&(tree.len() as u32).to_le_bytes());
+            for v in 1..tree.len() as u32 {
+                let p = tree.parent(v).expect("non-root has a parent");
+                record.extend_from_slice(&p.to_le_bytes());
+            }
+            w.put_block(&record);
         }
-        w.put_block(&record);
+        w.put_u32(u32::try_from(self.rows).expect("entry count fits u32"));
+        let mut written = 0usize;
+        for (id, node, prepared) in entries {
+            written += 1;
+            let shape = self.shape_of[&prepared.root_class()];
+            let mut row = [0u8; 16];
+            row[..8].copy_from_slice(&id.to_le_bytes());
+            row[8..12].copy_from_slice(&node.to_le_bytes());
+            row[12..].copy_from_slice(&shape.to_le_bytes());
+            w.put_raw(&row);
+        }
+        debug_assert_eq!(written, self.rows, "the entries changed between passes");
     }
-    w.put_u32(u32::try_from(rows.len()).expect("entry count fits u32"));
-    for (id, node, shape) in rows {
-        w.put_u64(id);
-        w.put_u32(node);
-        w.put_u32(shape);
-    }
-    w.finish()
 }
 
 /// Decodes [`encode_snapshot`] output. Every shape is rebuilt,
@@ -592,6 +809,71 @@ mod tests {
         for (u, v) in [(0u32, 0u32), (10, 20), (39, 5)] {
             assert_eq!(s1.cross_distance(u, &mut s2, v), ned(&g1, u, &g2, v, 3));
         }
+    }
+
+    #[test]
+    fn nested_snapshot_block_matches_an_embedded_image() {
+        let mut rng = SmallRng::seed_from_u64(4);
+        let g = generators::barabasi_albert(50, 2, &mut rng);
+        let sigs = crate::signatures(&g, &g.nodes().collect::<Vec<_>>(), 3);
+        let entries = sigs
+            .iter()
+            .map(|s| (u64::from(s.node) * 2, s.node, s.prepared()));
+        let image = encode_snapshot(3, entries.clone());
+        let streamed = encode_snapshot_into(3, entries.clone(), Vec::new()).expect("stream");
+        assert_eq!(streamed, image);
+
+        let mut embedded = Writer::with_magic(b"OUTER001");
+        embedded.put_u32(9);
+        embedded.put_block(&image);
+        let mut nested = Writer::with_magic(b"OUTER001");
+        nested.put_u32(9);
+        put_snapshot_block(&mut nested, 3, entries);
+        assert_eq!(nested.finish(), embedded.finish());
+    }
+
+    /// A sink that accepts `room` bytes, then fails every write.
+    #[derive(Debug)]
+    struct ShortSink {
+        room: usize,
+    }
+
+    impl Write for ShortSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.room == 0 {
+                return Err(io::Error::other("sink full"));
+            }
+            let n = buf.len().min(self.room);
+            self.room -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn sink_errors_and_misdeclared_blocks_fail_the_writer() {
+        let mut w = Writer::new(ShortSink { room: 10 }, b"NEDTEST1");
+        w.put_u64(1);
+        w.put_u64(2);
+        let err = w.close().expect_err("the sink filled up");
+        assert_eq!(err.to_string(), "sink full");
+
+        let mut w = Writer::with_magic(b"NEDTEST1");
+        w.begin_block(8);
+        w.put_u32(1);
+        w.end_block();
+        let err = w.close().expect_err("block is 4 bytes short");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+
+        let mut w = Writer::with_magic(b"NEDTEST1");
+        w.begin_framed_block(16, b"NEDTEST2");
+        assert_eq!(
+            w.close().expect_err("block left open").kind(),
+            io::ErrorKind::InvalidData
+        );
     }
 
     #[test]

@@ -84,17 +84,18 @@ impl From<CodecError> for WireError {
 
 /// Encodes `payload` into one complete frame (length prefix included).
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let mut w = Writer::with_magic(&WIRE_MAGIC);
-    w.put_block(payload);
-    let body = w.finish();
-    let mut out = Vec::with_capacity(4 + body.len());
+    // Magic, payload length prefix, payload, checksum: the body's length
+    // is known up front, so the body streams straight in behind it.
+    let body_len = WIRE_MAGIC.len() + 4 + payload.len() + 8;
+    let mut out = Vec::with_capacity(4 + body_len);
     out.extend_from_slice(
-        &u32::try_from(body.len())
+        &u32::try_from(body_len)
             .expect("frame over 4 GiB")
             .to_le_bytes(),
     );
-    out.extend_from_slice(&body);
-    out
+    let mut w = Writer::new(out, &WIRE_MAGIC);
+    w.put_block(payload);
+    w.close().expect("an in-memory frame writer cannot fail")
 }
 
 /// Validates one frame body (everything after the length prefix) and

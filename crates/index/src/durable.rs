@@ -3,7 +3,7 @@
 //!
 //! [`DurableIndex`] wraps [`ConcurrentNedIndex`] with two files:
 //!
-//! * the **index file** (`NEDIDX01`, version 2) — the newest checkpoint,
+//! * the **index file** (`NEDIDX01`, version 3) — the newest checkpoint,
 //!   stamped with the publication epoch it captures;
 //! * the **write-ahead log** (`NEDWAL1`, [`ned_core::wal`]) — one record
 //!   per published batch, carrying the epoch the batch published as.
@@ -27,7 +27,9 @@
 //! Checkpointing saves the snapshot durably (temp file + fsync + rename +
 //! directory fsync) **before** resetting the log; a crash between the two
 //! leaves the old log alongside the new snapshot, which the skip rule
-//! absorbs at the next recovery.
+//! absorbs at the next recovery. The snapshot streams to the temp file
+//! ([`SignatureIndex::save_at_epoch`]), so a checkpoint never holds a
+//! whole-file image in memory.
 //!
 //! Replay is graph-free by construction: a [`GraphDelta`] batch is
 //! journaled as the [`WriteOp`] batch the maintainer materialized it
@@ -414,7 +416,7 @@ impl DurableIndex {
         self.checkpoint_every
     }
 
-    /// Saves the current state as a version-2 snapshot and resets the
+    /// Saves the current state as an epoch-stamped snapshot and resets the
     /// log. Returns the checkpointed epoch, or `Ok(None)` for an
     /// ephemeral index. The snapshot is durable on disk *before* the log
     /// is reset; a crash in between is absorbed by the skip rule.

@@ -965,14 +965,24 @@ impl NedServer {
         self.finalize().map(|_| ())
     }
 
-    /// Waits for in-flight connections, then force-closes stragglers and
-    /// waits once more. Every wait is bounded by the drain grace.
+    /// Closes the read side of every connection, so idle keep-alive
+    /// handlers see EOF at once while one mid-request still writes its
+    /// reply; waits for them, then force-closes stragglers and waits once
+    /// more. Every wait is bounded by the drain grace.
     fn drain(&self) {
         let wait = |deadline: Instant| {
             while self.counters.active.load(Ordering::Relaxed) > 0 && Instant::now() < deadline {
                 std::thread::sleep(Duration::from_millis(10));
             }
         };
+        for conn in self
+            .conns
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .values()
+        {
+            let _ = conn.shutdown(SocketShutdown::Read);
+        }
         wait(Instant::now() + self.config.drain_grace);
         for (_, conn) in self.conns.lock().unwrap_or_else(|p| p.into_inner()).drain() {
             let _ = conn.shutdown(SocketShutdown::Both);

@@ -33,7 +33,8 @@ use crate::{BoundedMetric, Metric};
 use ned_core::store::{self, CodecError, Reader, Writer};
 use ned_core::NodeSignature;
 use ned_graph::{Graph, NodeId};
-use std::io::{Read as _, Write as _};
+use std::fs::File;
+use std::io::{self, Read as _};
 use std::path::Path;
 
 /// NED over node signatures as a [`BoundedMetric`]: exact distances are
@@ -436,21 +437,48 @@ impl SignatureIndex {
     /// the framed NEDIDX01 format; the embedded signature block is a
     /// standard `ned-core::store` snapshot.
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.encode(None)
+        self.to_bytes_at_epoch(0)
     }
 
-    /// [`SignatureIndex::to_bytes`] in the version-2 framing, embedding
-    /// the publication `epoch` this state corresponds to. Checkpoints use
+    /// [`SignatureIndex::to_bytes`] embedding the publication `epoch`
+    /// this state corresponds to (plain saves write 0). Checkpoints use
     /// this so recovery can skip WAL records the snapshot already
     /// contains.
     pub fn to_bytes_at_epoch(&self, epoch: u64) -> Vec<u8> {
-        self.encode(Some(epoch))
+        self.encode_into(epoch, Vec::new())
+            .expect("an in-memory index writer cannot fail")
     }
 
-    fn encode(&self, epoch: Option<u64>) -> Vec<u8> {
-        let mut entries: Vec<(u64, &NodeSignature)> = self.entries().collect();
+    /// Streams the version-3 NEDIDX01 encoding into `sink`: header,
+    /// signature snapshot block, sketch bank block, checksum. Both blocks
+    /// declare their lengths from a sizing pass, so beyond the sink the
+    /// only memory this takes is the id-sorted entry list and the
+    /// snapshot's shape dedup map — never the file's bytes.
+    fn encode_into<W: io::Write>(&self, epoch: u64, sink: W) -> io::Result<W> {
+        self.encode_with(epoch, sink, |id| self.bank.lanes_of(id))
+    }
+
+    /// [`SignatureIndex::encode_into`] reading each row's persisted
+    /// lanes through `lanes_of`.
+    fn encode_with<'s, W: io::Write>(
+        &'s self,
+        epoch: u64,
+        sink: W,
+        lanes_of: impl Fn(u64) -> Option<&'s [u16]>,
+    ) -> io::Result<W> {
+        let mut entries: Vec<(u64, &NodeSignature)> = Vec::with_capacity(self.len());
+        entries.extend(self.entries());
         entries.sort_unstable_by_key(|&(id, _)| id);
-        let snapshot = store::encode_snapshot(
+        let mut w = Writer::new(sink, &INDEX_MAGIC);
+        w.put_u32(INDEX_VERSION_SKETCH);
+        w.put_u32(self.k as u32);
+        w.put_u64(self.threshold as u64);
+        w.put_u64(self.seed);
+        w.put_u64(self.next_id);
+        w.put_u64(epoch);
+        w.put_u32(self.sketch_mode.to_u32());
+        store::put_snapshot_block(
+            &mut w,
             self.k,
             entries
                 .iter()
@@ -458,12 +486,14 @@ impl SignatureIndex {
         );
         // Bank rows serialized in the same id-sorted order as the
         // snapshot entries, so decoding pairs them back up positionally.
-        let mut bank_block = Vec::with_capacity(12 + entries.len() * sketch::SKETCH_DIM * 2);
-        bank_block.extend_from_slice(&(sketch::SKETCH_DIM as u32).to_le_bytes());
-        bank_block.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+        const ROW_BYTES: usize = sketch::SKETCH_DIM * 2;
+        w.begin_block(12 + entries.len() * ROW_BYTES);
+        w.put_u32(sketch::SKETCH_DIM as u32);
+        w.put_u64(entries.len() as u64);
         let mut scratch = [0u16; sketch::SKETCH_DIM];
+        let mut row = [0u8; ROW_BYTES];
         for &(id, sig) in &entries {
-            let lanes = match self.bank.lanes_of(id) {
+            let lanes = match lanes_of(id) {
                 Some(lanes) => lanes,
                 None => {
                     // The bank mirrors the live set; re-sketching keeps the
@@ -472,21 +502,13 @@ impl SignatureIndex {
                     &scratch[..]
                 }
             };
-            for &lane in lanes {
-                bank_block.extend_from_slice(&lane.to_le_bytes());
+            for (out, &lane) in row.chunks_exact_mut(2).zip(lanes) {
+                out.copy_from_slice(&lane.to_le_bytes());
             }
+            w.put_raw(&row);
         }
-        let mut w = Writer::with_magic(&INDEX_MAGIC);
-        w.put_u32(INDEX_VERSION_SKETCH);
-        w.put_u32(self.k as u32);
-        w.put_u64(self.threshold as u64);
-        w.put_u64(self.seed);
-        w.put_u64(self.next_id);
-        w.put_u64(epoch.unwrap_or(0));
-        w.put_u32(self.sketch_mode.to_u32());
-        w.put_block(&snapshot);
-        w.put_block(&bank_block);
-        w.finish()
+        w.end_block();
+        w.close()
     }
 
     /// Restores [`SignatureIndex::to_bytes`] output: the persisted bank
@@ -562,18 +584,24 @@ impl SignatureIndex {
     }
 
     /// [`SignatureIndex::to_bytes`] straight to a file — atomically *and
-    /// durably*: the bytes land in a synced sibling temp file that is
+    /// durably*: the bytes stream into a synced sibling temp file that is
     /// renamed over `path`, and the parent directory is fsynced after the
     /// rename, so a crash at any point leaves either the old complete
     /// file or the new complete file — never a zero-length or torn one.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        write_file_durably(path, &self.to_bytes())
+    /// A failed write leaves the old file in place. The encoding goes to
+    /// disk through a small buffer, never as a whole-file image.
+    pub fn save(&self, path: &Path) -> io::Result<()> {
+        self.save_at_epoch(0, path)
     }
 
-    /// [`SignatureIndex::save`] in the epoch-carrying version-2 framing
-    /// (same durability discipline) — the checkpoint primitive.
-    pub fn save_at_epoch(&self, epoch: u64, path: &Path) -> std::io::Result<()> {
-        write_file_durably(path, &self.to_bytes_at_epoch(epoch))
+    /// [`SignatureIndex::save`] embedding the publication `epoch` (same
+    /// durability discipline) — the checkpoint primitive.
+    pub fn save_at_epoch(&self, epoch: u64, path: &Path) -> io::Result<()> {
+        write_file_durably(path, |file| {
+            self.encode_into(epoch, io::BufWriter::new(file))?
+                .into_inner()
+                .map_err(io::IntoInnerError::into_error)
+        })
     }
 
     /// [`SignatureIndex::from_bytes`] straight from a file.
@@ -650,16 +678,20 @@ fn decode_bank_block(
     Ok(SketchBank::from_rows(entries, lanes))
 }
 
-/// Atomic + durable file replacement: write a synced temp sibling, rename
-/// it over `path`, fsync the parent directory.
-fn write_file_durably(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+/// Atomic + durable file replacement: `write` fills a temp sibling,
+/// which is synced, renamed over `path`, and followed by a parent
+/// directory fsync. If `write` or the sync fails, the temp file is
+/// removed and `path` is untouched.
+fn write_file_durably(path: &Path, write: impl FnOnce(File) -> io::Result<File>) -> io::Result<()> {
     let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
     tmp_name.push(".tmp");
     let tmp = path.with_file_name(tmp_name);
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
+    let written = File::create(&tmp)
+        .and_then(write)
+        .and_then(|f| f.sync_all());
+    if let Err(e) = written {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
     }
     std::fs::rename(&tmp, path)?;
     ned_core::wal::sync_parent_dir(path)
@@ -947,6 +979,82 @@ mod tests {
                 assert_eq!(back.query(&sig, 6, 0), index.query(&sig, 6, 0));
             }
         }
+    }
+
+    /// NEDIDX files committed as fixtures, encoded before saves streamed:
+    /// [`golden_index`] through `to_bytes()` and `to_bytes_at_epoch(42)`.
+    const GOLDEN: &[u8] = include_bytes!("../tests/fixtures/ba80_k3.nedidx");
+    const GOLDEN_EPOCH_42: &[u8] = include_bytes!("../tests/fixtures/ba80_k3_epoch42.nedidx");
+
+    /// The index behind the fixtures: BA(80, 2) from seed `0x601D` at
+    /// k = 3, with ids 5 and 17 removed so bank row order is not id order.
+    fn golden_index() -> SignatureIndex {
+        let mut rng = SmallRng::seed_from_u64(0x601D);
+        let g = generators::barabasi_albert(80, 2, &mut rng);
+        let mut index = SignatureIndex::new(3, 32, 7);
+        index.insert_graph(&g, &g.nodes().collect::<Vec<_>>());
+        assert!(index.remove(5));
+        assert!(index.remove(17));
+        index
+    }
+
+    fn assert_same_bytes(got: &[u8], want: &[u8], what: &str) {
+        let first_diff = got.iter().zip(want).position(|(a, b)| a != b);
+        assert!(
+            got.len() == want.len() && first_diff.is_none(),
+            "{what}: {} bytes vs {} in the fixture, first difference at {first_diff:?}",
+            got.len(),
+            want.len()
+        );
+    }
+
+    #[test]
+    fn encodings_reproduce_the_committed_fixtures() {
+        let index = golden_index();
+        assert_same_bytes(&index.to_bytes(), GOLDEN, "to_bytes");
+        assert_same_bytes(
+            &index.to_bytes_at_epoch(42),
+            GOLDEN_EPOCH_42,
+            "to_bytes_at_epoch",
+        );
+        // Every row re-sketched instead of read from the bank: the
+        // fallback writes the same lanes.
+        let resketched = index
+            .encode_with(42, Vec::new(), |_| None)
+            .expect("in-memory encode");
+        assert_same_bytes(&resketched, GOLDEN_EPOCH_42, "re-sketched rows");
+
+        let dir = std::env::temp_dir().join(format!("ned-golden-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let path = dir.join("golden.idx");
+        index.save(&path).expect("save");
+        assert_same_bytes(&std::fs::read(&path).expect("read"), GOLDEN, "save");
+        index.save_at_epoch(42, &path).expect("save_at_epoch");
+        let saved = std::fs::read(&path).expect("read");
+        assert_same_bytes(&saved, GOLDEN_EPOCH_42, "save_at_epoch");
+        assert!(
+            !dir.join("golden.idx.tmp").exists(),
+            "temp file left behind"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_write_leaves_the_old_file_in_place() {
+        let dir = std::env::temp_dir().join(format!("ned-failed-save-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let path = dir.join("index.idx");
+        let index = golden_index();
+        index.save(&path).expect("save");
+        let err = write_file_durably(&path, |mut file| {
+            io::Write::write_all(&mut file, b"half a file")?;
+            Err(io::Error::other("disk full"))
+        })
+        .expect_err("the write failed");
+        assert_eq!(err.to_string(), "disk full");
+        assert_same_bytes(&std::fs::read(&path).expect("read"), GOLDEN, "old file");
+        assert!(!dir.join("index.idx.tmp").exists(), "temp file left behind");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

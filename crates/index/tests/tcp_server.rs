@@ -11,7 +11,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::net::TcpListener;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Starts a server over a fresh BA-graph index on an ephemeral loopback
 /// port; returns the address (the listener thread dies with the test
@@ -432,15 +432,18 @@ fn a_panicking_command_is_isolated_to_an_error_reply() {
 
 #[test]
 fn shutdown_drains_checkpoints_and_stops_the_acceptor() {
+    let grace = Duration::from_secs(20);
     let (addr, server, handle) = start_server_with(ServerConfig {
-        drain_grace: Duration::from_millis(300),
+        drain_grace: grace,
         ..ServerConfig::default()
     });
     let mut client = WireClient::connect(addr).expect("connect");
-    // An idle second connection must not wedge the drain.
+    // An idle second connection must not wedge the drain, nor hold it
+    // for the grace period.
     let _idle = WireClient::connect(addr).expect("idle connect");
     std::thread::sleep(Duration::from_millis(50));
 
+    let started = Instant::now();
     let reply = client.call("shutdown").expect("shutdown reply");
     assert!(reply.starts_with("ok draining"), "{reply}");
     assert!(server.is_shutting_down());
@@ -448,6 +451,11 @@ fn shutdown_drains_checkpoints_and_stops_the_acceptor() {
     // The accept loop exits cleanly: exit code 0 material.
     let served = handle.join().expect("acceptor thread");
     assert!(served.is_ok(), "{served:?}");
+    let drained = started.elapsed();
+    assert!(
+        drained < grace / 4,
+        "drain took {drained:?} with an idle connection open (grace {grace:?})"
+    );
 
     // The listener is gone; new connections are refused.
     assert!(
