@@ -55,13 +55,19 @@
 //! keeps them within a small factor (the two graphs' flip batches also
 //! differ in size). `durable/ba4000-checkpoint` times one durable
 //! `save_at_epoch` of the BA-4000 index, the checkpoint a durable server
-//! takes every 64 journaled batches.
+//! takes every 64 journaled batches, and `durable/ba4000-load` one
+//! `from_bytes` of the bytes it wrote. `maintain/ba4000-attach` times
+//! attaching a `GraphMaintainer` to the BA-4000 graph plus
+//! `verify_against` its index, what a server tracking its graph does at
+//! boot.
 //!
-//! Three in-run floors compare two paths timed here:
-//! `soa_kernel_speedup_vs_presoa`, `bounded_knn_speedup_vs_unbounded_forest`
-//! and `fleet_overhead_vs_single`. Each times its two sides in
-//! alternating rounds and gates on the median of the per-round ratios
-//! (`measure_pair`), so host drift between rounds cannot decide it.
+//! Four in-run floors compare two paths timed here:
+//! `soa_kernel_speedup_vs_presoa`, `bounded_knn_speedup_vs_unbounded_forest`,
+//! `ingest_bulk_speedup_vs_per_node` and `fleet_overhead_vs_single`. Each
+//! times its two sides in alternating rounds and gates on the median of
+//! the per-round ratios (`measure_pair`), so host drift between rounds
+//! cannot decide it. `loadgen_reader_scaling_4r_vs_1r` divides two
+//! throughputs of one path, so it has no alternating form.
 //!
 //! Run with `cargo run --release -p ned-bench --bin perf_snapshot
 //! [output.json]`. Name a `BENCH_<n>.json` only to record a new point of
@@ -720,25 +726,32 @@ fn main() {
         ned_core::signatures(&ging, &ingest_nodes, ingest_k),
         "bulk ingest diverged from per-node extraction"
     );
-    let per_node_ns = measure(3, 1, || {
-        std::hint::black_box(ned_core::signatures(&ging, &ingest_nodes, ingest_k));
-    }) / ingest_nodes.len() as f64;
+    let (per_node_run_ns, bulk_run_ns, ingest_speedup) = measure_pair(
+        5,
+        1,
+        || {
+            std::hint::black_box(ned_core::signatures(&ging, &ingest_nodes, ingest_k));
+        },
+        || {
+            std::hint::black_box(ned_core::bulk_signatures(&ging, &ingest_nodes, ingest_k, 1));
+        },
+    );
+    let (per_node_ns, bulk_ns) = (
+        per_node_run_ns / ingest_nodes.len() as f64,
+        bulk_run_ns / ingest_nodes.len() as f64,
+    );
     entries.push(Entry {
         name: "ingest/ba4000-per-node",
         ns_per_op: per_node_ns,
         p50_ns: None,
         p99_ns: None,
     });
-    let bulk_ns = measure(3, 1, || {
-        std::hint::black_box(ned_core::bulk_signatures(&ging, &ingest_nodes, ingest_k, 1));
-    }) / ingest_nodes.len() as f64;
     entries.push(Entry {
         name: "ingest/ba4000-bulk",
         ns_per_op: bulk_ns,
         p50_ns: None,
         p99_ns: None,
     });
-    let ingest_speedup = per_node_ns / bulk_ns;
 
     // --- delta: incremental maintenance under edge churn ----------------
     // A live index tracking BA-4000 at k = 3: each edge flip (add a
@@ -749,6 +762,24 @@ fn main() {
     // flip* — the ingest entries above price exactly that.
     let delta_graph = generators::barabasi_albert(4000, 3, &mut rng);
     let delta_index = SignatureIndex::from_graph(&delta_graph, 3, 1024, 0xDE, 1);
+
+    // --- maintain: attaching a maintainer to a served graph -------------
+    // What a server tracking its graph does at boot: one root-class pass
+    // over every node, then the check that the loaded index serves that
+    // graph.
+    let attach_ns = measure(9, 1, || {
+        let maintainer = ned_index::GraphMaintainer::attach(&delta_graph, 3, 0, 1);
+        maintainer
+            .verify_against(&delta_index)
+            .expect("the index serves the attached graph");
+    });
+    entries.push(Entry {
+        name: "maintain/ba4000-attach",
+        ns_per_op: attach_ns,
+        p50_ns: None,
+        p99_ns: None,
+    });
+
     let mut maintainer = ned_index::GraphMaintainer::attach(&delta_graph, 3, 0, 1);
     let (mut delta_writer, delta_reader) = ConcurrentNedIndex::split(delta_index);
     let flips = ned_bench::loadgen::non_edges(&delta_graph, 8, 0xF11B);
@@ -873,8 +904,9 @@ fn main() {
             .save_at_epoch(ckpt_epoch, &ckpt_path)
             .expect("checkpoint save");
     });
+    let ckpt_bytes = std::fs::read(&ckpt_path).expect("read checkpoint");
     assert_eq!(
-        std::fs::read(&ckpt_path).expect("read checkpoint"),
+        ckpt_bytes,
         delta_writer.index().to_bytes_at_epoch(ckpt_epoch),
         "a streamed checkpoint differs from the in-memory encoding"
     );
@@ -882,6 +914,30 @@ fn main() {
     entries.push(Entry {
         name: "durable/ba4000-checkpoint",
         ns_per_op: checkpoint_ns,
+        p50_ns: None,
+        p99_ns: None,
+    });
+    // --- durable: loading that checkpoint back --------------------------
+    // `from_bytes` of the checkpoint's bytes: the decode a server boot or
+    // a recovery pays before replaying its log.
+    let saved = delta_writer.index();
+    let loaded = SignatureIndex::from_bytes(&ckpt_bytes).expect("checkpoint decodes");
+    assert_eq!(
+        loaded.len(),
+        saved.len(),
+        "a loaded checkpoint lost entries"
+    );
+    assert_eq!(
+        loaded.live_set_fingerprint(),
+        saved.live_set_fingerprint(),
+        "a loaded checkpoint differs from the index it saved"
+    );
+    let load_ns = measure(9, 1, || {
+        std::hint::black_box(SignatureIndex::from_bytes(&ckpt_bytes).expect("checkpoint decodes"));
+    });
+    entries.push(Entry {
+        name: "durable/ba4000-load",
+        ns_per_op: load_ns,
         p50_ns: None,
         p99_ns: None,
     });

@@ -32,8 +32,10 @@
 //! Shapes are stored **once per distinct isomorphism class** (the on-disk
 //! analogue of the in-memory interning above); entries reference them by
 //! index. Interner ids are process-local and never serialized — decoding
-//! re-canonicalizes and re-interns, which is exactly what makes decoded
-//! signatures produce bit-identical distances on any machine.
+//! re-interns every shape (adopting the canonical layout it was written
+//! in, or canonicalizing a record that is not), which is exactly what
+//! makes decoded signatures produce bit-identical distances on any
+//! machine.
 
 use crate::ned::NodeSignature;
 use crate::ted_star::{ted_star_prepared, PreparedTree};
@@ -649,10 +651,7 @@ impl<'a> SnapshotPlan<'a> {
             let tree = prepared.tree();
             record.clear();
             record.extend_from_slice(&(tree.len() as u32).to_le_bytes());
-            for v in 1..tree.len() as u32 {
-                let p = tree.parent(v).expect("non-root has a parent");
-                record.extend_from_slice(&p.to_le_bytes());
-            }
+            extend_parents_le(&mut record, tree);
             w.put_block(&record);
         }
         w.put_u32(u32::try_from(self.rows).expect("entry count fits u32"));
@@ -670,10 +669,29 @@ impl<'a> SnapshotPlan<'a> {
     }
 }
 
-/// Decodes [`encode_snapshot`] output. Every shape is rebuilt,
-/// re-canonicalized, and re-interned through the process-global
-/// interner, so decoded signatures are drop-in equal to the encoded
-/// ones: distances are bit-identical.
+/// Appends the parent words of `tree`'s non-root nodes, little-endian:
+/// the `parents` field of a stored shape. The words are written from the
+/// tree's parent slice into space reserved once, not pushed one by one.
+pub fn extend_parents_le(buf: &mut Vec<u8>, tree: &Tree) {
+    let parents = &tree.parents()[1..];
+    let start = buf.len();
+    buf.resize(start + 4 * parents.len(), 0);
+    for (out, p) in buf[start..].chunks_exact_mut(4).zip(parents) {
+        out.copy_from_slice(&p.to_le_bytes());
+    }
+}
+
+/// Decodes [`encode_snapshot`] output. Every shape is rebuilt and
+/// re-interned through the process-global interner, so decoded
+/// signatures are drop-in equal to the encoded ones: distances are
+/// bit-identical.
+///
+/// Encoders write each shape in canonical layout, so a record is
+/// normally adopted in one pass: its BFS-ordered parent array becomes
+/// the tree with no relabel ([`Tree::from_parents`]) and the layout
+/// check stands in for re-canonicalization ([`PreparedTree::from_tree`]).
+/// A record in any other valid layout is relabeled and canonicalized,
+/// and decodes to the same signature.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, CodecError> {
     let mut r = Reader::open(bytes, &SNAPSHOT_MAGIC)?;
     let version = r.u32()?;
@@ -718,7 +736,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, CodecError> {
         }
         let tree = Tree::from_parents(&parents)
             .map_err(|e| CodecError::Malformed(format!("shape {s}: {e}")))?;
-        shapes.push(Arc::new(PreparedTree::new(&tree)));
+        shapes.push(Arc::new(PreparedTree::from_tree(tree)));
     }
     let entry_count = r.u32()? as usize;
     if entry_count as u64 * 16 > r.remaining() as u64 {

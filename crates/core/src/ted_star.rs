@@ -164,9 +164,39 @@ impl ChildCountSummary {
 
 impl PreparedTree {
     /// Canonicalizes `t` and interns its per-level subtree classes.
+    ///
+    /// A tree that is already in canonical layout — every tree a
+    /// `PreparedTree` hands out, so every stored one — is adopted as it
+    /// is: [`ned_tree::ahu::code_if_canonical`] checks the layout in
+    /// `O(n)` and yields the canonical code on the way, and
+    /// [`ned_tree::ahu::canonical_form`] runs only when the check finds
+    /// an inversion. Either way the result is the same.
     pub fn new(t: &Tree) -> Self {
+        match ned_tree::ahu::code_if_canonical(t) {
+            Some(code) => Self::adopt(t.clone(), code),
+            None => Self::canonize(t),
+        }
+    }
+
+    /// [`PreparedTree::new`] taking the tree by value, so an adopted
+    /// canonical tree is kept without a copy — the form decoders use.
+    pub fn from_tree(t: Tree) -> Self {
+        match ned_tree::ahu::code_if_canonical(&t) {
+            Some(code) => Self::adopt(t, code),
+            None => Self::canonize(&t),
+        }
+    }
+
+    fn canonize(t: &Tree) -> Self {
         let tree = ned_tree::ahu::canonical_form(t);
-        let code = ned_tree::ahu::ordered_code(&tree).into_boxed_slice();
+        let code = ned_tree::ahu::ordered_code(&tree);
+        Self::adopt(tree, code)
+    }
+
+    /// Prepares a tree known to be in canonical layout, `code` being its
+    /// canonical code.
+    fn adopt(tree: Tree, code: Vec<u8>) -> Self {
+        let code = code.into_boxed_slice();
         // BFS layout makes levels contiguous, so the per-node subtree ids
         // are already the flat level-ordered class array.
         let classes = SignatureInterner::global().subtree_ids(&tree);

@@ -84,6 +84,38 @@ fn one_factory_serves_many_graphs_and_depths() {
     assert!(factory.cached_roots() > 0);
 }
 
+#[test]
+fn classes_interned_first_expand_exactly_later() {
+    // An incremental maintainer seeds its change detector with root
+    // classes only, which tables every class without building its code,
+    // and expands a class into a signature only when churn reaches it.
+    // Codes built that late, and in another order, must be the ones an
+    // eager extraction builds.
+    let mut rng = SmallRng::seed_from_u64(0x9D);
+    let g1 = generators::barabasi_albert(200, 3, &mut rng);
+    let g2 = generators::erdos_renyi_gnm(150, 400, &mut rng);
+    let factory = SignatureFactory::new();
+    for k in [2usize, 3, 4] {
+        let n1: Vec<u32> = g1.nodes().collect();
+        let n2: Vec<u32> = g2.nodes().collect();
+        let cached = factory.cached_roots();
+        let classes = factory.root_classes(&g1, &n1, k, 2);
+        assert_eq!(factory.cached_roots(), cached, "k={k}: classing expanded");
+        // Another graph's expansions reach some of g1's classes first.
+        assert_identical(
+            &signatures(&g2, &n2, k),
+            &factory.signatures(&g2, &n2, k, 1),
+            &format!("g2 k={k}"),
+        );
+        let reversed: Vec<u32> = n1.iter().rev().copied().collect();
+        let late = factory.signatures(&g1, &reversed, k, 2);
+        assert_identical(&signatures(&g1, &reversed, k), &late, &format!("g1 k={k}"));
+        for (sig, &v) in late.iter().zip(&reversed) {
+            assert_eq!(sig.prepared().root_class(), classes[v as usize], "node {v}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 

@@ -65,12 +65,6 @@ pub struct BulkExtractor {
     /// through [`ShapeTable::ensure`] — repeat sightings (the vast
     /// majority) skip the shared shard lock with one array index.
     ensured: Vec<bool>,
-    /// `star_classes[c]` = the class of a node whose `c` children are all
-    /// leaves, lazily interned. Star nodes dominate the deeper levels of
-    /// truncated BFS trees (every parent of last-level nodes is one), and
-    /// their sorted kid multiset is `[0; c]` — one array index replaces
-    /// the gather + sort + interner lock for the hottest case.
-    star_classes: Vec<u32>,
 }
 
 impl BulkExtractor {
@@ -88,7 +82,6 @@ impl BulkExtractor {
             classes: Vec::new(),
             kids: Vec::new(),
             ensured,
-            star_classes: Vec::new(),
         }
     }
 
@@ -182,51 +175,47 @@ impl BulkExtractor {
                 continue; // leaf: keeps the pre-set empty class
             }
             if self.classes[cur..hi].iter().all(|&c| c == empty) {
-                // Star fast path: the sorted multiset is [empty; c].
+                // Star fast path: nodes whose children are all leaves
+                // dominate the deeper levels of truncated BFS trees (every
+                // parent of last-level nodes is one); the interner
+                // memoizes their classes by child count, and the sorted
+                // multiset `[empty; c]` is only built to table a class
+                // this extractor has not tabled yet.
                 let c = hi - cur;
-                self.classes[v] = if c < self.star_classes.len() && self.star_classes[c] != u32::MAX
-                {
-                    self.star_classes[c]
-                } else {
-                    self.intern_star(c)
-                };
+                let class = interner.star(c);
+                if !self.is_ensured(class) {
+                    self.kids.clear();
+                    self.kids.resize(c, empty);
+                    self.ensure(class);
+                }
+                self.classes[v] = class;
                 continue;
             }
             self.kids.clear();
             self.kids.extend_from_slice(&self.classes[cur..hi]);
             self.kids.sort_unstable();
             let class = interner.intern(&self.kids);
-            if (class as usize) >= self.ensured.len() {
-                self.ensured.resize(class as usize + 1, false);
-            }
-            if !self.ensured[class as usize] {
-                self.ensured[class as usize] = true;
-                self.table.ensure(class, &self.kids);
+            if !self.is_ensured(class) {
+                self.ensure(class);
             }
             self.classes[v] = class;
         }
         self.classes[0]
     }
 
-    /// Slow path of the star cache: interns (and tables) the class of a
-    /// node with `c` leaf children, then memoizes it by child count.
-    fn intern_star(&mut self, c: usize) -> u32 {
-        let interner = SignatureInterner::global();
-        if c >= self.star_classes.len() {
-            self.star_classes.resize(c + 1, u32::MAX);
-        }
-        self.kids.clear();
-        self.kids.resize(c, interner.empty_id());
-        let class = interner.intern(&self.kids);
+    #[inline]
+    fn is_ensured(&self, class: u32) -> bool {
+        self.ensured.get(class as usize).copied().unwrap_or(false)
+    }
+
+    /// Tables `class`, whose sorted children multiset is in `self.kids`,
+    /// in the shared [`ShapeTable`] and flags it as tabled.
+    fn ensure(&mut self, class: u32) {
         if (class as usize) >= self.ensured.len() {
             self.ensured.resize(class as usize + 1, false);
         }
-        if !self.ensured[class as usize] {
-            self.ensured[class as usize] = true;
-            self.table.ensure(class, &self.kids);
-        }
-        self.star_classes[c] = class;
-        class
+        self.ensured[class as usize] = true;
+        self.table.ensure(class, &self.kids);
     }
 }
 

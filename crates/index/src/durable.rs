@@ -39,7 +39,7 @@
 
 use crate::concurrent::{ConcurrentNedIndex, IndexReader, IndexWriter, WriteOp};
 use crate::signatures::{LoadError, SignatureIndex};
-use ned_core::store::CodecError;
+use ned_core::store::{self, CodecError};
 use ned_core::wal::{self, FsyncPolicy, WalWriter, WAL_HEADER_LEN};
 use ned_core::{NodeSignature, PreparedTree};
 use ned_tree::Tree;
@@ -51,17 +51,28 @@ use std::sync::MutexGuard;
 /// `epoch u64 | op count u32 | op*`, where an op is a tag byte (1 =
 /// insert, 2 = replace, 3 = remove) followed by its id and/or signature
 /// (node id + BFS parent array). Integrity is the record layer's job —
-/// the payload carries no checksum of its own.
+/// the payload carries no checksum of its own. The payload is sized
+/// before it is written, so the buffer is allocated once.
 pub fn encode_batch(epoch: u64, ops: &[WriteOp]) -> Vec<u8> {
+    fn sig_len(sig: &NodeSignature) -> usize {
+        8 + 4 * (sig.tree().len() - 1)
+    }
     fn put_sig(buf: &mut Vec<u8>, sig: &NodeSignature) {
         buf.extend_from_slice(&sig.node.to_le_bytes());
         let tree = sig.tree();
         buf.extend_from_slice(&(tree.len() as u32).to_le_bytes());
-        for v in 1..tree.len() as u32 {
-            buf.extend_from_slice(&tree.parent(v).expect("non-root").to_le_bytes());
-        }
+        store::extend_parents_le(buf, tree);
     }
-    let mut buf = Vec::new();
+    let len = 12
+        + ops
+            .iter()
+            .map(|op| match op {
+                WriteOp::Insert(sig) => 1 + sig_len(sig),
+                WriteOp::Replace(_, sig) => 9 + sig_len(sig),
+                WriteOp::Remove(_) => 9,
+            })
+            .sum::<usize>();
+    let mut buf = Vec::with_capacity(len);
     buf.extend_from_slice(&epoch.to_le_bytes());
     buf.extend_from_slice(&(ops.len() as u32).to_le_bytes());
     for op in ops {
@@ -81,6 +92,7 @@ pub fn encode_batch(epoch: u64, ops: &[WriteOp]) -> Vec<u8> {
             }
         }
     }
+    debug_assert_eq!(buf.len(), len, "batch payload sized wrong");
     buf
 }
 
@@ -92,9 +104,11 @@ pub fn record_epoch(bytes: &[u8]) -> Option<u64> {
 }
 
 /// Decodes [`encode_batch`] output back into `(epoch, ops)`. Signatures
-/// are re-prepared from their parent arrays; preparation canonicalizes,
-/// so replayed signatures are distance-identical to the originals (the
-/// same argument the snapshot codec rests on).
+/// are re-prepared from their parent arrays, so replayed signatures are
+/// equal to the originals (the same argument the snapshot codec rests
+/// on). Journaled trees are canonical, so each is adopted in one pass
+/// like a snapshot shape ([`store::decode_snapshot`]); a parent array
+/// in any other valid layout is canonicalized first.
 pub fn decode_batch(bytes: &[u8]) -> Result<(u64, Vec<WriteOp>), CodecError> {
     struct Cur<'a> {
         buf: &'a [u8],
@@ -134,7 +148,10 @@ pub fn decode_batch(bytes: &[u8]) -> Result<(u64, Vec<WriteOp>), CodecError> {
             }
             let tree = Tree::from_parents(&parents)
                 .map_err(|e| CodecError::Malformed(format!("bad signature tree: {e}")))?;
-            Ok(NodeSignature::from_prepared(node, PreparedTree::new(&tree)))
+            Ok(NodeSignature::from_prepared(
+                node,
+                PreparedTree::from_tree(tree),
+            ))
         }
     }
 

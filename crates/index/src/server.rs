@@ -1086,7 +1086,10 @@ impl NedServer {
 
 fn parse_sig(shape: &str) -> Result<NodeSignature, ServerError> {
     let tree = ned_tree::serialize::parse(shape).map_err(|e| ServerError::bad(e.to_string()))?;
-    Ok(NodeSignature::from_prepared(0, PreparedTree::new(&tree)))
+    Ok(NodeSignature::from_prepared(
+        0,
+        PreparedTree::from_tree(tree),
+    ))
 }
 
 /// Renders index hits into the epoch-tagged wire response.

@@ -1040,6 +1040,21 @@ mod tests {
     }
 
     #[test]
+    fn committed_fixtures_decode_and_re_encode_byte_for_byte() {
+        for (fixture, epoch) in [(GOLDEN, 0), (GOLDEN_EPOCH_42, 42)] {
+            let (index, got_epoch) = SignatureIndex::decode_with_epoch(fixture).expect("decodes");
+            assert_eq!(got_epoch, epoch);
+            assert_same_bytes(&index.to_bytes_at_epoch(epoch), fixture, "re-encode");
+            // Stored shapes are adopted, not re-canonicalized: each must
+            // be exactly what a fresh canonical preparation builds.
+            for (id, sig) in index.entries() {
+                let fresh = ned_core::PreparedTree::new(&ned_tree::ahu::canonical_form(sig.tree()));
+                assert_eq!(sig.prepared(), &fresh, "id {id}");
+            }
+        }
+    }
+
+    #[test]
     fn failed_write_leaves_the_old_file_in_place() {
         let dir = std::env::temp_dir().join(format!("ned-failed-save-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("scratch dir");

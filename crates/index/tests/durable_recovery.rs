@@ -374,3 +374,86 @@ fn graph_delta_batches_replay_without_the_graph() {
     drop(recovered);
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// A NEDWAL1 log committed as a fixture: [`fixture_batches`] appended
+/// through `encode_batch` to a log created with base 42. It pins the
+/// journal's bytes, so a change to how batches are emitted that is not a
+/// deliberate format change fails here.
+const WAL_FIXTURE: &[u8] = include_bytes!("fixtures/ba80_k3.nedwal");
+
+/// The batches behind [`WAL_FIXTURE`]: signatures of BA(80, 2) from seed
+/// `0x601D` (the graph of the NEDIDX fixtures) in every op kind, plus a
+/// deeper k = 4 tree and a hand-made shape.
+fn fixture_batches() -> Vec<(u64, Vec<WriteOp>)> {
+    let mut rng = SmallRng::seed_from_u64(0x601D);
+    let g = generators::barabasi_albert(80, 2, &mut rng);
+    let sig = |v: u32, k: usize| NodeSignature::extract(&g, v, k);
+    let path = Tree::from_parents(&[0, 0, 1, 2]).expect("path");
+    vec![
+        (
+            43,
+            vec![
+                WriteOp::Insert(sig(0, 3)),
+                WriteOp::Insert(sig(1, 3)),
+                WriteOp::Replace(5, sig(9, 3)),
+            ],
+        ),
+        (
+            44,
+            vec![
+                WriteOp::Remove(17),
+                WriteOp::Replace(2, sig(33, 4)),
+                WriteOp::Insert(NodeSignature::from_prepared(77, PreparedTree::new(&path))),
+            ],
+        ),
+        (45, vec![]),
+    ]
+}
+
+#[test]
+fn wal_encoding_reproduces_the_committed_fixture() {
+    let dir = scratch("wal-fixture");
+    let path = dir.join("fixture.wal");
+    let batches = fixture_batches();
+    let mut log = wal::WalWriter::create(&path, 42, FsyncPolicy::Never).expect("create");
+    for (epoch, ops) in &batches {
+        log.append(&ned_index::durable::encode_batch(*epoch, ops))
+            .expect("append");
+    }
+    drop(log);
+    let written = std::fs::read(&path).expect("read back");
+    let first_diff = written.iter().zip(WAL_FIXTURE).position(|(a, b)| a != b);
+    assert!(
+        written.len() == WAL_FIXTURE.len() && first_diff.is_none(),
+        "{} bytes vs {} in the fixture, first difference at {first_diff:?}",
+        written.len(),
+        WAL_FIXTURE.len()
+    );
+
+    // The fixture decodes back to the batches, and each record
+    // re-encodes to itself.
+    let replay = wal::replay_bytes(WAL_FIXTURE).expect("fixture replays");
+    assert_eq!(replay.base, 42);
+    assert_eq!(replay.records.len(), batches.len());
+    for (record, (epoch, ops)) in replay.records.iter().zip(&batches) {
+        let (got_epoch, got_ops) =
+            ned_index::durable::decode_batch(record).expect("fixture decodes");
+        assert_eq!(got_epoch, *epoch);
+        assert_eq!(
+            &ned_index::durable::encode_batch(got_epoch, &got_ops),
+            record
+        );
+        assert_eq!(got_ops.len(), ops.len());
+        for (got, want) in got_ops.iter().zip(ops) {
+            let (a, b) = match (got, want) {
+                (WriteOp::Insert(a), WriteOp::Insert(b)) => (a, b),
+                (WriteOp::Replace(i, a), WriteOp::Replace(j, b)) if i == j => (a, b),
+                (WriteOp::Remove(i), WriteOp::Remove(j)) if i == j => continue,
+                _ => panic!("op changed: {got:?} vs {want:?}"),
+            };
+            assert_eq!(a.node, b.node);
+            assert_eq!(a.prepared(), b.prepared());
+        }
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}

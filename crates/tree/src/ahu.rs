@@ -113,6 +113,76 @@ pub fn ordered_code(tree: &Tree) -> Vec<u8> {
     out
 }
 
+/// The canonical code of `tree` if `tree` is already in canonical layout
+/// (`canonical_form(tree) == *tree`), else `None`.
+///
+/// Emits [`ordered_code`] and checks the layout on the way: the layout
+/// is canonical iff every node's children appear in non-decreasing code
+/// order — then, by induction from the leaves up, the emitted code of
+/// every subtree *is* its canonical code. A subtree's code is one
+/// contiguous span of the output, and siblings' spans are adjacent, so
+/// each closing subtree is compared with the span of the sibling before
+/// it, and the walk stops at the first inversion. Leaves need no
+/// compare: `()` is the largest code, so a leaf may follow anything and
+/// nothing but a leaf may follow a leaf. `O(n · depth)` time, `O(n)` for
+/// the bounded depths of neighborhood trees; no sorting and no per-node
+/// buffers.
+pub fn code_if_canonical(tree: &Tree) -> Option<Vec<u8>> {
+    /// A node whose code is being emitted.
+    struct Open {
+        node: u32,
+        /// Its next child to visit.
+        next: u32,
+        /// Where its own code starts in the output.
+        start: u32,
+        /// Where the code of its last closed non-leaf child starts
+        /// (`u32::MAX` before one closed).
+        prev_start: u32,
+        /// Whether a leaf child has been emitted.
+        leaf_seen: bool,
+    }
+    let open = |node: u32, start: usize| Open {
+        node,
+        next: tree.children(node).start,
+        start: start as u32,
+        prev_start: u32::MAX,
+        leaf_seen: false,
+    };
+    let mut out = Vec::with_capacity(2 * tree.len());
+    let mut stack: Vec<Open> = Vec::with_capacity(tree.num_levels());
+    stack.push(open(0, 0));
+    out.push(b'(');
+    while let Some(top) = stack.last_mut() {
+        let child = top.next;
+        if child < tree.children(top.node).end {
+            top.next += 1;
+            if tree.is_leaf(child) {
+                top.leaf_seen = true;
+                out.extend_from_slice(b"()");
+            } else if top.leaf_seen {
+                return None;
+            } else {
+                stack.push(open(child, out.len()));
+                out.push(b'(');
+            }
+        } else {
+            out.push(b')');
+            let closed = stack.pop().expect("non-empty").start as usize;
+            // Siblings' spans are adjacent: the previous non-leaf sibling's
+            // code ends where the closed one's starts.
+            if let Some(parent) = stack.last_mut() {
+                if parent.prev_start != u32::MAX
+                    && out[parent.prev_start as usize..closed] > out[closed..]
+                {
+                    return None;
+                }
+                parent.prev_start = closed as u32;
+            }
+        }
+    }
+    Some(out)
+}
+
 /// Unordered rooted-tree isomorphism test.
 pub fn isomorphic(a: &Tree, b: &Tree) -> bool {
     if a.len() != b.len() || a.num_levels() != b.num_levels() {
@@ -464,6 +534,43 @@ mod tests {
             // And both equal the canonical code of the *original* tree.
             assert_eq!(ordered_code(&c), canonical_code(&t));
         }
+    }
+
+    #[test]
+    fn code_if_canonical_accepts_exactly_the_canonical_layouts() {
+        use crate::generate;
+        use rand::{rngs::SmallRng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0xAD0);
+        let (mut adopted, mut refused) = (0, 0);
+        for round in 0..400 {
+            // Small trees are often canonical as generated; larger ones
+            // rarely are, and their canonical forms always are.
+            let t = match round % 4 {
+                0 => generate::random_attachment_tree(1 + round % 7, &mut rng),
+                1 => generate::random_bounded_depth_tree(2 + round % 30, 1 + round % 4, &mut rng),
+                2 => generate::perfect_tree(1 + round % 3, 1 + round % 4),
+                _ => generate::caterpillar_tree(1 + round % 5, round % 3),
+            };
+            for tree in [canonical_form(&t), t] {
+                let canonical = canonical_form(&tree) == tree;
+                match code_if_canonical(&tree) {
+                    Some(code) => {
+                        assert!(canonical, "adopted a non-canonical layout {tree:?}");
+                        assert_eq!(code, canonical_code(&tree));
+                        adopted += 1;
+                    }
+                    None => {
+                        assert!(!canonical, "refused a canonical layout {tree:?}");
+                        refused += 1;
+                    }
+                }
+            }
+        }
+        assert!(adopted > 0 && refused > 0);
+        // Equal-code siblings are not an inversion; a leaf before a
+        // deeper sibling is.
+        assert!(code_if_canonical(&tree_from(&[0, 0, 0, 1, 2])).is_some());
+        assert!(code_if_canonical(&tree_from(&[0, 0, 0, 2])).is_none());
     }
 
     #[test]

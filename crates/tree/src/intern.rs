@@ -27,6 +27,12 @@ use std::sync::{Mutex, OnceLock};
 
 const SHARDS: usize = 16;
 
+/// Child counts whose star class [`SignatureInterner::star`] memoizes.
+const STAR_MEMO: usize = 1024;
+
+/// Marks an unfilled [`SignatureInterner::star`] memo slot.
+const UNSET: u32 = u32::MAX;
+
 /// A process-wide dictionary from canonical children-multisets to dense
 /// `u32` ids. See the module docs for the contract.
 pub struct SignatureInterner {
@@ -35,6 +41,8 @@ pub struct SignatureInterner {
     /// Id of the empty multiset (a leaf's children signature), interned at
     /// construction so the hottest lookup is branch-free.
     empty: u32,
+    /// `stars[c]`: the id of `c` leaves (`[empty; c]`), once interned.
+    stars: [AtomicU32; STAR_MEMO],
 }
 
 impl Default for SignatureInterner {
@@ -50,6 +58,7 @@ impl SignatureInterner {
             shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
             next: AtomicU32::new(0),
             empty: 0,
+            stars: std::array::from_fn(|_| AtomicU32::new(UNSET)),
         };
         let id = interner.intern(&[]);
         debug_assert_eq!(id, 0);
@@ -102,6 +111,28 @@ impl SignatureInterner {
         self.empty
     }
 
+    /// The id of a star: a node whose `leaves` children are all leaves
+    /// (the multiset `[empty; leaves]`). Stars are most of a
+    /// neighborhood tree's internal nodes, so their ids are memoized by
+    /// child count: after the first, a star costs one atomic load
+    /// instead of a key build, a hash and a shard lock.
+    #[inline]
+    pub fn star(&self, leaves: usize) -> u32 {
+        let Some(slot) = self.stars.get(leaves) else {
+            return self.intern(&vec![self.empty; leaves]);
+        };
+        match slot.load(Ordering::Relaxed) {
+            UNSET => {
+                // Racing first callers intern the same key, so they
+                // store the same id.
+                let id = self.intern(&vec![self.empty; leaves]);
+                slot.store(id, Ordering::Relaxed);
+                id
+            }
+            id => id,
+        }
+    }
+
     /// Number of distinct signatures interned so far.
     pub fn len(&self) -> usize {
         self.shards
@@ -124,7 +155,9 @@ impl SignatureInterner {
     ///
     /// This is the interned replacement for per-level joint canonization
     /// ranking ([`crate::ahu::canonical_level_labels`]): one hash lookup
-    /// per node instead of a comparison sort over collections.
+    /// per node instead of a comparison sort over collections. Stars —
+    /// nodes whose children are all leaves — take the memoized
+    /// [`Self::star`] path, as `ned-graph`'s bulk extractor does.
     pub fn subtree_ids(&self, tree: &crate::Tree) -> Vec<u32> {
         let n = tree.len();
         let mut ids = vec![self.empty; n];
@@ -135,6 +168,11 @@ impl SignatureInterner {
             let children = tree.children(v);
             if children.is_empty() {
                 continue; // leaves keep the pre-set empty id
+            }
+            let kids = &ids[children.start as usize..children.end as usize];
+            if kids.iter().all(|&c| c == self.empty) {
+                ids[v as usize] = self.star(kids.len());
+                continue;
             }
             scratch.clear();
             scratch.extend(children.map(|c| ids[c as usize]));

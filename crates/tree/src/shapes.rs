@@ -22,14 +22,20 @@
 //! `canonical_form` would have built — with no byte-string sorting, no
 //! per-node code allocation, and no parent-array relayout.
 //!
-//! Entries are inserted bottom-up by the extraction hot path
-//! ([`ShapeTable::ensure`]): by the time a class is first seen, all of
-//! its children classes are already tabled, so building its code is one
-//! concatenation of cached child codes. The table is sharded behind
-//! mutexes like the interner so parallel bulk workers share one set of
-//! shapes; unlike the interner it is **not** process-global — callers
-//! scope a table to one ingest pipeline (e.g. a `SignatureFactory` in
-//! `ned-core`) so long-lived churn cannot grow an unbounded side table.
+//! Classes are tabled bottom-up by the extraction hot path
+//! ([`ShapeTable::ensure`]), which records only a class's sorted
+//! children multiset: by the time a class is first seen, all of its
+//! children classes are already tabled. Its code and child order are
+//! built on the class's first [`ShapeTable::get`] — the first
+//! [`ShapeTable::expand`] that reaches it — as one concatenation of the
+//! children's (likewise lazily built) codes. So a pass that only needs
+//! root classes, such as seeding an incremental maintainer's change
+//! detector over every node of a graph, interns and tables without
+//! building a single code. The table is sharded behind mutexes like the
+//! interner so parallel bulk workers share one set of shapes; unlike the
+//! interner it is **not** process-global — callers scope a table to one
+//! ingest pipeline (e.g. a `SignatureFactory` in `ned-core`) so
+//! long-lived churn cannot grow an unbounded side table.
 
 use crate::{SignatureInterner, Tree};
 use std::collections::HashMap;
@@ -49,10 +55,17 @@ pub struct ShapeEntry {
     pub kids_by_code: Arc<[u32]>,
 }
 
+/// One tabled class: its children multiset as interned until something
+/// asks for its entry, then the entry.
+enum Slot {
+    Tabled(Arc<[u32]>),
+    Built(ShapeEntry),
+}
+
 /// Canonical shape dictionary over [`SignatureInterner`] class ids. See
 /// the [module docs](self).
 pub struct ShapeTable {
-    shards: [Mutex<HashMap<u32, ShapeEntry>>; SHARDS],
+    shards: [Mutex<HashMap<u32, Slot>>; SHARDS],
 }
 
 impl Default for ShapeTable {
@@ -68,14 +81,12 @@ impl ShapeTable {
         let table = ShapeTable {
             shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
         };
-        let leaf = ShapeEntry {
+        let leaf = Slot::Built(ShapeEntry {
             code: Arc::from(*b"()"),
             kids_by_code: Arc::from([]),
-        };
-        table.shards[Self::shard_of(SignatureInterner::global().empty_id())]
-            .lock()
-            .expect("shape shard poisoned")
-            .insert(SignatureInterner::global().empty_id(), leaf);
+        });
+        let empty = SignatureInterner::global().empty_id();
+        table.shard(empty).insert(empty, leaf);
         table
     }
 
@@ -84,56 +95,39 @@ impl ShapeTable {
         (u64::from(class).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60) as usize % SHARDS
     }
 
-    /// The cached entry of `class`, if tabled.
-    pub fn get(&self, class: u32) -> Option<ShapeEntry> {
+    fn shard(&self, class: u32) -> std::sync::MutexGuard<'_, HashMap<u32, Slot>> {
         self.shards[Self::shard_of(class)]
             .lock()
             .expect("shape shard poisoned")
-            .get(&class)
-            .cloned()
     }
 
-    /// Number of tabled classes.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shape shard poisoned").len())
-            .sum()
-    }
-
-    /// `true` when only the pre-seeded leaf class is tabled.
-    pub fn is_empty(&self) -> bool {
-        self.len() <= 1
-    }
-
-    /// Tables `class` (whose sorted children multiset is `kids`, as
-    /// passed to [`SignatureInterner::intern`]) unless already present,
-    /// and returns its entry.
-    ///
-    /// **Bottom-up discipline:** every class in `kids` must already be
-    /// tabled — which is automatic when callers intern subtrees bottom-up
-    /// (children before parents), the only order the interner supports
-    /// anyway.
+    /// The entry of `class`, if tabled — building its code and child
+    /// order (and those of any descendant not yet built) on first call.
     ///
     /// # Panics
-    /// Panics if a child class is missing (a bottom-up discipline bug).
-    pub fn ensure(&self, class: u32, kids: &[u32]) -> ShapeEntry {
-        if let Some(entry) = self.get(class) {
-            return entry;
+    /// Panics if a child class of a tabled class is missing (a bottom-up
+    /// discipline bug in whoever tabled it).
+    pub fn get(&self, class: u32) -> Option<ShapeEntry> {
+        let kids = match self.shard(class).get(&class)? {
+            Slot::Built(entry) => return Some(entry.clone()),
+            Slot::Tabled(kids) => Arc::clone(kids),
+        };
+        // Children live in arbitrary shards: build outside this class's
+        // shard lock (nested locking could deadlock against a sibling
+        // worker). Equal kids are adjacent in the sorted multiset, so each
+        // distinct child is looked up once.
+        let mut ordered: Vec<(Arc<[u8]>, u32)> = Vec::with_capacity(kids.len());
+        for (i, &kid) in kids.iter().enumerate() {
+            let code = match i.checked_sub(1) {
+                Some(prev) if kids[prev] == kid => Arc::clone(&ordered[prev].0),
+                _ => {
+                    self.get(kid)
+                        .unwrap_or_else(|| panic!("child class {kid} not tabled before its parent"))
+                        .code
+                }
+            };
+            ordered.push((code, kid));
         }
-        // Gather child codes outside this class's shard lock (children
-        // live in arbitrary shards; nested locking in class order could
-        // deadlock against a sibling worker).
-        let kid_codes: Vec<(Arc<[u8]>, u32)> = kids
-            .iter()
-            .map(|&kid| {
-                let e = self
-                    .get(kid)
-                    .unwrap_or_else(|| panic!("child class {kid} not tabled before its parent"));
-                (e.code, kid)
-            })
-            .collect();
-        let mut ordered = kid_codes;
         // Ascending code order — `canonical_code` sorts child codes and
         // `canonical_form` sorts children by code; ties (equal codes =
         // isomorphic subtrees) expand identically, so any tie order
@@ -149,12 +143,43 @@ impl ShapeTable {
             code: Arc::from(code),
             kids_by_code: ordered.iter().map(|&(_, k)| k).collect(),
         };
-        let mut shard = self.shards[Self::shard_of(class)]
-            .lock()
-            .expect("shape shard poisoned");
-        // A racing worker may have tabled the class meanwhile; both
-        // computed identical entries, so first-in wins arbitrarily.
-        shard.entry(class).or_insert(entry).clone()
+        // A racing reader may have built the entry meanwhile; both built
+        // identical entries, so first-in wins arbitrarily.
+        let mut shard = self.shard(class);
+        let slot = shard.get_mut(&class).expect("tabled classes stay tabled");
+        if let Slot::Built(built) = slot {
+            return Some(built.clone());
+        }
+        *slot = Slot::Built(entry.clone());
+        Some(entry)
+    }
+
+    /// Number of tabled classes.
+    pub fn len(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.lock().expect("shape shard poisoned").len())
+            .sum()
+    }
+
+    /// `true` when only the pre-seeded leaf class is tabled.
+    pub fn is_empty(&self) -> bool {
+        self.len() <= 1
+    }
+
+    /// Tables `class`, whose sorted children multiset is `kids` (as
+    /// passed to [`SignatureInterner::intern`]), unless already present.
+    /// Records the multiset only: the code is built on the class's first
+    /// [`ShapeTable::get`].
+    ///
+    /// **Bottom-up discipline:** every class in `kids` must already be
+    /// tabled — which is automatic when callers intern subtrees bottom-up
+    /// (children before parents), the only order the interner supports
+    /// anyway. A missing child panics when the class's entry is built.
+    pub fn ensure(&self, class: u32, kids: &[u32]) {
+        self.shard(class)
+            .entry(class)
+            .or_insert_with(|| Slot::Tabled(Arc::from(kids)));
     }
 
     /// Reconstructs the canonical tree of `class` by pure table
@@ -285,6 +310,39 @@ mod tests {
             let fresh = SignatureInterner::global().subtree_ids(&canonical);
             assert_eq!(classes, fresh);
         }
+    }
+
+    #[test]
+    fn codes_are_built_on_first_get_only() {
+        let table = ShapeTable::new();
+        let mut rng = SmallRng::seed_from_u64(34);
+        let t = generate::random_bounded_depth_tree(40, 4, &mut rng);
+        let root = intern_and_table(&t, &table);
+        let built = |table: &ShapeTable| -> usize {
+            table
+                .shards
+                .iter()
+                .map(|s| {
+                    s.lock()
+                        .unwrap()
+                        .values()
+                        .filter(|slot| matches!(slot, Slot::Built(_)))
+                        .count()
+                })
+                .sum()
+        };
+        assert_eq!(built(&table), 1, "ensure built a code beyond the leaf's");
+        let (expanded, _) = table.expand(root);
+        assert_eq!(expanded, ahu::canonical_form(&t));
+        assert_eq!(
+            built(&table),
+            table.len(),
+            "expansion builds every class it reaches"
+        );
+        assert_eq!(
+            &table.get(root).unwrap().code[..],
+            &ahu::canonical_code(&t)[..]
+        );
     }
 
     #[test]

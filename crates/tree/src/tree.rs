@@ -44,8 +44,62 @@ impl Tree {
     /// with `parents[root] == root`. Node ids are re-assigned into BFS
     /// order; use [`Tree::from_parents_with_mapping`] if the original ids
     /// matter.
+    ///
+    /// An array that is already in BFS order — `parents[0] == 0` and, for
+    /// `v ≥ 1`, `parents[v] < v` with `parents` non-decreasing, which is
+    /// how every stored tree is written — is taken as it is, with no
+    /// relabel: the relabel would be the identity. Any other array takes
+    /// the relabeling path, so the result and every [`TreeError`] are the
+    /// same either way.
     pub fn from_parents(parents: &[NodeId]) -> Result<Self, TreeError> {
-        Self::from_parents_with_mapping(parents).map(|(t, _)| t)
+        match Self::from_bfs_parents(parents) {
+            Some(tree) => Ok(tree),
+            None => Self::from_parents_with_mapping(parents).map(|(t, _)| t),
+        }
+    }
+
+    /// The tree of a BFS-ordered parent array (see [`Tree::from_parents`]),
+    /// or `None` if `parents` is not one. One pass derives both offset
+    /// arrays: non-decreasing parents make every node's children, and
+    /// every level, a contiguous id run.
+    fn from_bfs_parents(parents: &[NodeId]) -> Option<Self> {
+        let n = parents.len();
+        if n == 0 || parents[0] != 0 {
+            return None;
+        }
+        let mut prev = 0;
+        for (v, &p) in parents.iter().enumerate().skip(1) {
+            if p < prev || p as usize >= v {
+                return None;
+            }
+            prev = p;
+        }
+        // Children of `p` are the ids `v ≥ 1` with `parents[v] == p`.
+        let mut child_offsets = Vec::with_capacity(n + 1);
+        let mut c = 1usize;
+        for p in 0..=n {
+            while c < n && (parents[c] as usize) < p {
+                c += 1;
+            }
+            child_offsets.push(c);
+        }
+        // The level after one ending at `end` is the run of ids whose
+        // parent lies below `end`; it is never empty while ids remain,
+        // since `parents[end] < end`.
+        let mut level_offsets = vec![0, 1];
+        let mut v = 1usize;
+        while v < n {
+            let end = v;
+            while v < n && (parents[v] as usize) < end {
+                v += 1;
+            }
+            level_offsets.push(v);
+        }
+        Some(Tree::from_bfs_parts(
+            parents.to_vec(),
+            child_offsets,
+            level_offsets,
+        ))
     }
 
     /// Like [`Tree::from_parents`] but also returns `mapping` where
@@ -190,6 +244,14 @@ impl Tree {
             tree.check_invariants()
         );
         tree
+    }
+
+    /// The parent array in BFS order: `parents()[v]` is the parent of
+    /// `v` (`parents()[0] == 0` for the root), the form
+    /// [`Tree::from_parents`] takes back without a relabel.
+    #[inline]
+    pub fn parents(&self) -> &[NodeId] {
+        &self.parent
     }
 
     /// Number of nodes.
@@ -492,6 +554,59 @@ mod tests {
             Tree::from_parents(&[1, 0]),
             Err(TreeError::NoRoot)
         ));
+    }
+
+    /// `from_parents` as it was before BFS-ordered arrays skipped the
+    /// relabel: always through the mapping builder.
+    fn relabeled(parents: &[NodeId]) -> Result<Tree, TreeError> {
+        Tree::from_parents_with_mapping(parents).map(|(t, _)| t)
+    }
+
+    #[test]
+    fn bfs_ordered_arrays_build_the_relabeled_tree() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0xBF5);
+        for _ in 0..300 {
+            // Non-decreasing parents, each below its child: BFS order.
+            let n = rng.gen_range(1..40usize);
+            let mut parents = vec![0u32];
+            for v in 1..n as u32 {
+                let last = *parents.last().unwrap();
+                let p = if rng.gen_bool(0.6) {
+                    last
+                } else {
+                    rng.gen_range(last..v)
+                };
+                parents.push(p);
+            }
+            let fast = Tree::from_parents(&parents).unwrap();
+            assert_eq!(fast, relabeled(&parents).unwrap(), "{parents:?}");
+            assert_eq!(fast.parents(), &parents[..]);
+            fast.check_invariants().unwrap();
+            // Arbitrary arrays (relabel path) agree with themselves too.
+            let shuffled: Vec<u32> = (0..n as u32)
+                .map(|v| if v == 0 { 0 } else { rng.gen_range(0..v) })
+                .collect();
+            assert_eq!(Tree::from_parents(&shuffled), relabeled(&shuffled));
+        }
+    }
+
+    #[test]
+    fn bfs_looking_arrays_keep_their_errors() {
+        for parents in [
+            &[0u32, 0, 9][..], // out-of-range parent
+            &[0, 0, 2],        // a second root
+            &[0, 0, 1, 3],     // a second root further down
+            &[0, 2, 1],        // unreachable nodes (a 2-cycle)
+            &[0, 0, 3, 2],     // unreachable, parents not below children
+            &[1, 0],           // no root
+            &[],               // empty
+        ] {
+            let got = Tree::from_parents(parents);
+            assert!(got.is_err(), "{parents:?} accepted");
+            assert_eq!(got, relabeled(parents), "{parents:?}");
+        }
     }
 
     #[test]
