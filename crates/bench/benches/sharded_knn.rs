@@ -6,7 +6,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ned_bench::util::ClassicSignatureMetric;
 use ned_core::{signatures, NodeSignature, TedMemo};
 use ned_graph::generators;
-use ned_index::{ShardedVpForest, SignatureIndex, SignatureMetric};
+use ned_index::SignatureIndex;
+use ned_metric_index::{ShardedVpForest, SignatureMetric};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ned_core::{signatures, NodeSignature};
 use ned_datasets::Dataset;
-use ned_index::{linear_knn, FnMetric, VpTree};
+use ned_metric_index::{linear_knn, FnMetric, VpTree};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -59,12 +59,13 @@ fn bench_index_alternatives(c: &mut Criterion) {
     group.sample_size(10);
     let (tree, queries) = setup(800);
     let metric = FnMetric(|a: &NodeSignature, b: &NodeSignature| a.distance(b) as f64);
-    let int_metric = ned_index::IntFnMetric(|a: &NodeSignature, b: &NodeSignature| a.distance(b));
-    let bounded = ned_index::FnBoundedMetric(
+    let int_metric =
+        ned_metric_index::IntFnMetric(|a: &NodeSignature, b: &NodeSignature| a.distance(b));
+    let bounded = ned_metric_index::FnBoundedMetric(
         |a: &NodeSignature, b: &NodeSignature| a.distance(b) as f64,
         |a: &NodeSignature, b: &NodeSignature| a.distance_lower_bound(b) as f64,
     );
-    let bk = ned_index::BkTree::build(tree.items().to_vec(), &int_metric);
+    let bk = ned_metric_index::BkTree::build(tree.items().to_vec(), &int_metric);
     group.bench_function("vptree_5nn", |bencher| {
         let mut i = 0usize;
         bencher.iter(|| {
@@ -83,7 +84,7 @@ fn bench_index_alternatives(c: &mut Criterion) {
         let mut i = 0usize;
         bencher.iter(|| {
             i = (i + 1) % queries.len();
-            ned_index::filter_refine_knn(tree.items(), &bounded, &queries[i], 5)
+            ned_metric_index::filter_refine_knn(tree.items(), &bounded, &queries[i], 5)
         });
     });
     group.finish();

@@ -1091,7 +1091,7 @@ fn cmd_crash(raw: &[String]) -> Result<(), String> {
 // ---------------------------------------------------------------------------
 
 /// `(id, distance-bits)` pairs — exact hit comparison, no float tolerance.
-fn exact_key(hits: &[ned_index::ForestHit]) -> Vec<(u64, u64)> {
+fn exact_key(hits: &[ned_core::WireHit]) -> Vec<(u64, u64)> {
     hits.iter().map(|h| (h.id, h.distance.to_bits())).collect()
 }
 

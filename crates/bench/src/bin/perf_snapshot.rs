@@ -81,10 +81,9 @@ use ned_core::{ned_with_extractors, ted_star, KernelProfile, PreparedTree, TedMe
 use ned_graph::bfs::TreeExtractor;
 use ned_graph::generators;
 use ned_index::sketch::order_by_bound;
-use ned_index::{
-    ConcurrentNedIndex, FnMetric, ShardedVpForest, SignatureIndex, SignatureMetric, VpTree,
-};
+use ned_index::{ConcurrentNedIndex, SignatureIndex};
 use ned_matching::{collapsed_hungarian, hungarian, CostMatrix};
+use ned_metric_index::{FnMetric, ShardedVpForest, SignatureMetric, VpTree};
 use ned_tree::Tree;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

@@ -38,7 +38,7 @@ pub fn run(cfg: &ExpConfig) -> String {
 /// with per-query exact-distance-call accounting.
 pub fn index_ablation(cfg: &ExpConfig) -> String {
     use ned_core::{signatures, NodeSignature};
-    use ned_index::{
+    use ned_metric_index::{
         filter_refine_knn, linear_knn, BkTree, CountingMetric, FnBoundedMetric, FnMetric,
         IntFnMetric, VpTree,
     };

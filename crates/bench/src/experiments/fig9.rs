@@ -11,7 +11,7 @@ use ned_baselines::features::{l1_distance, refex_node_features, RefexFeatures};
 use ned_baselines::hits::{hits_distance, HitsConfig};
 use ned_core::{signatures, NodeSignature};
 use ned_datasets::Dataset;
-use ned_index::{linear_knn, FnMetric, VpTree};
+use ned_metric_index::{linear_knn, FnMetric, VpTree};
 use std::time::Duration;
 
 /// Runs both panels.
@@ -156,7 +156,7 @@ pub fn fig9b(cfg: &ExpConfig) -> String {
         // --- NED on a VP-tree ---
         let db_sigs = signatures(&g, &db_nodes, k);
         let metric = FnMetric(|a: &NodeSignature, b: &NodeSignature| a.distance(b) as f64);
-        let counting = ned_index::CountingMetric::new(&metric);
+        let counting = ned_metric_index::CountingMetric::new(&metric);
         let tree = VpTree::build(db_sigs.clone(), &counting, &mut rng);
         counting.reset();
         let query_sigs = signatures(&g, &query_nodes, k);

@@ -4,7 +4,7 @@
 
 use crate::frozen::{ted_star_prepared_report, TedStarConfig};
 use ned_core::NodeSignature;
-use ned_index::{BoundedMetric, Metric};
+use ned_metric_index::{BoundedMetric, Metric};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 /// arena, no cross-pair memo, no budget threading (`distance_within`
 /// stays on the trait's compute-then-filter default). This is the
 /// honest unbounded baseline for benchmarking the bounded kernel:
-/// `ned_index::UnboundedSignatureMetric` only disables the budget, but
+/// `ned_metric_index::UnboundedSignatureMetric` only disables the budget, but
 /// still routes through the memoized kernel, so it cannot serve as a
 /// compute-cost baseline once the memo is warm.
 #[derive(Debug, Clone, Copy, Default)]

@@ -455,13 +455,14 @@ impl FromStr for Request {
     }
 }
 
-/// One query hit on the wire: `hit id=<id> ned=<distance>`.
+/// One query hit, as every index query returns it and as the wire
+/// carries it: `hit id=<id> ned=<distance>`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WireHit {
     /// The indexed signature's stable id.
     pub id: u64,
     /// Exact NED distance to the query. Integral in practice (TED\* is),
-    /// carried as `f64` to match the index's hit type bit-for-bit.
+    /// carried as `f64`, which holds every `u64` below `2^53` exactly.
     pub distance: f64,
 }
 

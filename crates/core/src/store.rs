@@ -463,20 +463,28 @@ impl<'a> Reader<'a> {
     /// positioned just past the magic. The checksum footer is excluded
     /// from the readable range.
     pub fn open(bytes: &'a [u8], magic: &[u8; 8]) -> Result<Self, CodecError> {
+        let r = Self::framed(bytes, magic)?;
+        let footer = &bytes[r.buf.len()..];
+        let found = u64::from_le_bytes(footer.try_into().expect("8-byte footer"));
+        let expected = fnv1a64(r.buf);
+        if expected != found {
+            return Err(CodecError::ChecksumMismatch { expected, found });
+        }
+        Ok(r)
+    }
+
+    /// [`Reader::open`] without the checksum pass: checks the length and
+    /// the magic only, for bytes a containing file's checksum covered.
+    fn framed(bytes: &'a [u8], magic: &[u8; 8]) -> Result<Self, CodecError> {
         if bytes.len() < magic.len() + 8 {
             return Err(CodecError::Truncated {
                 needed: magic.len() + 8,
                 available: bytes.len(),
             });
         }
-        let (content, footer) = bytes.split_at(bytes.len() - 8);
+        let content = &bytes[..bytes.len() - 8];
         if &content[..magic.len()] != magic {
             return Err(CodecError::BadMagic);
-        }
-        let found = u64::from_le_bytes(footer.try_into().expect("8-byte footer"));
-        let expected = fnv1a64(content);
-        if expected != found {
-            return Err(CodecError::ChecksumMismatch { expected, found });
         }
         Ok(Reader {
             buf: content,
@@ -693,7 +701,17 @@ pub fn extend_parents_le(buf: &mut Vec<u8>, tree: &Tree) {
 /// A record in any other valid layout is relabeled and canonicalized,
 /// and decodes to the same signature.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, CodecError> {
-    let mut r = Reader::open(bytes, &SNAPSHOT_MAGIC)?;
+    decode_snapshot_from(Reader::open(bytes, &SNAPSHOT_MAGIC)?)
+}
+
+/// [`decode_snapshot`] of a block nested in a file whose own checksum
+/// already covered it (NEDIDX): magic, version and lengths are checked,
+/// but the bytes are not hashed a second time.
+pub fn decode_nested_snapshot(bytes: &[u8]) -> Result<Snapshot, CodecError> {
+    decode_snapshot_from(Reader::framed(bytes, &SNAPSHOT_MAGIC)?)
+}
+
+fn decode_snapshot_from(mut r: Reader<'_>) -> Result<Snapshot, CodecError> {
     let version = r.u32()?;
     if version != SNAPSHOT_VERSION {
         return Err(CodecError::UnsupportedVersion(version));

@@ -60,10 +60,9 @@
 //! superseded snapshot is freed on the writer too (above), so a batch's
 //! frees land on the write path, never on a reader.
 
-use crate::forest::ForestHit;
 use crate::signatures::SignatureIndex;
 use ned_core::wal::WalWriter;
-use ned_core::NodeSignature;
+use ned_core::{NodeSignature, WireHit};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
@@ -196,12 +195,12 @@ impl IndexReader {
     /// [`SignatureIndex::query`]); concurrent serving gets its
     /// parallelism from many reader threads, so servers should pass `1`
     /// here and let requests, not shards, occupy the cores.
-    pub fn knn(&self, sig: &NodeSignature, top: usize, threads: usize) -> Vec<ForestHit> {
+    pub fn knn(&self, sig: &NodeSignature, top: usize, threads: usize) -> Vec<WireHit> {
         self.snapshot().query(sig, top, threads)
     }
 
     /// Every indexed signature within `radius` in the current snapshot.
-    pub fn range(&self, sig: &NodeSignature, radius: u64, threads: usize) -> Vec<ForestHit> {
+    pub fn range(&self, sig: &NodeSignature, radius: u64, threads: usize) -> Vec<WireHit> {
         self.snapshot().range(sig, radius, threads)
     }
 }

@@ -10,9 +10,9 @@
 //! merge through one bounded `(distance, id)` heap — with the shared
 //! distance budget pushed down per shard as `sig ... within=<b>`, which
 //! tightens as shard replies land. Because per-shard results are computed
-//! by the same index code at the same `k`, and the merge orders exactly
-//! like [`sort_hits`](crate::forest::ForestHit) (distance, then id, ties
-//! kept by the **inclusive** budget), a fleet answer is bit-identical to
+//! by the same index code at the same `k`, and the merge is the same
+//! `(distance, id)` top-k the sketch bank's knn runs on (ties kept by
+//! the **inclusive** budget), a fleet answer is bit-identical to
 //! a single-process index holding all the entries — the property the
 //! `fleet.rs` integration tests pin.
 //!
@@ -76,12 +76,12 @@
 //! read is only accepted from a replica at or past the acked epoch.
 
 use crate::concurrent::WriteOp;
-use crate::forest::ForestHit;
 use crate::maintain::GraphMaintainer;
 use crate::server::{Dispatch, WireClient};
+use crate::topk::{sort_hits, TopK};
 use ned_core::{Request, Response, ServerError, WireHit};
 use ned_graph::{io as graph_io, Graph, GraphDelta, NodeId};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -440,7 +440,7 @@ impl Fleet {
 pub struct FleetHits {
     /// Hits sorted by `(distance, id)`, exactly as a single-process
     /// index would return them.
-    pub hits: Vec<ForestHit>,
+    pub hits: Vec<WireHit>,
     /// `epochs[i]` = publication epoch of shard `i`'s answering snapshot.
     pub epochs: Vec<u64>,
 }
@@ -748,7 +748,7 @@ impl ShardRouter {
         // encodes "no budget") and tightens monotonically as shard
         // replies fill the merge heap.
         let budget = AtomicU64::new(within.unwrap_or(u64::MAX));
-        let merge = Mutex::new(BoundedMerge::new(top));
+        let merge = Mutex::new(TopK::new(top));
         let epochs = Mutex::new(vec![0u64; self.fleet.shards.len()]);
         let results: Vec<Result<(), ServerError>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..self.fleet.shards.len())
@@ -793,7 +793,7 @@ impl ShardRouter {
             hits: merge
                 .into_inner()
                 .unwrap_or_else(|p| p.into_inner())
-                .into_sorted_hits(),
+                .into_sorted(),
             epochs: epochs.into_inner().unwrap_or_else(|p| p.into_inner()),
         })
     }
@@ -826,21 +826,14 @@ impl ShardRouter {
                 .map(|h| h.join().expect("scatter worker panicked"))
                 .collect()
         });
-        let mut hits: Vec<ForestHit> = Vec::new();
+        let mut hits: Vec<WireHit> = Vec::new();
         let mut epochs = Vec::with_capacity(self.fleet.shards.len());
         for r in results {
             let (epoch, shard_hits) = r?;
             epochs.push(epoch);
-            hits.extend(shard_hits.into_iter().map(|h| ForestHit {
-                id: h.id,
-                distance: h.distance,
-            }));
+            hits.extend(shard_hits);
         }
-        hits.sort_by(|a, b| {
-            a.distance
-                .total_cmp(&b.distance)
-                .then_with(|| a.id.cmp(&b.id))
-        });
+        sort_hits(&mut hits);
         Ok(FleetHits { hits, epochs })
     }
 
@@ -1177,90 +1170,6 @@ impl std::fmt::Debug for ShardRouter {
     }
 }
 
-/// A bounded `(distance, id)` merge: keeps the `cap` globally smallest
-/// hits, exactly the order [`crate::forest::ShardedVpForest`] sorts by —
-/// max-heap rooted at the current worst kept hit, so the eviction bound
-/// is O(1) to read and tightens the shared scatter budget.
-struct BoundedMerge {
-    cap: usize,
-    heap: BinaryHeap<MergeEntry>,
-}
-
-impl BoundedMerge {
-    fn new(cap: usize) -> BoundedMerge {
-        BoundedMerge {
-            cap,
-            heap: BinaryHeap::with_capacity(cap.saturating_add(1)),
-        }
-    }
-
-    fn push(&mut self, hit: WireHit) {
-        if self.cap == 0 {
-            return;
-        }
-        let entry = MergeEntry(hit);
-        if self.heap.len() < self.cap {
-            self.heap.push(entry);
-        } else if let Some(worst) = self.heap.peek() {
-            if entry < *worst {
-                self.heap.pop();
-                self.heap.push(entry);
-            }
-        }
-    }
-
-    /// The inclusive distance budget proven so far: once the heap is
-    /// full, no hit with distance strictly above the worst kept distance
-    /// can enter — ties still can (smaller id wins), hence *inclusive*.
-    /// Distances are integral (NED is a u64 carried as f64), so the cast
-    /// is exact.
-    fn bound(&self) -> Option<u64> {
-        if self.heap.len() == self.cap {
-            self.heap.peek().map(|worst| worst.0.distance as u64)
-        } else {
-            None
-        }
-    }
-
-    fn into_sorted_hits(self) -> Vec<ForestHit> {
-        self.heap
-            .into_sorted_vec()
-            .into_iter()
-            .map(|e| ForestHit {
-                id: e.0.id,
-                distance: e.0.distance,
-            })
-            .collect()
-    }
-}
-
-/// Heap ordering: by `(distance, id)` ascending, so the heap max is the
-/// worst kept hit. Distances are never NaN (`total_cmp` for rigor).
-struct MergeEntry(WireHit);
-
-impl PartialEq for MergeEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-
-impl Eq for MergeEntry {}
-
-impl PartialOrd for MergeEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for MergeEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0
-            .distance
-            .total_cmp(&other.0.distance)
-            .then_with(|| self.0.id.cmp(&other.0.id))
-    }
-}
-
 /// The router's TCP front-end: speaks the **same** framed protocol and
 /// reply grammar as a single [`NedServer`](crate::server::NedServer), so
 /// every existing client ([`WireClient`], `loadgen`, the CLI REPL) works
@@ -1565,14 +1474,7 @@ fn fleet_hits_response(fleet: FleetHits) -> Response {
         // One scalar for the wire: the sum of per-shard epochs, monotone
         // under acked writes.
         epoch: fleet.epochs.iter().sum(),
-        hits: fleet
-            .hits
-            .iter()
-            .map(|h| WireHit {
-                id: h.id,
-                distance: h.distance,
-            })
-            .collect(),
+        hits: fleet.hits,
     }
 }
 
@@ -1616,39 +1518,5 @@ mod tests {
         assert!(ShardMap::new(vec![]).is_err());
         assert!(ShardMap::new(vec![1]).is_err());
         assert!(ShardMap::new(vec![0, 5, 3]).is_err());
-    }
-
-    #[test]
-    fn bounded_merge_keeps_global_order_and_bound() {
-        let mut m = BoundedMerge::new(3);
-        assert_eq!(m.bound(), None, "not full yet");
-        for (id, d) in [(7u64, 4.0), (1, 2.0), (9, 2.0), (3, 0.0), (5, 6.0)] {
-            m.push(WireHit { id, distance: d });
-        }
-        assert_eq!(m.bound(), Some(2));
-        let hits = m.into_sorted_hits();
-        let got: Vec<(u64, f64)> = hits.iter().map(|h| (h.id, h.distance)).collect();
-        // Ties at distance 2 break by id: 1 then 9.
-        assert_eq!(got, vec![(3, 0.0), (1, 2.0), (9, 2.0)]);
-    }
-
-    #[test]
-    fn bounded_merge_evicts_on_id_ties_too() {
-        let mut m = BoundedMerge::new(2);
-        m.push(WireHit {
-            id: 8,
-            distance: 5.0,
-        });
-        m.push(WireHit {
-            id: 9,
-            distance: 5.0,
-        });
-        // Same distance, smaller id: must displace id 9.
-        m.push(WireHit {
-            id: 2,
-            distance: 5.0,
-        });
-        let got: Vec<u64> = m.into_sorted_hits().iter().map(|h| h.id).collect();
-        assert_eq!(got, vec![2, 8]);
     }
 }

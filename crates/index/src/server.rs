@@ -97,10 +97,9 @@
 
 use crate::concurrent::{IndexReader, IndexWriter, WriteOp, WriteOutcome};
 use crate::durable::DurableIndex;
-use crate::forest::ForestHit;
 use crate::maintain::GraphMaintainer;
 use crate::signatures::SignatureIndex;
-use ned_core::proto::{Request, Response, ServerError, WireHit};
+use ned_core::proto::{Request, Response, ServerError};
 use ned_core::{wire, NodeSignature, PreparedTree, TedMemo, WorkerPool};
 use ned_graph::{io as graph_io, Graph, GraphDelta, NodeId};
 use std::collections::HashMap;
@@ -727,12 +726,18 @@ impl NedServer {
             Request::Query { path, node, top } => {
                 let sig = self.extract(path, *node)?;
                 let (snap, epoch) = self.reader().snapshot_with_epoch();
-                hits_response(epoch, &snap.query(&sig, *top, self.query_threads))
+                Response::Hits {
+                    epoch,
+                    hits: snap.query(&sig, *top, self.query_threads),
+                }
             }
             Request::Range { path, node, radius } => {
                 let sig = self.extract(path, *node)?;
                 let (snap, epoch) = self.reader().snapshot_with_epoch();
-                hits_response(epoch, &snap.range(&sig, *radius, self.query_threads))
+                Response::Hits {
+                    epoch,
+                    hits: snap.range(&sig, *radius, self.query_threads),
+                }
             }
             Request::Sig { shape, top, within } => {
                 let sig = parse_sig(shape)?;
@@ -750,12 +755,15 @@ impl NedServer {
                     }
                     None => snap.query(&sig, *top, self.query_threads),
                 };
-                hits_response(epoch, &hits)
+                Response::Hits { epoch, hits }
             }
             Request::RangeSig { shape, radius } => {
                 let sig = parse_sig(shape)?;
                 let (snap, epoch) = self.reader().snapshot_with_epoch();
-                hits_response(epoch, &snap.range(&sig, *radius, self.query_threads))
+                Response::Hits {
+                    epoch,
+                    hits: snap.range(&sig, *radius, self.query_threads),
+                }
             }
             Request::Add { path, node } => {
                 let sig = self.extract(path, *node)?;
@@ -1090,20 +1098,6 @@ fn parse_sig(shape: &str) -> Result<NodeSignature, ServerError> {
         0,
         PreparedTree::from_tree(tree),
     ))
-}
-
-/// Renders index hits into the epoch-tagged wire response.
-fn hits_response(epoch: u64, hits: &[ForestHit]) -> Response {
-    Response::Hits {
-        epoch,
-        hits: hits
-            .iter()
-            .map(|h| WireHit {
-                id: h.id,
-                distance: h.distance,
-            })
-            .collect(),
-    }
 }
 
 const HELP_BODY: &str = "commands:\n\

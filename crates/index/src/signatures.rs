@@ -12,10 +12,10 @@
 //!
 //! Queries scan the bank's quantized per-level feature vectors for a
 //! provable lower bound on NED and refine the survivors, in ascending
-//! bound order, with the budgeted TED\* kernel through
-//! [`SignatureMetric`] (see [`crate::sketch`]). [`SketchMode`] picks the
-//! bound: `Exact` (the default) never drops a true neighbor, `Approx`
-//! prunes harder with measured recall. Files written with the retired
+//! bound order, with the budgeted TED\* kernel
+//! ([`NodeSignature::distance_within`], see [`crate::sketch`]).
+//! [`SketchMode`] picks the bound: `Exact` (the default) never drops a
+//! true neighbor, `Approx` prunes harder with measured recall. Files written with the retired
 //! `off` mode load as `Exact`, which it routed like.
 //! [`SignatureIndex::scan`] is the exhaustive reference every mode is
 //! tested against.
@@ -27,69 +27,14 @@
 //! Version-3 index files persist the bank next to the signature
 //! snapshot; older files load fine and rebuild it on the way in.
 
-use crate::forest::{sort_hits, ForestHit};
 use crate::sketch::{self, SketchBank, SketchMode, SketchStats};
-use crate::{BoundedMetric, Metric};
+use crate::topk::sort_hits;
 use ned_core::store::{self, CodecError, Reader, Writer};
-use ned_core::NodeSignature;
+use ned_core::{NodeSignature, WireHit};
 use ned_graph::{Graph, NodeId};
 use std::fs::File;
 use std::io::{self, Read as _};
 use std::path::Path;
-
-/// NED over node signatures as a [`BoundedMetric`]: exact distances are
-/// `TED*` (a true metric, hence VP-tree-safe), the lower bound is
-/// [`NodeSignature::distance_lower_bound`], and budgeted calls run the
-/// early-abandoning kernel (`ned_core::ted_star_prepared_within`) — so
-/// a query's pruning radius (the sketch bank's refine loop, or a
-/// [`crate::ShardedVpForest`]'s shared bound) cuts computations short
-/// *inside* the level sweep, not just between candidates. `u64`
-/// distances are exact in `f64` far beyond any real tree size
-/// (`< 2^53`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SignatureMetric;
-
-impl Metric<NodeSignature> for SignatureMetric {
-    fn distance(&self, a: &NodeSignature, b: &NodeSignature) -> f64 {
-        a.distance(b) as f64
-    }
-}
-
-impl BoundedMetric<NodeSignature> for SignatureMetric {
-    fn lower_bound(&self, a: &NodeSignature, b: &NodeSignature) -> f64 {
-        a.distance_lower_bound(b) as f64
-    }
-
-    fn distance_within(&self, a: &NodeSignature, b: &NodeSignature, budget: f64) -> Option<f64> {
-        if budget < 0.0 {
-            return None;
-        }
-        // TED* is integral, so flooring the budget changes nothing; the
-        // float→int cast saturates, mapping +∞ to u64::MAX (unlimited).
-        a.distance_within(b, budget as u64).map(|d| d as f64)
-    }
-}
-
-/// [`SignatureMetric`] with the budget plumbing disabled: every exact
-/// call computes the full distance and filters afterwards (the
-/// [`BoundedMetric`] trait default). Same distances, same lower bound,
-/// no early abandoning — the reference the bounded path is
-/// property-tested and benchmarked against. Not a serving configuration.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct UnboundedSignatureMetric;
-
-impl Metric<NodeSignature> for UnboundedSignatureMetric {
-    fn distance(&self, a: &NodeSignature, b: &NodeSignature) -> f64 {
-        SignatureMetric.distance(a, b)
-    }
-}
-
-impl BoundedMetric<NodeSignature> for UnboundedSignatureMetric {
-    fn lower_bound(&self, a: &NodeSignature, b: &NodeSignature) -> f64 {
-        SignatureMetric.lower_bound(a, b)
-    }
-    // distance_within: deliberately the compute-then-filter default.
-}
 
 /// Magic bytes opening a persisted signature index.
 pub const INDEX_MAGIC: [u8; 8] = *b"NEDIDX01";
@@ -329,33 +274,11 @@ impl SignatureIndex {
     /// Extracts and indexes the signatures of `nodes` in `graph`,
     /// returning the id range assigned (`first..first + nodes.len()`,
     /// in node order). Extraction runs through the shared-work bulk
-    /// pipeline ([`ned_core::bulk_signatures`]); use
-    /// [`SignatureIndex::insert_graph_per_node`] for the independent
-    /// per-node fallback.
+    /// pipeline ([`ned_core::bulk_signatures`]).
     pub fn insert_graph(&mut self, graph: &Graph, nodes: &[NodeId]) -> std::ops::Range<u64> {
         let first = self.next_id;
         for sig in ned_core::bulk_signatures(graph, nodes, self.k, 0) {
             self.insert(sig);
-        }
-        first..self.next_id
-    }
-
-    /// The non-bulk fallback of [`SignatureIndex::insert_graph`]: each
-    /// node is extracted and canonicalized independently, but through
-    /// **one** reused [`ned_core::SignatureExtractor`] (one BFS scratch
-    /// arena for the whole batch) instead of a fresh per-node allocation
-    /// of the visited set. Identical signatures and ids; this is also the
-    /// ingest baseline the `ingest/...` benchmarks compare the bulk
-    /// pipeline against.
-    pub fn insert_graph_per_node(
-        &mut self,
-        graph: &Graph,
-        nodes: &[NodeId],
-    ) -> std::ops::Range<u64> {
-        let first = self.next_id;
-        let mut extractor = ned_core::SignatureExtractor::new(graph);
-        for &v in nodes {
-            self.insert(extractor.extract(v, self.k));
         }
         first..self.next_id
     }
@@ -392,27 +315,14 @@ impl SignatureIndex {
     /// provable, so the result is bit-identical to
     /// [`SignatureIndex::scan`]; [`SketchMode::Approx`] prunes by the
     /// sketch estimate (faster, measured rather than guaranteed recall).
-    pub fn query(&self, sig: &NodeSignature, top: usize, threads: usize) -> Vec<ForestHit> {
+    pub fn query(&self, sig: &NodeSignature, top: usize, threads: usize) -> Vec<WireHit> {
         self.bank.knn(sig, top, threads, self.sketch_mode)
-    }
-
-    /// [`SignatureIndex::query`] for a node of a graph (extracts the
-    /// query signature at this index's `k` first).
-    pub fn query_node(
-        &self,
-        graph: &Graph,
-        node: NodeId,
-        top: usize,
-        threads: usize,
-    ) -> Vec<ForestHit> {
-        let sig = NodeSignature::extract(graph, node, self.k);
-        self.query(&sig, top, threads)
     }
 
     /// Every indexed signature within `radius` of `sig`, pruned by the
     /// serving [`SketchMode`]'s bound exactly like
     /// [`SignatureIndex::query`].
-    pub fn range(&self, sig: &NodeSignature, radius: u64, threads: usize) -> Vec<ForestHit> {
+    pub fn range(&self, sig: &NodeSignature, radius: u64, threads: usize) -> Vec<WireHit> {
         self.bank.range(sig, radius, threads, self.sketch_mode)
     }
 
@@ -420,10 +330,10 @@ impl SignatureIndex {
     /// distance to every live signature, sorted by `(distance, id)` and
     /// cut to `top`. No bound, no budget — what every query mode is
     /// tested against.
-    pub fn scan(&self, sig: &NodeSignature, top: usize) -> Vec<ForestHit> {
-        let mut hits: Vec<ForestHit> = self
+    pub fn scan(&self, sig: &NodeSignature, top: usize) -> Vec<WireHit> {
+        let mut hits: Vec<WireHit> = self
             .entries()
-            .map(|(id, other)| ForestHit {
+            .map(|(id, other)| WireHit {
                 id,
                 distance: sig.distance(other) as f64,
             })
@@ -543,7 +453,7 @@ impl SignatureIndex {
         } else {
             SketchMode::default()
         };
-        let snapshot = store::decode_snapshot(r.block()?)?;
+        let snapshot = store::decode_nested_snapshot(r.block()?)?;
         if snapshot.k != k {
             return Err(CodecError::Malformed(format!(
                 "index header says k = {k} but the signature block was built at k = {}",
@@ -804,7 +714,7 @@ mod tests {
         );
         let mut index = SignatureIndex::new(3, 4, 1);
         index.insert_graph(&cycle_a, &cycle_a.nodes().collect::<Vec<_>>());
-        let hits = index.query_node(&cycle_b, 0, 3, 0);
+        let hits = index.query(&NodeSignature::extract(&cycle_b, 0, 3), 3, 0);
         assert!(hits.iter().all(|h| h.distance == 0.0), "{hits:?}");
     }
 
@@ -1089,6 +999,60 @@ mod tests {
         flipped[mid] ^= 0xFF;
         assert!(matches!(
             SignatureIndex::from_bytes(&flipped),
+            Err(CodecError::ChecksumMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn query_breaks_ties_at_the_kth_distance_like_scan() {
+        let shape = |parens: &str| {
+            let tree = ned_tree::serialize::parse(parens).expect("shape");
+            NodeSignature::from_prepared(0, ned_core::PreparedTree::from_tree(tree))
+        };
+        let near = shape("((()()())(()()())(()))");
+        // Both at NED 3 from `near`, but `early`'s sketch bound is below
+        // `late`'s, so the bank refines `early` first although `late` has
+        // the smaller id: only the inclusive k-th-distance budget lets
+        // `late` displace it.
+        let early = shape("((()()()()()())(()())(()))");
+        let late = shape("((()()())(()()))");
+        assert_eq!((near.distance(&early), near.distance(&late)), (3, 3));
+        let q = sketch::Sketch::of(&near);
+        assert!(
+            q.lower_bound(&sketch::Sketch::of(&early)) < q.lower_bound(&sketch::Sketch::of(&late))
+        );
+        let mut index = SignatureIndex::new(3, 4, 1);
+        index.insert_at(8, near.clone());
+        index.insert_at(9, early);
+        index.insert_at(3, late);
+        let got = index.query(&near, 2, 0);
+        assert_eq!(got, index.scan(&near, 2));
+        let got: Vec<(u64, f64)> = got.iter().map(|h| (h.id, h.distance)).collect();
+        assert_eq!(got, [(8, 0.0), (3, 3.0)]);
+    }
+
+    #[test]
+    fn a_flipped_byte_in_the_nested_snapshot_fails_the_file_checksum() {
+        // The nested NEDSNAP1 block is decoded without re-hashing it, so
+        // the file checksum alone must catch damage inside it.
+        let bytes = golden_index().to_bytes();
+        let start = bytes
+            .windows(8)
+            .position(|w| w == store::SNAPSHOT_MAGIC)
+            .expect("nested snapshot block");
+        let len = u32::from_le_bytes(bytes[start - 4..start].try_into().expect("4 bytes"));
+        let block = start..start + len as usize;
+        assert!(store::decode_snapshot(&bytes[block.clone()]).is_ok());
+        let mut flipped = bytes.clone();
+        let mid = block.start + block.len() / 2;
+        flipped[mid] ^= 0x01;
+        assert!(matches!(
+            SignatureIndex::from_bytes(&flipped),
+            Err(CodecError::ChecksumMismatch { .. })
+        ));
+        // Standalone, the block still checks its own checksum.
+        assert!(matches!(
+            store::decode_snapshot(&flipped[block]),
             Err(CodecError::ChecksumMismatch { .. })
         ));
     }

@@ -12,7 +12,7 @@
 //! [`PreparedTree`]s per candidate pair. Survivors are re-ranked by the
 //! budgeted early-abandoning kernel
 //! ([`ned_core::ted_star_prepared_within`] via
-//! [`SignatureMetric::distance_within`]) under the current k-th best
+//! [`NodeSignature::distance_within`]) under the current k-th best
 //! distance. The bank is the whole live set of a
 //! [`crate::SignatureIndex`]: it holds each row's id and signature next
 //! to its lanes.
@@ -96,10 +96,8 @@
 //! [`sketch_lower_bound`] and [`sketch_estimate`] per row; at k = 3 it
 //! reads ~1.8 KB per chunk instead of 9.2 KB.
 
-use crate::forest::{BoundedHeap, ForestHit, SharedBound};
-use crate::signatures::SignatureMetric;
-use crate::BoundedMetric;
-use ned_core::{NodeSignature, PreparedTree};
+use crate::topk::{sort_hits, TopK};
+use ned_core::{NodeSignature, PreparedTree, WireHit};
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::BuildHasher;
@@ -1075,25 +1073,27 @@ impl SketchBank {
         k: usize,
         threads: usize,
         mode: SketchMode,
-    ) -> Vec<ForestHit> {
+    ) -> Vec<WireHit> {
         if k == 0 || self.len == 0 {
             return Vec::new();
         }
         let bounds = self.scan_bounds(query, threads, mode);
-        let shared = SharedBound::unbounded();
-        let mut heap = BoundedHeap::new(k, &shared);
+        let mut top = TopK::new(k);
         let mut refined = 0u64;
         let mut cut = 0u64;
         for (pos, (bound, r)) in order_by_bound(&bounds, |r| self.id_at(r)).enumerate() {
-            let tau = heap.tau();
-            if f64::from(bound) > tau {
+            let tau = top.bound().unwrap_or(u64::MAX);
+            if u64::from(bound) > tau {
                 cut = (bounds.len() - pos) as u64;
                 break;
             }
             let (c, i) = chunk_loc(r as usize);
             let chunk = self.chunk(c);
-            if let Some(d) = SignatureMetric.distance_within(query, &chunk.sigs[i], tau) {
-                heap.offer_id(chunk.ids[i], d);
+            if let Some(d) = query.distance_within(&chunk.sigs[i], tau) {
+                top.push(WireHit {
+                    id: chunk.ids[i],
+                    distance: d as f64,
+                });
             }
             refined += 1;
         }
@@ -1103,7 +1103,7 @@ impl SketchBank {
             .fetch_add(bounds.len() as u64, Ordering::Relaxed);
         self.counters.refined.fetch_add(refined, Ordering::Relaxed);
         self.counters.pruned.fetch_add(cut, Ordering::Relaxed);
-        heap.into_sorted()
+        top.into_sorted()
     }
 
     /// Every row within `radius` of `query` (inclusive), sorted by
@@ -1115,7 +1115,7 @@ impl SketchBank {
         radius: u64,
         threads: usize,
         mode: SketchMode,
-    ) -> Vec<ForestHit> {
+    ) -> Vec<WireHit> {
         if self.len == 0 {
             return Vec::new();
         }
@@ -1133,12 +1133,10 @@ impl SketchBank {
                         continue;
                     }
                     local_refined += 1;
-                    if let Some(d) =
-                        SignatureMetric.distance_within(query, &chunk.sigs[i], radius as f64)
-                    {
-                        out.push(ForestHit {
+                    if let Some(d) = query.distance_within(&chunk.sigs[i], radius) {
+                        out.push(WireHit {
                             id: chunk.ids[i],
-                            distance: d,
+                            distance: d as f64,
                         });
                     }
                 }
@@ -1146,8 +1144,8 @@ impl SketchBank {
             refined.fetch_add(local_refined, Ordering::Relaxed);
             out
         });
-        let mut hits: Vec<ForestHit> = per_group.into_iter().flatten().collect();
-        crate::forest::sort_hits(&mut hits);
+        let mut hits: Vec<WireHit> = per_group.into_iter().flatten().collect();
+        sort_hits(&mut hits);
         let n = self.len as u64;
         let refined = refined.load(Ordering::Relaxed);
         self.counters.queries.fetch_add(1, Ordering::Relaxed);

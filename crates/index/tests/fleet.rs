@@ -36,7 +36,7 @@ fn shape_of(g: &Graph, node: u32, k: usize) -> String {
 }
 
 /// `(id, distance-bits)` pairs — exact comparison, no float tolerance.
-fn key(hits: &[ned_index::ForestHit]) -> Vec<(u64, u64)> {
+fn key(hits: &[ned_core::WireHit]) -> Vec<(u64, u64)> {
     hits.iter().map(|h| (h.id, h.distance.to_bits())).collect()
 }
 

@@ -288,7 +288,8 @@ fn router_probe_health_heals_a_stale_replica() {
         ShardMap::new(vec![0]).expect("single shard"),
         vec![vec![r1_addr.clone(), r2_addr.clone()]],
         // Explicit quorum 1 of 2: writes keep landing while r2 is down,
-        // exactly the configuration that *requires* read repair later.
+        // exactly the configuration that leaves r2 for the heal loop to
+        // catch up later.
         RouterOptions {
             quorum: 1,
             ..fast_options(k, index.next_id())
@@ -472,8 +473,9 @@ fn fresh_router_seeds_from_the_max_epoch_and_shields_the_laggard() {
     );
 
     // The next quorum write lands on the up-to-date replica; the
-    // laggard converges through WAL streaming (the write-path heal may
-    // run it in the background), never through a forked direct write.
+    // laggard converges through WAL streaming, run by the router's heal
+    // loop (its background pass, or `probe_health` below running the
+    // same pass inline), never through a forked direct write.
     router
         .put_shape(6, &shape_of(&donor, 6, k))
         .expect("quorum-1 put through the fresh router");

@@ -20,7 +20,8 @@
 use ned_core::{ted_star_degree_lower_bound, NodeSignature};
 use ned_graph::{generators, Graph};
 use ned_index::sketch::{sketch_estimate, sketch_lower_bound, Sketch, SketchStats, BOUND_CAP};
-use ned_index::{ShardedVpForest, SignatureIndex, SignatureMetric, SketchBank, SketchMode};
+use ned_index::{SignatureIndex, SketchBank, SketchMode};
+use ned_metric_index::{ShardedVpForest, SignatureMetric};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

@@ -27,9 +27,9 @@
 //!   finishing a distance the collector would discard anyway.
 //!
 //! Items carry caller-assigned `u64` ids; every query reports hits as
-//! [`ForestHit`] `(id, distance)` pairs, so results stay meaningful across
-//! rebuilds, restarts, and process boundaries (see
-//! [`crate::signatures::SignatureIndex`] for the persistent NED wiring).
+//! [`WireHit`] `(id, distance)` pairs, the hit type of the serving index
+//! and its wire protocol, so results stay meaningful across rebuilds and
+//! compare directly with what `ned_index::SignatureIndex` returns.
 //!
 //! # Cloning is snapshotting
 //!
@@ -38,31 +38,20 @@
 //! retired bookkeeping maps are copy-on-write (`Arc::make_mut`). `Clone`
 //! therefore costs `O(shards + 1)` reference bumps — no tree, item, or
 //! map is copied — and the clone is a fully independent, immutable-until-
-//! mutated snapshot of the forest at that instant. This is what the
-//! [`crate::concurrent`] serving layer publishes to readers after every
-//! write batch: mutating the original (or the clone) copies only the
-//! pieces actually touched, and a frozen shard is never copied at all
+//! mutated snapshot of the forest at that instant. Mutating the original
+//! (or the clone) copies only the pieces actually touched, and a frozen shard is never copied at all
 //! unless a merge must physically reclaim entries out of a tree some
 //! snapshot still references.
 
 use crate::filter::BoundedMetric;
 use crate::{Metric, SearchCollector, VpTree};
+use ned_core::WireHit;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// A forest query hit: the item's caller-assigned id and its exact
-/// distance to the query.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ForestHit {
-    /// Caller-assigned item id.
-    pub id: u64,
-    /// Exact distance to the query.
-    pub distance: f64,
-}
 
 /// Where a live item currently lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -494,7 +483,7 @@ impl<T: Clone> ShardedVpForest<T> {
     /// are searched in parallel on up to `threads` threads (`0` = all
     /// cores); every exact metric call is guarded by the lower bound and
     /// by the sharpest bound any shard has published so far.
-    pub fn knn<M>(&self, metric: &M, query: &T, k: usize, threads: usize) -> Vec<ForestHit>
+    pub fn knn<M>(&self, metric: &M, query: &T, k: usize, threads: usize) -> Vec<WireHit>
     where
         T: Send + Sync,
         M: BoundedMetric<T> + Sync,
@@ -516,7 +505,7 @@ impl<T: Clone> ShardedVpForest<T> {
             }
         }
         let q = query_entry(query);
-        let per_shard: Vec<Vec<ForestHit>> =
+        let per_shard: Vec<Vec<WireHit>> =
             ned_core::batch::par_map(self.shards.len(), threads, |si| {
                 let mut collector = ShardCollector {
                     heap: BoundedHeap::new(k, &shared),
@@ -536,25 +525,25 @@ impl<T: Clone> ShardedVpForest<T> {
 
     /// Every live item within `radius` of `query` (inclusive), sorted by
     /// `(distance, id)`.
-    pub fn range<M>(&self, metric: &M, query: &T, radius: f64, threads: usize) -> Vec<ForestHit>
+    pub fn range<M>(&self, metric: &M, query: &T, radius: f64, threads: usize) -> Vec<WireHit>
     where
         T: Send + Sync,
         M: BoundedMetric<T> + Sync,
     {
-        let mut out: Vec<ForestHit> = self
+        let mut out: Vec<WireHit> = self
             .buffer
             .iter()
             .filter(|e| metric.lower_bound(query, &e.item) <= radius)
             .filter_map(|e| {
                 let d = metric.distance_within(query, &e.item, radius)?;
-                Some(ForestHit {
+                Some(WireHit {
                     id: e.id,
                     distance: d,
                 })
             })
             .collect();
         let q = query_entry(query);
-        let per_shard: Vec<Vec<ForestHit>> =
+        let per_shard: Vec<Vec<WireHit>> =
             ned_core::batch::par_map(self.shards.len(), threads, |si| {
                 let mut collector = RangeCollector {
                     radius,
@@ -573,10 +562,10 @@ impl<T: Clone> ShardedVpForest<T> {
     /// Full-scan baseline: exact distance to every live item, no bounds,
     /// no index structure. The forest's query results are defined to match
     /// this exactly.
-    pub fn scan_knn<M: Metric<T>>(&self, metric: &M, query: &T, k: usize) -> Vec<ForestHit> {
-        let mut hits: Vec<ForestHit> = self
+    pub fn scan_knn<M: Metric<T>>(&self, metric: &M, query: &T, k: usize) -> Vec<WireHit> {
+        let mut hits: Vec<WireHit> = self
             .entries()
-            .map(|(id, item)| ForestHit {
+            .map(|(id, item)| WireHit {
                 id,
                 distance: metric.distance(query, item),
             })
@@ -637,7 +626,7 @@ fn is_current(live: &HashMap<u64, LiveSlot>, id: u64, gen: u32) -> bool {
     live.get(&id).is_some_and(|ls| ls.gen == gen)
 }
 
-pub(crate) fn sort_hits(hits: &mut [ForestHit]) {
+fn sort_hits(hits: &mut [WireHit]) {
     hits.sort_by(|a, b| {
         a.distance
             .partial_cmp(&b.distance)
@@ -655,10 +644,10 @@ pub(crate) fn sort_hits(hits: &mut [ForestHit]) {
 /// distance strictly above `tau` can never enter the merged top-k — ties
 /// at `tau` are *not* pruned, which is what preserves the deterministic
 /// `(distance, id)` ordering.
-pub(crate) struct SharedBound(AtomicU64);
+struct SharedBound(AtomicU64);
 
 impl SharedBound {
-    pub(crate) fn unbounded() -> Self {
+    fn unbounded() -> Self {
         SharedBound(AtomicU64::new(f64::INFINITY.to_bits()))
     }
 
@@ -674,7 +663,7 @@ impl SharedBound {
 
 /// Max-heap entry ordered by `(distance, id)` — the worst current hit on
 /// top, ids breaking distance ties so results are deterministic.
-struct WorstFirst(ForestHit);
+struct WorstFirst(WireHit);
 
 impl PartialEq for WorstFirst {
     fn eq(&self, other: &Self) -> bool {
@@ -699,14 +688,14 @@ impl Ord for WorstFirst {
 
 /// A bounded `(distance, id)` max-heap that publishes its k-th best
 /// distance to the shared bound whenever it is full.
-pub(crate) struct BoundedHeap<'s> {
+struct BoundedHeap<'s> {
     heap: std::collections::BinaryHeap<WorstFirst>,
     k: usize,
     shared: &'s SharedBound,
 }
 
 impl<'s> BoundedHeap<'s> {
-    pub(crate) fn new(k: usize, shared: &'s SharedBound) -> Self {
+    fn new(k: usize, shared: &'s SharedBound) -> Self {
         BoundedHeap {
             heap: std::collections::BinaryHeap::with_capacity(k + 1),
             k,
@@ -718,7 +707,7 @@ impl<'s> BoundedHeap<'s> {
     /// the shared bound. Candidates strictly above it are hopeless;
     /// candidates *at* it may still win on id, so callers must compare
     /// with `>` only.
-    pub(crate) fn tau(&self) -> f64 {
+    fn tau(&self) -> f64 {
         let local = if self.heap.len() < self.k {
             f64::INFINITY
         } else {
@@ -727,8 +716,8 @@ impl<'s> BoundedHeap<'s> {
         local.min(self.shared.current())
     }
 
-    pub(crate) fn offer_id(&mut self, id: u64, distance: f64) {
-        let hit = WorstFirst(ForestHit { id, distance });
+    fn offer_id(&mut self, id: u64, distance: f64) {
+        let hit = WorstFirst(WireHit { id, distance });
         if self.heap.len() < self.k {
             self.heap.push(hit);
         } else if hit < *self.heap.peek().expect("non-empty") {
@@ -743,8 +732,8 @@ impl<'s> BoundedHeap<'s> {
         }
     }
 
-    pub(crate) fn into_sorted(self) -> Vec<ForestHit> {
-        let mut hits: Vec<ForestHit> = self.heap.into_iter().map(|w| w.0).collect();
+    fn into_sorted(self) -> Vec<WireHit> {
+        let mut hits: Vec<WireHit> = self.heap.into_iter().map(|w| w.0).collect();
         sort_hits(&mut hits);
         hits
     }
@@ -774,7 +763,7 @@ impl<T> SearchCollector for ShardCollector<'_, '_, T> {
 /// Per-shard range collector: fixed bound, unbounded output.
 struct RangeCollector<'a, T> {
     radius: f64,
-    out: Vec<ForestHit>,
+    out: Vec<WireHit>,
     items: &'a [Entry<T>],
     live: &'a HashMap<u64, LiveSlot>,
 }
@@ -786,7 +775,7 @@ impl<T> SearchCollector for RangeCollector<'_, T> {
         }
         let e = &self.items[index];
         if is_current(self.live, e.id, e.gen) {
-            self.out.push(ForestHit { id: e.id, distance });
+            self.out.push(WireHit { id: e.id, distance });
         }
     }
 
@@ -875,9 +864,9 @@ mod tests {
                 let q: f64 = rng.gen_range(0.0..500.0);
                 let k = rng.gen_range(1..8usize);
                 let fast = f.knn(&m, &q, k, 2);
-                let mut want: Vec<ForestHit> = live
+                let mut want: Vec<WireHit> = live
                     .iter()
-                    .map(|(&id, &v)| ForestHit {
+                    .map(|(&id, &v)| WireHit {
                         id,
                         distance: (v - q).abs(),
                     })
@@ -900,11 +889,11 @@ mod tests {
             f.remove(&m, i);
         }
         let got = f.range(&m, &40.0, 15.0, 2);
-        let mut want: Vec<ForestHit> = f
+        let mut want: Vec<WireHit> = f
             .entries()
             .filter_map(|(id, &v)| {
                 let d = (v - 40.0_f64).abs();
-                (d <= 15.0).then_some(ForestHit { id, distance: d })
+                (d <= 15.0).then_some(WireHit { id, distance: d })
             })
             .collect();
         sort_hits(&mut want);

@@ -13,11 +13,11 @@
 //! stack to an unbudgeted sweep; ned-bench's `tests/frozen_algorithm1.rs`
 //! pins that sweep to an independent implementation of Algorithm 1.
 
-use ned_core::{signatures, NodeSignature};
+use ned_core::{signatures, NodeSignature, WireHit};
 use ned_graph::generators;
-use ned_index::{
-    BoundedMetric, ForestHit, Metric, ShardedVpForest, SignatureIndex, SignatureMetric,
-    UnboundedSignatureMetric,
+use ned_index::SignatureIndex;
+use ned_metric_index::{
+    BoundedMetric, Metric, ShardedVpForest, SignatureMetric, UnboundedSignatureMetric,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -35,14 +35,10 @@ fn classic_distance(a: &NodeSignature, b: &NodeSignature) -> f64 {
 
 /// Reference result computed from first principles: classic-engine NED
 /// to every live `(id, signature)` pair, sorted by `(distance, id)`.
-fn reference_knn(
-    live: &HashMap<u64, NodeSignature>,
-    q: &NodeSignature,
-    k: usize,
-) -> Vec<ForestHit> {
-    let mut hits: Vec<ForestHit> = live
+fn reference_knn(live: &HashMap<u64, NodeSignature>, q: &NodeSignature, k: usize) -> Vec<WireHit> {
+    let mut hits: Vec<WireHit> = live
         .iter()
-        .map(|(&id, sig)| ForestHit {
+        .map(|(&id, sig)| WireHit {
             id,
             distance: classic_distance(q, sig),
         })
@@ -130,11 +126,11 @@ proptest! {
         }
         let q = &pool[rng.gen_range(0..pool.len())];
         let got = forest.range(&SignatureMetric, q, radius as f64, 0);
-        let mut want: Vec<ForestHit> = live
+        let mut want: Vec<WireHit> = live
             .iter()
             .filter_map(|(&id, sig)| {
                 let d = classic_distance(q, sig);
-                (d <= radius as f64).then_some(ForestHit { id, distance: d })
+                (d <= radius as f64).then_some(WireHit { id, distance: d })
             })
             .collect();
         want.sort_by(|a, b| {

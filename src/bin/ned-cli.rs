@@ -8,8 +8,7 @@
 //! ned-cli deanon <graph.edges> [--method naive|sparsify|perturb]
 //!                [--ratio F] [--k N] [--top N] [--samples N] [--seed N]
 //! ned-cli hausdorff <g1.edges> <g2.edges> [--k N] [--sample N] [--seed N]
-//! ned-cli index build <out.idx> <graph.edges> [--k N] [--threshold N] [--seed N]
-//!                     [--bulk | --per-node]
+//! ned-cli index build <out.idx> <graph.edges> [--k N]
 //! ned-cli index add <idx> <graph.edges> [--out PATH]
 //! ned-cli index query <idx> <graph.edges> <node> [--top N] [--radius R]
 //!                     [--threads N] [--verify] [--sketch exact|approx]
@@ -79,12 +78,8 @@ fn print_usage() {
          \x20 hausdorff <g1> <g2> [--k N] [--sample N] [--seed N]  whole-graph distance\n\
          \x20 classes <graph> [--k N] [--show N]                 structural equivalence classes\n\
          \x20 suggest-k <graph> [--target N] [--samples N]       pick a k for this graph\n\
-         \x20 index build <out.idx> <graph> [--k N] [--threshold N] [--seed N] [--bulk | --per-node]\n\
-         \x20                                                    build + save a persistent signature index\n\
-         \x20                                                    (--bulk, the default: shared-frontier\n\
-         \x20                                                    hash-consed ingest; --threshold and --seed\n\
-         \x20                                                    are only written to the file header, which\n\
-         \x20                                                    keeps its layout; nothing reads them)\n\
+         \x20 index build <out.idx> <graph> [--k N]              build + save a persistent signature index\n\
+         \x20                                                    (shared-frontier hash-consed ingest)\n\
          \x20 index add <idx> <graph> [--out PATH]               index another graph's signatures\n\
          \x20 index query <idx> <graph> <node> [--top N] [--radius R] [--threads N] [--verify]\n\
          \x20       [--sketch exact|approx]                      --radius R: bounded threshold query;\n\
@@ -427,34 +422,22 @@ fn cmd_index(raw: &[String]) -> Result<(), String> {
 }
 
 fn cmd_index_build(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &["bulk", "per-node"])?;
+    let args = Args::parse(raw, &[])?;
     let out = args.positional(0, "output index path")?;
     let graph_path = args.positional(1, "graph path")?;
     let g = load(graph_path, false)?;
     let k: usize = args.get("k", 3)?;
-    let threshold: usize = args.get("threshold", 1024)?;
-    let seed: u64 = args.get("seed", 42)?;
     let n = g.num_nodes();
     let t0 = std::time::Instant::now();
-    // Bulk (shared-frontier hash-consed extraction) is the default;
-    // --per-node keeps the independent
-    // extract-and-canonicalize baseline reachable for comparison.
-    let (index, mode) = if args.has("per-node") {
-        let mut index = ned::index::SignatureIndex::new(k, threshold, seed);
-        let nodes: Vec<NodeId> = g.nodes().collect();
-        index.insert_graph_per_node(&g, &nodes);
-        (index, "per-node")
-    } else {
-        (
-            ned::index::SignatureIndex::from_graph(&g, k, threshold, seed, 0),
-            "bulk",
-        )
-    };
+    // 1024 and 42 are the NEDIDX header's historical threshold and seed
+    // words: nothing reads them, and writing the same values keeps
+    // builds byte-identical until a format version retires the fields.
+    let index = ned::index::SignatureIndex::from_graph(&g, k, 1024, 42, 0);
     let elapsed = t0.elapsed();
     save_index(&index, out)?;
     println!(
         "indexed {n} signatures of {graph_path} as ids 0..{n} -> {out} \
-         ({mode} ingest, {:.1} ms)",
+         (bulk ingest, {:.1} ms)",
         elapsed.as_secs_f64() * 1e3
     );
     print_index_stats(&index);

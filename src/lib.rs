@@ -15,9 +15,11 @@
 //!   Hausdorff graph distance, edit-script summaries.
 //! * [`baselines`] (`ned-baselines`) — HITS-based and Feature-based
 //!   similarities.
-//! * [`index`] (`ned-index`) — metric indexing: VP-tree, BK-tree,
-//!   filter-and-refine, the dynamic [`index::ShardedVpForest`], and the
-//!   persistent [`index::SignatureIndex`] serving layer.
+//! * [`index`] — both index crates under one path: `ned-index`, the
+//!   serving layer around the persistent [`index::SignatureIndex`]
+//!   (sketch bank, WAL durability, server, shard router), and
+//!   `ned-metric-index`, the paper's metric access methods (VP-tree,
+//!   BK-tree, filter-and-refine, the dynamic [`index::ShardedVpForest`]).
 //! * [`datasets`] (`ned-datasets`) — the six Table 2 dataset stand-ins.
 //!
 //! ## Quick start
@@ -44,9 +46,16 @@ pub use ned_baselines as baselines;
 pub use ned_core as core;
 pub use ned_datasets as datasets;
 pub use ned_graph as graph;
-pub use ned_index as index;
 pub use ned_matching as matching;
 pub use ned_tree as tree;
+
+/// Metric indexing over NED: the serving index (`ned-index`) and the
+/// paper's metric access methods (`ned-metric-index`), re-exported
+/// side by side.
+pub mod index {
+    pub use ned_index::*;
+    pub use ned_metric_index::*;
+}
 
 /// The items most programs need.
 pub mod prelude {
@@ -55,6 +64,7 @@ pub mod prelude {
     };
     pub use ned_graph::bfs::{k_adjacent_tree, TreeExtractor};
     pub use ned_graph::{Graph, GraphBuilder, NodeId};
-    pub use ned_index::{FnMetric, Metric, ShardedVpForest, SignatureIndex, VpTree};
+    pub use ned_index::SignatureIndex;
+    pub use ned_metric_index::{FnMetric, Metric, ShardedVpForest, VpTree};
     pub use ned_tree::{Tree, TreeBuilder};
 }
