@@ -141,6 +141,16 @@ pub fn decode_batch(bytes: &[u8]) -> Result<(u64, Vec<WriteOp>), CodecError> {
             if n == 0 {
                 return Err(CodecError::Malformed("empty signature tree".into()));
             }
+            // `n` comes from the record (which a catching-up replica
+            // takes from a peer): check the bytes are present before
+            // reserving for them, or a forged count aborts the process.
+            let remaining = self.buf.len() - self.pos;
+            if (n - 1) * 4 > remaining {
+                return Err(CodecError::Truncated {
+                    needed: (n - 1) * 4,
+                    available: remaining,
+                });
+            }
             let mut parents = Vec::with_capacity(n);
             parents.push(0u32);
             for _ in 1..n {

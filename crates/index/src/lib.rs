@@ -7,8 +7,9 @@
 //! them. Around it sit the concurrent snapshot layer
 //! ([`ConcurrentNedIndex`]), write-ahead durability ([`DurableIndex`]),
 //! incremental graph maintenance ([`GraphMaintainer`]), the NEDWIRE1
-//! server ([`NedServer`]) and the scatter-gather shard router
-//! ([`ShardRouter`]). Every query returns [`ned_core::WireHit`]s sorted
+//! shard server ([`NedServer`]) and the scatter-gather shard router
+//! ([`ShardRouter`]), both served through one framed front end
+//! ([`front`]). Every query returns [`ned_core::WireHit`]s sorted
 //! by `(distance, id)`.
 //!
 //! The paper's generic metric access methods (VP-tree, BK-tree,
@@ -21,6 +22,7 @@
 pub mod concurrent;
 pub mod durable;
 pub mod fleet;
+pub mod front;
 pub mod maintain;
 pub mod router;
 pub mod server;
@@ -31,8 +33,9 @@ mod topk;
 pub use concurrent::{ConcurrentNedIndex, IndexReader, IndexWriter, WriteOp, WriteOutcome};
 pub use durable::{DurableError, DurableIndex, DurableOptions, RecoveryReport};
 pub use fleet::{split_index, ShardProcess};
+pub use front::{ServerConfig, Service};
 pub use maintain::{DeltaReport, GraphMaintainer, MaterializedBatch};
 pub use router::{FleetHits, RouterOptions, RouterServer, ShardMap, ShardRouter};
-pub use server::{Dispatch, NedServer, ServerConfig, WireClient, WireClientBuilder};
+pub use server::{NedServer, WireClient, WireClientBuilder};
 pub use signatures::SignatureIndex;
 pub use sketch::{Sketch, SketchBank, SketchMode, SketchStats};

@@ -14,7 +14,8 @@
 //! `(distance, id)` top-k the sketch bank's knn runs on (ties kept by
 //! the **inclusive** budget), a fleet answer is bit-identical to
 //! a single-process index holding all the entries — the property the
-//! `fleet.rs` integration tests pin.
+//! `fleet.rs` integration tests pin. [`RouterServer`] serves a router
+//! through the shard's own front end ([`crate::front`]).
 //!
 //! Consistency is **read-your-acked-writes**: every shard reply carries
 //! the publication epoch of the snapshot that answered it, the router
@@ -76,15 +77,14 @@
 //! read is only accepted from a replica at or past the acked epoch.
 
 use crate::concurrent::WriteOp;
+use crate::front::{self, Front, ServerConfig, Service};
 use crate::maintain::GraphMaintainer;
-use crate::server::{Dispatch, WireClient};
+use crate::server::{GraphCache, WireClient};
 use crate::topk::{sort_hits, TopK};
 use ned_core::{Request, Response, ServerError, WireHit};
-use ned_graph::{io as graph_io, Graph, GraphDelta, NodeId};
-use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use ned_graph::{Graph, GraphDelta, NodeId};
+use std::net::TcpListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock, Weak};
 use std::time::Duration;
@@ -562,7 +562,7 @@ impl ShardRouter {
     }
 
     /// The options the router was built with.
-    pub fn options(&self) -> &RouterOptions {
+    fn options(&self) -> &RouterOptions {
         &self.fleet.opts
     }
 
@@ -576,7 +576,7 @@ impl ShardRouter {
     }
 
     /// The id the next auto-assigning insert will take.
-    pub fn peek_next_id(&self) -> u64 {
+    fn peek_next_id(&self) -> u64 {
         *self.next_id.lock().unwrap_or_else(|p| p.into_inner())
     }
 
@@ -1022,7 +1022,7 @@ impl ShardRouter {
 
     /// Sends `req` to every replica of every shard, failing on the first
     /// error. Returns how many replicas answered (used by `checkpoint`).
-    pub fn broadcast(&self, req: &Request) -> Result<usize, ServerError> {
+    fn broadcast(&self, req: &Request) -> Result<usize, ServerError> {
         let mut count = 0;
         for shard in &self.fleet.shards {
             for replica in &shard.replicas {
@@ -1170,29 +1170,34 @@ impl std::fmt::Debug for ShardRouter {
     }
 }
 
-/// The router's TCP front-end: speaks the **same** framed protocol and
-/// reply grammar as a single [`NedServer`](crate::server::NedServer), so
+/// The router as a [`Service`]: served through the same front end as a
+/// single [`NedServer`](crate::server::NedServer) (framing, batching,
+/// limits, timeouts, drain, counters), with the same reply grammar, so
 /// every existing client ([`WireClient`], `loadgen`, the CLI REPL) works
 /// against a fleet unchanged. Graph-file commands (`query`, `range`,
 /// `add`, `track`) are resolved router-side: the graph is loaded here,
 /// the signature extracted at the fleet's `k`, and the query pushed down
-/// by literal shape.
+/// by literal shape. A drain stops the router; the shards keep serving.
 pub struct RouterServer {
     router: ShardRouter,
-    graphs: Mutex<HashMap<String, Arc<Graph>>>,
-    shutting_down: AtomicBool,
-    local_addr: Mutex<Option<SocketAddr>>,
+    graphs: GraphCache,
+    front: Front,
 }
 
 impl RouterServer {
-    /// Wraps a connected router.
+    /// Wraps a connected router with the default [`ServerConfig`].
     pub fn new(router: ShardRouter) -> RouterServer {
         RouterServer {
             router,
-            graphs: Mutex::new(HashMap::new()),
-            shutting_down: AtomicBool::new(false),
-            local_addr: Mutex::new(None),
+            graphs: GraphCache::default(),
+            front: Front::new(0),
         }
+    }
+
+    /// Replaces the serving limits (builder-style, before sharing).
+    pub fn with_config(mut self, config: ServerConfig) -> Self {
+        self.front.config = config;
+        self
     }
 
     /// The wrapped router (e.g. for a clean `shutdown_fleet` after
@@ -1201,14 +1206,45 @@ impl RouterServer {
         &self.router
     }
 
+    /// Serves the framed protocol on `listener` until `shutdown` drains
+    /// it (see [`crate::front`]).
+    pub fn serve_tcp(self: &Arc<Self>, listener: TcpListener) -> std::io::Result<()> {
+        front::serve_tcp(self, listener)
+    }
+
+    /// Extracts `<path> <node>`'s signature at the fleet's `k` and
+    /// renders it as the literal shape pushed down to shards.
+    fn shape_for(&self, path: &str, node: NodeId) -> Result<String, ServerError> {
+        let sig = self.graphs.signature(path, node, self.router.options().k)?;
+        Ok(ned_tree::serialize::print(sig.tree()))
+    }
+}
+
+impl std::fmt::Debug for RouterServer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RouterServer")
+            .field("router", &self.router)
+            .finish()
+    }
+}
+
+impl Service for RouterServer {
+    fn front(&self) -> &Front {
+        &self.front
+    }
+
     /// Executes one non-session request against the fleet.
-    pub fn execute(&self, req: &Request) -> Result<Response, ServerError> {
+    fn execute(&self, req: &Request) -> Result<Response, ServerError> {
         Ok(match req {
             Request::Help => Response::Info {
                 body: ROUTER_HELP_BODY.to_string(),
             },
             Request::Stats => Response::Info {
-                body: self.router.stats_line(),
+                body: format!(
+                    "{}\n{}",
+                    self.router.stats_line(),
+                    self.front.counters_line()
+                ),
             },
             Request::Epoch => {
                 let (epoch, len) = self.router.epoch()?;
@@ -1250,7 +1286,7 @@ impl RouterServer {
                 existed: self.router.remove(*id)?,
             },
             Request::Track { path } => {
-                let graph = self.graph(path)?;
+                let graph = self.graphs.get(path)?;
                 Response::Ok {
                     msg: self.router.track(&graph)?,
                 }
@@ -1288,184 +1324,10 @@ impl RouterServer {
                      `fingerprint` to force a health pass",
                 ))
             }
-            Request::TestPanic => {
-                return Err(ServerError::bad(
-                    "unrecognized command \"__panic\"; try `help`",
-                ))
-            }
-            Request::Quit | Request::Shutdown => {
-                unreachable!("session control handled by dispatch_request")
+            Request::Quit | Request::Shutdown | Request::TestPanic => {
+                unreachable!("answered by the front end")
             }
         })
-    }
-
-    /// [`NedServer::dispatch`](crate::server::NedServer::dispatch)-shaped
-    /// entry point: parse, execute, render.
-    pub fn dispatch(&self, line: &str) -> Dispatch {
-        match Request::parse_line(line) {
-            Ok(None) => Dispatch::Reply(String::new()),
-            Ok(Some(req)) => self.dispatch_request(req),
-            Err(e) => Dispatch::Reply(Response::Error(e).to_string()),
-        }
-    }
-
-    /// Routes session control; everything else goes through
-    /// [`RouterServer::execute`].
-    pub fn dispatch_request(&self, req: Request) -> Dispatch {
-        match req {
-            Request::Quit => Dispatch::Quit,
-            Request::Shutdown => {
-                self.initiate_shutdown();
-                Dispatch::Shutdown
-            }
-            req => Dispatch::Reply(
-                self.execute(&req)
-                    .unwrap_or_else(Response::Error)
-                    .to_string(),
-            ),
-        }
-    }
-
-    /// Executes a whole frame payload (newline-separated commands,
-    /// replies concatenated in order). The scatter layer is internally
-    /// parallel, so frames run sequentially here; a panic in one command
-    /// is isolated to an error reply, like the single-process server.
-    pub fn handle_payload(&self, payload: &str) -> (String, bool) {
-        let mut replies = Vec::new();
-        for line in payload.lines() {
-            let dispatched =
-                catch_unwind(AssertUnwindSafe(|| self.dispatch(line))).unwrap_or_else(|_| {
-                    Dispatch::Reply(
-                        Response::Error(ServerError::Io(
-                            "internal panic while executing the command; the router is \
-                             still serving"
-                                .to_string(),
-                        ))
-                        .to_string(),
-                    )
-                });
-            match dispatched {
-                Dispatch::Reply(r) => replies.push(r),
-                Dispatch::Quit => {
-                    replies.push("ok bye".to_string());
-                    return (replies.join("\n"), true);
-                }
-                Dispatch::Shutdown => {
-                    replies.push(
-                        "ok draining: in-flight connections finish, then the router exits \
-                         (shards keep serving)"
-                            .to_string(),
-                    );
-                    return (replies.join("\n"), true);
-                }
-            }
-        }
-        (replies.join("\n"), false)
-    }
-
-    /// Serves the framed protocol until `shutdown`: thread per
-    /// connection, one reply frame per request frame.
-    pub fn serve_tcp(self: &Arc<Self>, listener: TcpListener) -> std::io::Result<()> {
-        *self.local_addr.lock().unwrap_or_else(|p| p.into_inner()) = listener.local_addr().ok();
-        for conn in listener.incoming() {
-            if self.shutting_down.load(Ordering::Acquire) {
-                break;
-            }
-            let stream = match conn {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
-            let server = Arc::clone(self);
-            std::thread::spawn(move || server.handle_conn(stream));
-        }
-        Ok(())
-    }
-
-    /// Flips the drain flag and wakes the blocked acceptor.
-    pub fn initiate_shutdown(&self) {
-        self.shutting_down.store(true, Ordering::Release);
-        let addr = *self.local_addr.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(addr) = addr {
-            let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(250));
-        }
-    }
-
-    fn handle_conn(&self, mut stream: TcpStream) {
-        use ned_core::wire;
-        loop {
-            match wire::read_frame(&mut stream) {
-                Ok(None) => return,
-                Err(e) => {
-                    let reply = Response::Error(ServerError::from(e)).to_string();
-                    let _ = wire::write_text_frame(&mut stream, &reply);
-                    return;
-                }
-                Ok(Some(payload)) => {
-                    let text = match String::from_utf8(payload) {
-                        Ok(t) => t,
-                        Err(_) => {
-                            // Framing is still in sync — reply in-band
-                            // and keep the session, like NedServer.
-                            let reply = Response::Error(ServerError::Corrupt(
-                                "frame payload is not UTF-8".to_string(),
-                            ))
-                            .to_string();
-                            if wire::write_text_frame(&mut stream, &reply).is_err() {
-                                return;
-                            }
-                            continue;
-                        }
-                    };
-                    let (reply, end) = self.handle_payload(&text);
-                    if wire::write_text_frame(&mut stream, &reply).is_err() || end {
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    fn graph(&self, path: &str) -> Result<Arc<Graph>, ServerError> {
-        let cached = {
-            let graphs = self.graphs.lock().unwrap_or_else(|p| p.into_inner());
-            graphs.get(path).cloned()
-        };
-        match cached {
-            Some(g) => Ok(g),
-            None => {
-                let g = Arc::new(
-                    graph_io::read_edge_list(Path::new(path), false)
-                        .map_err(|e| ServerError::bad(format!("{path}: {e}")))?,
-                );
-                self.graphs
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .insert(path.to_string(), Arc::clone(&g));
-                Ok(g)
-            }
-        }
-    }
-
-    /// Extracts `<path> <node>`'s signature at the fleet's `k` and
-    /// renders it as the literal shape pushed down to shards.
-    fn shape_for(&self, path: &str, node: NodeId) -> Result<String, ServerError> {
-        let graph = self.graph(path)?;
-        if (node as usize) >= graph.num_nodes() {
-            return Err(ServerError::bad(format!(
-                "node {node} out of range (graph has {} nodes)",
-                graph.num_nodes()
-            )));
-        }
-        let sig = ned_core::NodeSignature::extract(&graph, node, self.router.options().k);
-        Ok(ned_tree::serialize::print(sig.tree()))
-    }
-}
-
-impl std::fmt::Debug for RouterServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RouterServer")
-            .field("router", &self.router)
-            .finish()
     }
 }
 

@@ -1,19 +1,16 @@
-//! The **serving front-end** over [`crate::durable::DurableIndex`]: one
-//! typed command dispatcher shared by every surface, a dependency-free
-//! `std::net` TCP server speaking the framed batch protocol, and the
-//! matching client.
+//! The **shard service** over [`crate::durable::DurableIndex`] and the
+//! framed-protocol client ([`WireClient`]).
 //!
 //! # Command language
 //!
 //! One command per line, answers as text whose final line starts with
-//! `ok` or `error:`. The line grammar lives in [`ned_core::proto`]: a
-//! line is parsed **once** into a [`Request`] at whatever boundary it
-//! arrives (REPL stdin via [`NedServer::dispatch`], a decoded TCP frame
-//! via [`NedServer::handle_payload`]) and from there execution is an
-//! exhaustive `match` on the enum — no token matching anywhere past the
-//! parse, so behavior cannot drift between the interactive and networked
-//! paths and a coordinator composes [`Request`] values programmatically
-//! instead of formatting strings.
+//! `ok` or `error:`. The line grammar lives in [`ned_core::proto`]: the
+//! front end parses each line **once** into a [`Request`], whether it
+//! came from a TCP frame or REPL stdin, and from there execution is the
+//! exhaustive `match` in [`NedServer::execute`]: no token matching past
+//! the parse, so behavior cannot drift between the interactive and
+//! networked paths, and a coordinator composes [`Request`] values
+//! programmatically instead of formatting strings.
 //!
 //! ```text
 //! query <graph.edges> <node> [top]    nearest indexed signatures
@@ -54,61 +51,33 @@
 //! snapshot — the per-shard consistency tag a fleet coordinator's epoch
 //! vector is built from (see `crate::router`).
 //!
-//! # The batch protocol
+//! # Serving
 //!
-//! A TCP frame (see [`ned_core::wire`]) carries one *or more*
-//! newline-separated commands; the reply frame carries the concatenated
-//! replies in command order. Batching amortizes round-trips, and a frame
-//! of **read-only** commands ([`Request::is_write`] is the eligibility
-//! test) additionally fans out across the server's persistent
-//! [`WorkerPool`] (each command grabs its own snapshot — reads never
-//! block). Frames containing any write run sequentially in frame order,
-//! so a client's `addsig` is visible to the commands after it in the
-//! same frame.
-//!
-//! Connections are thread-per-connection `std::net` — no async runtime,
-//! in keeping with the repo's no-external-dependencies rule. A frame that
-//! fails checksum/magic/length validation gets a best-effort
-//! `error: ...` reply and the connection is closed: once framing sync is
-//! lost the stream cannot be trusted.
-//!
-//! # Fault tolerance
-//!
-//! The server is built to keep serving through misbehaving clients and
-//! its own bugs ([`ServerConfig`] holds the knobs). Failures answer with
-//! a structured [`ServerError`] whose variant tells the client what to
-//! do — retry ([`ServerError::is_retryable`]) or give up:
-//!
-//! * every accepted socket gets **read/write timeouts**, so a wedged or
-//!   malicious client cannot pin a connection thread forever;
-//! * admissions are capped at [`ServerConfig::max_conns`]; excess
-//!   connections get a clean [`ServerError::Overloaded`] frame and
-//!   are closed — never silently dropped, never unbounded threads;
-//! * command execution is wrapped in `catch_unwind` (per command *and*
-//!   per connection), so a panicking handler poisons at most its own
-//!   connection — the writer's panic-atomic rollback (see
-//!   [`IndexWriter::try_apply`]) keeps the index itself consistent;
-//! * `shutdown` drains: the acceptor stops, in-flight frames finish,
-//!   idle connections are nudged closed, a final checkpoint runs, and
-//!   [`NedServer::serve_tcp`] returns `Ok(())` so the process can exit 0.
-//!
-//! All of it is observable: `stats` reports accepted/active/timeout/
-//! overload/panic counters next to the durability line.
+//! [`NedServer`] is a [`Service`]: the framed TCP front end, the batch
+//! protocol, admission, timeouts, panic isolation, drain and the stdin
+//! REPL live in [`crate::front`], shared with the fleet router. What
+//! the shard adds is [`NedServer::execute`] and, after a drain, a final
+//! checkpoint so a clean exit never needs log replay on the next boot.
+//! A command that panics mid-write leaves the index at its last
+//! published state ([`IndexWriter::try_apply`] rolls back before
+//! re-raising). Its `stats` reply adds the index, memo and durability lines and a
+//! checkpoint-failure count to the front end's serving counters.
 
 use crate::concurrent::{IndexReader, IndexWriter, WriteOp, WriteOutcome};
 use crate::durable::DurableIndex;
+use crate::front::{self, Front, ServerConfig, Service};
 use crate::maintain::GraphMaintainer;
 use crate::signatures::SignatureIndex;
 use ned_core::proto::{Request, Response, ServerError};
-use ned_core::{wire, NodeSignature, PreparedTree, TedMemo, WorkerPool};
+use ned_core::{wire, NodeSignature, PreparedTree, TedMemo};
 use ned_graph::{io as graph_io, Graph, GraphDelta, NodeId};
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{Shutdown as SocketShutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Caps one `walsuffix` reply at this many records. The suffix is read
@@ -124,96 +93,28 @@ pub const WAL_CHUNK_MAX_RECORDS: usize = 256;
 /// batches cannot blow the frame either.
 pub const WAL_CHUNK_MAX_BYTES: usize = 1 << 20;
 
-/// Outcome of dispatching one command line.
-pub enum Dispatch {
-    /// The text to show or send back (final line `ok ...` / `error: ...`).
-    Reply(String),
-    /// The client asked to end the session (`quit` / `exit`).
-    Quit,
-    /// The client asked the whole server to drain and exit (`shutdown`).
-    /// The accept loop stops; the surface should end its session too.
-    Shutdown,
-}
-
-/// Serving limits and fault-tolerance knobs. `Default` suits tests and
-/// the REPL; `ned-cli serve` exposes the connection cap as `--max-conns`.
-#[derive(Debug, Clone, Copy)]
-pub struct ServerConfig {
-    /// Per-socket read timeout (`None` = block forever). A connection
-    /// idle past this is closed with an `error: io: socket timeout`
-    /// frame.
-    pub read_timeout: Option<Duration>,
-    /// Per-socket write timeout (`None` = block forever) — protects
-    /// against clients that stop draining their receive buffer.
-    pub write_timeout: Option<Duration>,
-    /// Admission cap: connections accepted while this many are already
-    /// active get an [`ServerError::Overloaded`] frame and are closed.
-    pub max_conns: usize,
-    /// How long `shutdown` waits for in-flight connections — applied
-    /// twice: once politely, once after force-closing idle sockets.
-    pub drain_grace: Duration,
-    /// Enables the hidden `__panic` command that panics inside the
-    /// dispatcher — the fault-injection hook for panic-isolation tests.
-    /// Never enable outside tests.
-    pub enable_test_panic: bool,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            read_timeout: Some(Duration::from_secs(30)),
-            write_timeout: Some(Duration::from_secs(30)),
-            max_conns: 256,
-            drain_grace: Duration::from_secs(2),
-            enable_test_panic: false,
-        }
-    }
-}
-
-/// Monotonic serving counters, reported by `stats`.
-#[derive(Default)]
-struct Counters {
-    accepted: AtomicU64,
-    timeouts: AtomicU64,
-    overloaded: AtomicU64,
-    panics: AtomicU64,
-    checkpoint_failures: AtomicU64,
-    active: AtomicUsize,
-}
-
-/// The shared serving state: durable index, graph cache, worker pool.
-/// Cheap to share — wrap in an [`Arc`] and hand clones to every
-/// connection thread (see [`NedServer::serve_tcp`]).
+/// The shard service: durable index, graph cache, tracked graph. Cheap
+/// to share — wrap in an [`Arc`] and serve it with
+/// [`NedServer::serve_tcp`] or [`crate::front::repl`].
 pub struct NedServer {
     index: DurableIndex,
-    /// Parsed edge-list files, cached across commands and connections.
-    graphs: Mutex<HashMap<String, Arc<Graph>>>,
+    graphs: GraphCache,
     /// The tracked mutating graph behind `addedge`/`deledge`
     /// (`track <path>` installs one). Locked for the whole delta
     /// application — writes are serialized anyway, and readers never
     /// touch it.
     maintained: Mutex<Option<GraphMaintainer>>,
-    /// Persistent pool reused by every read-only batch frame.
-    pool: WorkerPool,
     /// Intra-query fan-out passed to the index (`1` is right for
     /// concurrent serving: requests, not scan runs, should fill the cores).
     query_threads: usize,
-    config: ServerConfig,
-    /// Set by `shutdown`; the acceptor checks it per accepted connection
-    /// and connection loops check it per frame.
-    shutting_down: AtomicBool,
     /// Set while a `catchup` is replaying a peer's WAL suffix. Queries
     /// answer [`ServerError::CatchingUp`] until it clears, so a stale
     /// replica never serves a read the router would have to repair.
     catching_up: AtomicBool,
-    /// Where the acceptor is listening — `initiate_shutdown` connects
-    /// here once to wake a blocked `accept`.
-    local_addr: Mutex<Option<SocketAddr>>,
-    /// Clones of every live connection's stream, so drain can nudge
-    /// idle keep-alive clients closed.
-    conns: Mutex<HashMap<u64, TcpStream>>,
-    conn_seq: AtomicU64,
-    counters: Counters,
+    /// Acknowledged writes whose cadence checkpoint failed (the WAL
+    /// still holds them); reported by `stats`.
+    checkpoint_failures: AtomicU64,
+    front: Front,
 }
 
 impl NedServer {
@@ -232,23 +133,18 @@ impl NedServer {
     pub fn with_durability(index: DurableIndex, query_threads: usize, pool_threads: usize) -> Self {
         NedServer {
             index,
-            graphs: Mutex::new(HashMap::new()),
+            graphs: GraphCache::default(),
             maintained: Mutex::new(None),
-            pool: WorkerPool::new(pool_threads),
             query_threads,
-            config: ServerConfig::default(),
-            shutting_down: AtomicBool::new(false),
             catching_up: AtomicBool::new(false),
-            local_addr: Mutex::new(None),
-            conns: Mutex::new(HashMap::new()),
-            conn_seq: AtomicU64::new(0),
-            counters: Counters::default(),
+            checkpoint_failures: AtomicU64::new(0),
+            front: Front::new(pool_threads),
         }
     }
 
     /// Replaces the serving limits (builder-style, before sharing).
     pub fn with_config(mut self, config: ServerConfig) -> Self {
-        self.config = config;
+        self.front.config = config;
         self
     }
 
@@ -321,9 +217,7 @@ impl NedServer {
     /// the already-acknowledged write.
     fn after_write(&self) {
         if self.index.checkpoint_if_due().is_err() {
-            self.counters
-                .checkpoint_failures
-                .fetch_add(1, Ordering::Relaxed);
+            self.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -360,7 +254,7 @@ impl NedServer {
             }
             Err(_) => {
                 *guard = None;
-                self.counters.panics.fetch_add(1, Ordering::Relaxed);
+                self.front.count_panic();
                 Err(ServerError::Io(
                     "delta application failed (journal append failure or internal panic); \
                      the index rolled back to its last published state and the tracked \
@@ -395,8 +289,9 @@ impl NedServer {
             ));
         }
         let _clear = ClearOnExit(&self.catching_up);
+        let config = self.front.config;
         let mut client = WireClient::builder()
-            .timeouts(self.config.read_timeout, self.config.write_timeout)
+            .timeouts(config.read_timeout, config.write_timeout)
             .connect(peer)
             .map_err(|e| ServerError::Io(format!("{peer}: {e}")))?;
         self.verify_fork_point(&mut client)?;
@@ -541,85 +436,18 @@ impl NedServer {
             Some(m) => format!("{} nodes / {} edges", m.num_nodes(), m.num_edges()),
             None => "none".to_string(),
         };
-        let c = &self.counters;
         format!(
             "signatures: {} (k = {}), epoch {epoch}, tracking {tracking}\nsketch: mode {}, {}\n\
-             memo: {}\nserver: accepted {}, active {}, timeouts {}, overloaded {}, \
-             panics isolated {}, checkpoint failures {}\n{}",
+             memo: {}\n{}, checkpoint failures {}\n{}",
             snap.len(),
             snap.k(),
             snap.sketch_mode(),
             snap.sketch_stats(),
             TedMemo::global().stats(),
-            c.accepted.load(Ordering::Relaxed),
-            c.active.load(Ordering::Relaxed),
-            c.timeouts.load(Ordering::Relaxed),
-            c.overloaded.load(Ordering::Relaxed),
-            c.panics.load(Ordering::Relaxed),
-            c.checkpoint_failures.load(Ordering::Relaxed),
+            self.front.counters_line(),
+            self.checkpoint_failures.load(Ordering::Relaxed),
             self.index.describe(),
         )
-    }
-
-    /// Executes one command line — the **text surface** (REPL stdin).
-    /// The line is parsed once into a [`Request`] and handed to
-    /// [`NedServer::dispatch_request`]; parse failures come back as
-    /// `error:` reply text, so every surface reports them identically.
-    pub fn dispatch(&self, line: &str) -> Dispatch {
-        match Request::parse_line(line) {
-            Ok(None) => Dispatch::Reply(String::new()),
-            Ok(Some(req)) => self.dispatch_request(req),
-            Err(e) => Dispatch::Reply(Response::Error(e).to_string()),
-        }
-    }
-
-    /// Executes one parsed request — the **typed surface**. Session
-    /// control (`quit`, `shutdown`) surfaces as its own [`Dispatch`]
-    /// variant; everything else executes through the exhaustive match in
-    /// [`NedServer::execute`] and renders its [`Response`].
-    pub fn dispatch_request(&self, req: Request) -> Dispatch {
-        match req {
-            Request::Quit => Dispatch::Quit,
-            Request::Shutdown => {
-                self.initiate_shutdown();
-                Dispatch::Shutdown
-            }
-            req => {
-                let response = self
-                    .execute(&req)
-                    .unwrap_or_else(Response::Error)
-                    .to_string();
-                Dispatch::Reply(response)
-            }
-        }
-    }
-
-    /// [`NedServer::dispatch`] behind a panic shield: a handler that
-    /// panics answers `error: internal panic ...` instead of unwinding
-    /// into (and killing) whatever thread is serving the surface. The
-    /// index stays consistent — [`IndexWriter::try_apply`] rolls the
-    /// master copy back to the published snapshot before re-raising.
-    pub fn dispatch_isolated(&self, line: &str) -> Dispatch {
-        match catch_unwind(AssertUnwindSafe(|| self.dispatch(line))) {
-            Ok(d) => d,
-            Err(_) => Dispatch::Reply(self.note_panic()),
-        }
-    }
-
-    /// [`NedServer::dispatch_request`] behind the same panic shield.
-    pub fn dispatch_request_isolated(&self, req: Request) -> Dispatch {
-        match catch_unwind(AssertUnwindSafe(|| self.dispatch_request(req))) {
-            Ok(d) => d,
-            Err(_) => Dispatch::Reply(self.note_panic()),
-        }
-    }
-
-    /// Counts an isolated panic and renders the standard reply for it.
-    fn note_panic(&self) -> String {
-        self.counters.panics.fetch_add(1, Ordering::Relaxed);
-        "error: internal panic while executing the command; the index rolled \
-         back to its last published state and the server is still serving"
-            .to_string()
     }
 
     /// Executes one non-session request. This is the single exhaustive
@@ -793,7 +621,7 @@ impl NedServer {
                 _ => unreachable!("remove answers Removed"),
             },
             Request::Track { path } => {
-                let graph = self.graph(path)?;
+                let graph = self.graphs.get(path)?;
                 Response::Ok {
                     msg: self.track(&graph)?,
                 }
@@ -823,272 +651,90 @@ impl NedServer {
                 },
                 Err(e) => return Err(ServerError::Io(format!("checkpoint failed: {e}"))),
             },
-            Request::TestPanic if self.config.enable_test_panic => {
-                panic!("test-injected panic (`__panic` command)")
-            }
-            Request::TestPanic => {
-                return Err(ServerError::bad(
-                    "unrecognized command \"__panic\"; try `help`",
-                ))
-            }
-            Request::Quit | Request::Shutdown => {
-                unreachable!("session control handled by dispatch_request")
+            Request::Quit | Request::Shutdown | Request::TestPanic => {
+                unreachable!("answered by the front end")
             }
         })
     }
 
-    /// Executes a whole frame payload: one or more newline-separated
-    /// commands, each parsed once at this boundary. Multi-command
-    /// payloads of pure reads fan out on the worker pool
-    /// (order-preserving); anything containing a write runs sequentially.
-    /// Returns the concatenated reply and whether the session should end.
-    pub fn handle_payload(self: &Arc<Self>, payload: &str) -> (String, bool) {
-        let parsed: Vec<Result<Option<Request>, ServerError>> =
-            payload.lines().map(Request::parse_line).collect();
-        // Blank lines and parse errors count as reads: they answer
-        // without touching anything.
-        let all_reads = parsed.len() > 1
-            && parsed
-                .iter()
-                .all(|p| !matches!(p, Ok(Some(req)) if req.is_write()));
-        if all_reads {
-            let jobs: Vec<_> = parsed
-                .into_iter()
-                .map(|p| {
-                    let server = Arc::clone(self);
-                    // The isolation matters doubly here: a panic that
-                    // escaped a pool job would kill a pool worker and
-                    // poison every later batch frame.
-                    move || match p {
-                        Ok(None) => String::new(),
-                        Err(e) => Response::Error(e).to_string(),
-                        Ok(Some(req)) => match server.dispatch_request_isolated(req) {
-                            Dispatch::Reply(r) => r,
-                            _ => unreachable!("read-only requests never end the session"),
-                        },
-                    }
-                })
-                .collect();
-            return (self.pool.run_ordered(jobs).join("\n"), false);
-        }
-        let mut replies = Vec::with_capacity(parsed.len());
-        for p in parsed {
-            match p {
-                Ok(None) => replies.push(String::new()),
-                Err(e) => replies.push(Response::Error(e).to_string()),
-                Ok(Some(req)) => match self.dispatch_request_isolated(req) {
-                    Dispatch::Reply(r) => replies.push(r),
-                    Dispatch::Quit => {
-                        replies.push("ok bye".to_string());
-                        return (replies.join("\n"), true);
-                    }
-                    Dispatch::Shutdown => {
-                        replies.push(
-                            "ok draining: in-flight connections finish, a final checkpoint \
-                             runs, then the server exits"
-                                .to_string(),
-                        );
-                        return (replies.join("\n"), true);
-                    }
-                },
-            }
-        }
-        (replies.join("\n"), false)
+    /// Serves the framed protocol on `listener` until `shutdown` drains
+    /// it (see [`crate::front`]); the drain ends with a final checkpoint.
+    pub fn serve_tcp(self: &Arc<Self>, listener: TcpListener) -> std::io::Result<()> {
+        front::serve_tcp(self, listener)
     }
 
-    /// Flips the drain flag and wakes the acceptor with a throwaway
-    /// loopback connection (an accept blocked in the kernel cannot see
-    /// an atomic). Idempotent; the `shutdown` command lands here.
+    /// Starts the drain, as the `shutdown` command does. Idempotent.
     pub fn initiate_shutdown(&self) {
-        self.shutting_down.store(true, Ordering::Release);
-        let addr = *self.local_addr.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(addr) = addr {
-            let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(250));
-        }
-    }
-
-    /// Whether `shutdown` has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shutting_down.load(Ordering::Acquire)
+        self.front.initiate_shutdown();
     }
 
     /// Final checkpoint (snapshot + WAL reset); `Ok(None)` when serving
-    /// ephemerally. The drain path and the CLI's session teardown both
-    /// call this so a clean exit never needs log replay on the next boot.
+    /// ephemerally. The drain and the CLI's REPL teardown both run it,
+    /// so a clean exit never needs log replay on the next boot.
     pub fn finalize(&self) -> std::io::Result<Option<u64>> {
         self.index.checkpoint()
     }
 
-    /// Accept loop: one thread per connection, all sharing this server.
-    /// Runs until the listener fails or `shutdown` drains it; individual
-    /// connection errors only end that connection. On shutdown the loop
-    /// stops accepting, waits out in-flight frames (force-closing idle
-    /// sockets after [`ServerConfig::drain_grace`]), runs a final
-    /// checkpoint, and returns `Ok(())` so the process can exit 0.
-    pub fn serve_tcp(self: &Arc<Self>, listener: TcpListener) -> std::io::Result<()> {
-        *self.local_addr.lock().unwrap_or_else(|p| p.into_inner()) = listener.local_addr().ok();
-        for conn in listener.incoming() {
-            if self.is_shutting_down() {
-                break;
-            }
-            let stream = conn?;
-            self.counters.accepted.fetch_add(1, Ordering::Relaxed);
-            // The accept loop is the only incrementer of `active`, so
-            // check-then-increment cannot race past the cap.
-            let active = self.counters.active.load(Ordering::Relaxed);
-            if active >= self.config.max_conns {
-                self.counters.overloaded.fetch_add(1, Ordering::Relaxed);
-                let refusal = ServerError::Overloaded(format!(
-                    "{active}/{} connections; retry later",
-                    self.config.max_conns
-                ));
-                let mut w = &stream;
-                let _ = wire::write_text_frame(&mut w, &refusal.to_string());
-                continue; // drop closes the socket
-            }
-            self.counters.active.fetch_add(1, Ordering::Relaxed);
-            let id = self.conn_seq.fetch_add(1, Ordering::Relaxed);
-            if let Ok(clone) = stream.try_clone() {
-                self.conns
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .insert(id, clone);
-            }
-            let server = Arc::clone(self);
-            std::thread::spawn(move || {
-                // Belt over the per-command suspenders: nothing a
-                // connection does may unwind into the process.
-                if catch_unwind(AssertUnwindSafe(|| server.handle_conn(&stream))).is_err() {
-                    server.counters.panics.fetch_add(1, Ordering::Relaxed);
-                }
-                server.counters.active.fetch_sub(1, Ordering::Relaxed);
-                server
-                    .conns
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .remove(&id);
-            });
-        }
-        self.drain();
+    fn extract(&self, path: &str, node: NodeId) -> Result<NodeSignature, ServerError> {
+        self.graphs.signature(path, node, self.reader().k())
+    }
+}
+
+impl Service for NedServer {
+    fn front(&self) -> &Front {
+        &self.front
+    }
+
+    fn execute(&self, req: &Request) -> Result<Response, ServerError> {
+        NedServer::execute(self, req)
+    }
+
+    fn after_drain(&self) -> std::io::Result<()> {
         self.finalize().map(|_| ())
     }
+}
 
-    /// Closes the read side of every connection, so idle keep-alive
-    /// handlers see EOF at once while one mid-request still writes its
-    /// reply; waits for them, then force-closes stragglers and waits once
-    /// more. Every wait is bounded by the drain grace.
-    fn drain(&self) {
-        let wait = |deadline: Instant| {
-            while self.counters.active.load(Ordering::Relaxed) > 0 && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        };
-        for conn in self
-            .conns
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .values()
-        {
-            let _ = conn.shutdown(SocketShutdown::Read);
+/// Parsed edge-list files, cached across commands and connections — the
+/// graph-file commands (`query`, `range`, `add`, `track`) of the shard
+/// and the router both load through it.
+#[derive(Default)]
+pub(crate) struct GraphCache(Mutex<HashMap<String, Arc<Graph>>>);
+
+impl GraphCache {
+    /// Loads (and caches) the edge-list graph at `path`. The lock is
+    /// never held across parsing.
+    pub(crate) fn get(&self, path: &str) -> Result<Arc<Graph>, ServerError> {
+        let cached = self.graphs().get(path).cloned();
+        if let Some(g) = cached {
+            return Ok(g);
         }
-        wait(Instant::now() + self.config.drain_grace);
-        for (_, conn) in self.conns.lock().unwrap_or_else(|p| p.into_inner()).drain() {
-            let _ = conn.shutdown(SocketShutdown::Both);
-        }
-        wait(Instant::now() + self.config.drain_grace);
+        let g = Arc::new(
+            graph_io::read_edge_list(Path::new(path), false)
+                .map_err(|e| ServerError::bad(format!("{path}: {e}")))?,
+        );
+        self.graphs().insert(path.to_string(), Arc::clone(&g));
+        Ok(g)
     }
 
-    fn handle_conn(self: &Arc<Self>, stream: &TcpStream) {
-        let _ = stream.set_read_timeout(self.config.read_timeout);
-        let _ = stream.set_write_timeout(self.config.write_timeout);
-        let mut read_half = stream;
-        let mut write_half = stream;
-        loop {
-            match wire::read_frame(&mut read_half) {
-                Ok(None) => return, // clean disconnect
-                Ok(Some(payload)) => {
-                    // UTF-8 decoding happens here rather than in
-                    // `read_text_frame`: a non-UTF-8 payload inside a
-                    // checksum-valid frame means framing sync is intact,
-                    // so it gets an in-band error and the connection
-                    // survives.
-                    let reply = match String::from_utf8(payload) {
-                        Ok(text) => {
-                            let (reply, quit) = self.handle_payload(&text);
-                            if wire::write_text_frame(&mut write_half, &reply).is_err()
-                                || quit
-                                || self.is_shutting_down()
-                            {
-                                return;
-                            }
-                            continue;
-                        }
-                        Err(_) => ServerError::Corrupt("frame payload is not UTF-8".to_string())
-                            .to_string(),
-                    };
-                    if wire::write_text_frame(&mut write_half, &reply).is_err() {
-                        return;
-                    }
-                }
-                Err(wire::WireError::Io(e))
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    // The socket timeout fired: the client is wedged (or
-                    // just idle past the limit). Say why, then hang up.
-                    self.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-                    let timeout = ServerError::Io("socket timeout; closing connection".to_string());
-                    let _ = wire::write_text_frame(&mut write_half, &timeout.to_string());
-                    return;
-                }
-                Err(e) => {
-                    // Framing sync is gone (bad length, magic, checksum,
-                    // or non-UTF-8 payload): tell the client why — as the
-                    // Corrupt it is — then hang up.
-                    let corrupt = ServerError::from(e);
-                    let _ = wire::write_text_frame(&mut write_half, &corrupt.to_string());
-                    return;
-                }
-            }
-        }
+    fn graphs(&self) -> MutexGuard<'_, HashMap<String, Arc<Graph>>> {
+        self.0.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Loads (and caches) the edge-list graph at `path`. The cache lock
-    /// is never held across parsing.
-    fn graph(&self, path: &str) -> Result<Arc<Graph>, ServerError> {
-        let cached = {
-            let graphs = self.graphs.lock().unwrap_or_else(|p| p.into_inner());
-            graphs.get(path).cloned()
-        };
-        match cached {
-            Some(g) => Ok(g),
-            None => {
-                let g = Arc::new(
-                    graph_io::read_edge_list(Path::new(path), false)
-                        .map_err(|e| ServerError::bad(format!("{path}: {e}")))?,
-                );
-                self.graphs
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .insert(path.to_string(), Arc::clone(&g));
-                Ok(g)
-            }
-        }
-    }
-
-    /// Extracts the query signature for `<path> <node>`, caching the
-    /// parsed graph.
-    fn extract(&self, path: &str, node: NodeId) -> Result<NodeSignature, ServerError> {
-        let graph = self.graph(path)?;
+    /// The `k`-signature of `<path> <node>`.
+    pub(crate) fn signature(
+        &self,
+        path: &str,
+        node: NodeId,
+        k: usize,
+    ) -> Result<NodeSignature, ServerError> {
+        let graph = self.get(path)?;
         if (node as usize) >= graph.num_nodes() {
             return Err(ServerError::bad(format!(
                 "node {node} out of range (graph has {} nodes)",
                 graph.num_nodes()
             )));
         }
-        Ok(NodeSignature::extract(&graph, node, self.reader().k()))
+        Ok(NodeSignature::extract(&graph, node, k))
     }
 }
 
@@ -1374,13 +1020,6 @@ impl WireClient {
     /// ```
     pub fn request(&mut self, req: &Request) -> Result<Response, ServerError> {
         let reply = self.call(&req.to_string())?;
-        Response::parse(&reply)
-    }
-
-    /// [`WireClient::request`] with the configured retry budget — for
-    /// idempotent (read) requests only.
-    pub fn request_with_retry(&mut self, req: &Request) -> Result<Response, ServerError> {
-        let reply = self.call_with_retry(&req.to_string())?;
         Response::parse(&reply)
     }
 

@@ -281,6 +281,52 @@ fn an_epoch_gap_is_refused_loudly() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// A forged WAL batch: epoch 1, one op, tag 1 (insert), node 0,
+/// and a tree claiming `u32::MAX` nodes with no parent bytes behind it.
+fn forged_tree_length_record() -> Vec<u8> {
+    let mut record = Vec::new();
+    record.extend_from_slice(&1u64.to_le_bytes()); // epoch
+    record.extend_from_slice(&1u32.to_le_bytes()); // op count
+    record.push(1); // insert
+    record.extend_from_slice(&0u32.to_le_bytes()); // node
+    record.extend_from_slice(&u32::MAX.to_le_bytes()); // tree length
+    record
+}
+
+#[test]
+fn a_forged_tree_length_is_a_decode_error_not_an_abort() {
+    // Before the length was checked against the bytes present, this
+    // record reserved 16 GiB and aborted the process.
+    let record = forged_tree_length_record();
+    assert_eq!(record.len(), 21);
+    for _ in 0..2 {
+        assert!(ned_index::durable::decode_batch(&record).is_err());
+    }
+}
+
+#[test]
+fn recovery_refuses_a_journaled_record_with_a_forged_tree_length() {
+    let dir = scratch("forged");
+    let index_path = dir.join("index.idx");
+    let wal_path = dir.join("index.wal");
+    SignatureIndex::new(2, 8, 7)
+        .save(&index_path)
+        .expect("seed");
+    // The checksum is valid (the writer computes it), so only the
+    // decoder stands between the record and the allocator.
+    let mut w = wal::WalWriter::create(&wal_path, 0, FsyncPolicy::PerBatch).expect("create");
+    w.append(&forged_tree_length_record()).expect("append");
+    drop(w);
+    for _ in 0..2 {
+        match DurableIndex::recover(&index_path, &wal_path, DurableOptions::default()) {
+            Err(DurableError::Codec(_)) => {}
+            Err(other) => panic!("wrong error kind: {other}"),
+            Ok(_) => panic!("recovery must refuse a forged record"),
+        }
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn checkpoint_truncates_the_log_and_bounds_replay() {
     let dir = scratch("ckpt");

@@ -3,20 +3,28 @@
 //! and — just as important — the malformed-frame error paths (garbage
 //! bodies, corrupted checksums, hostile length prefixes all get an
 //! `error:` reply and a closed connection, never a hang or a panic).
+//!
+//! The front-end tests (admission cap, idle timeout, malformed frames,
+//! panic isolation, drain) run once per [`Svc`]: against a shard
+//! directly, and against a one-shard [`RouterServer`] in front of it.
 
 use ned_core::{wire, NodeSignature};
 use ned_graph::generators;
-use ned_index::{NedServer, ServerConfig, SignatureIndex, WireClient};
+use ned_index::{
+    front, NedServer, RouterOptions, RouterServer, ServerConfig, Service, ShardMap, ShardRouter,
+    SignatureIndex, WireClient,
+};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::net::TcpListener;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Starts a server over a fresh BA-graph index on an ephemeral loopback
 /// port; returns the address (the listener thread dies with the test
 /// process).
-fn start_server() -> (std::net::SocketAddr, Arc<NedServer>) {
+fn start_server() -> (SocketAddr, Arc<NedServer>) {
     let (addr, server, _) = start_server_with(ServerConfig::default());
     (addr, server)
 }
@@ -25,24 +33,85 @@ fn start_server() -> (std::net::SocketAddr, Arc<NedServer>) {
 /// acceptor thread's handle so shutdown tests can join it.
 fn start_server_with(
     config: ServerConfig,
-) -> (
-    std::net::SocketAddr,
-    Arc<NedServer>,
-    std::thread::JoinHandle<std::io::Result<()>>,
-) {
+) -> (SocketAddr, Arc<NedServer>, JoinHandle<std::io::Result<()>>) {
     let mut rng = SmallRng::seed_from_u64(77);
     let g = generators::barabasi_albert(120, 2, &mut rng);
     let nodes: Vec<u32> = g.nodes().collect();
     let mut index = SignatureIndex::new(2, 32, 1);
     index.insert_graph(&g, &nodes);
-    let server = Arc::new(NedServer::new(index, 1, 2).with_config(config));
+    serve(NedServer::new(index, 1, 2).with_config(config))
+}
+
+/// Serves `service` on an ephemeral loopback port.
+fn serve<S: Service>(service: S) -> (SocketAddr, Arc<S>, JoinHandle<std::io::Result<()>>) {
+    let service = Arc::new(service);
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
     let handle = {
-        let server = Arc::clone(&server);
-        std::thread::spawn(move || server.serve_tcp(listener))
+        let service = Arc::clone(&service);
+        std::thread::spawn(move || front::serve_tcp(&service, listener))
     };
-    (addr, server, handle)
+    (addr, service, handle)
+}
+
+/// Which service a front-end test talks to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Svc {
+    Shard,
+    Router,
+}
+
+/// A service under test: its address and acceptor thread, the service
+/// itself, and the shard holding the index (served directly, or behind
+/// the router).
+struct Served {
+    addr: SocketAddr,
+    handle: JoinHandle<std::io::Result<()>>,
+    service: Arc<dyn Service>,
+    shard: Arc<NedServer>,
+}
+
+/// Starts `svc` with `config` as its serving limits. The router variant
+/// puts a one-shard [`RouterServer`] in front of a default-config shard.
+fn start(svc: Svc, config: ServerConfig) -> Served {
+    match svc {
+        Svc::Shard => {
+            let (addr, shard, handle) = start_server_with(config);
+            Served {
+                addr,
+                handle,
+                service: shard.clone(),
+                shard,
+            }
+        }
+        Svc::Router => {
+            let (shard_addr, shard, _) = start_server_with(ServerConfig::default());
+            let opts = RouterOptions {
+                k: 2,
+                next_id: 120,
+                ..RouterOptions::default()
+            };
+            let map = ShardMap::new(vec![0]).expect("one shard");
+            let router = ShardRouter::connect(map, vec![vec![shard_addr.to_string()]], opts)
+                .expect("connect router");
+            let (addr, router, handle) = serve(RouterServer::new(router).with_config(config));
+            Served {
+                addr,
+                handle,
+                service: router,
+                shard,
+            }
+        }
+    }
+}
+
+/// A client whose reads give up after 10 s, so a missing reply fails
+/// the test instead of hanging it.
+fn patient_client(addr: SocketAddr) -> WireClient {
+    WireClient::builder()
+        .timeouts(Some(Duration::from_secs(10)), Some(Duration::from_secs(10)))
+        .connect(addr)
+        .expect("connect")
 }
 
 #[test]
@@ -252,7 +321,16 @@ fn concurrent_clients_get_consistent_replies() {
 
 #[test]
 fn malformed_frames_get_an_error_reply_and_a_hangup() {
-    let (addr, _server) = start_server();
+    malformed_frames_on(Svc::Shard);
+}
+
+#[test]
+fn malformed_frames_get_an_error_reply_and_a_hangup_at_the_router() {
+    malformed_frames_on(Svc::Router);
+}
+
+fn malformed_frames_on(svc: Svc) {
+    let addr = start(svc, ServerConfig::default()).addr;
 
     // Valid length prefix, garbage body: bad magic.
     let mut client = WireClient::connect(addr).expect("connect");
@@ -301,7 +379,11 @@ fn malformed_frames_get_an_error_reply_and_a_hangup() {
 
     // And the server is still healthy for everyone else.
     let mut client = WireClient::connect(addr).expect("connect");
-    assert!(client.call("stats").expect("stats").contains("signatures:"));
+    let stats = client.call("stats").expect("stats");
+    assert!(stats.contains("server: accepted"), "{stats}");
+    if svc == Svc::Shard {
+        assert!(stats.contains("signatures:"), "{stats}");
+    }
 }
 
 #[test]
@@ -334,11 +416,24 @@ fn queries_over_tcp_match_local_scans() {
 
 #[test]
 fn overload_cap_rejects_with_a_clean_error_frame() {
-    let (addr, _server, _h) = start_server_with(ServerConfig {
-        max_conns: 1,
-        drain_grace: Duration::from_millis(200),
-        ..ServerConfig::default()
-    });
+    overload_cap_on(Svc::Shard);
+}
+
+#[test]
+fn overload_cap_rejects_with_a_clean_error_frame_at_the_router() {
+    overload_cap_on(Svc::Router);
+}
+
+fn overload_cap_on(svc: Svc) {
+    let addr = start(
+        svc,
+        ServerConfig {
+            max_conns: 1,
+            drain_grace: Duration::from_millis(200),
+            ..ServerConfig::default()
+        },
+    )
+    .addr;
     let mut first = WireClient::connect(addr).expect("connect first");
     // Round-trip once so the acceptor has definitely admitted us before
     // the second connection races in.
@@ -347,7 +442,7 @@ fn overload_cap_rejects_with_a_clean_error_frame() {
         .expect("first client works")
         .starts_with("ok"));
 
-    let mut second = WireClient::connect(addr).expect("tcp connect still succeeds");
+    let mut second = patient_client(addr);
     let refusal = second.read_reply().expect("overload frame");
     assert!(refusal.starts_with("error: overloaded:"), "{refusal}");
     assert!(
@@ -376,11 +471,24 @@ fn overload_cap_rejects_with_a_clean_error_frame() {
 
 #[test]
 fn idle_connections_time_out_with_an_error_frame() {
-    let (addr, server, _h) = start_server_with(ServerConfig {
-        read_timeout: Some(Duration::from_millis(150)),
-        ..ServerConfig::default()
-    });
-    let mut client = WireClient::connect(addr).expect("connect");
+    idle_timeout_on(Svc::Shard);
+}
+
+#[test]
+fn idle_connections_time_out_with_an_error_frame_at_the_router() {
+    idle_timeout_on(Svc::Router);
+}
+
+fn idle_timeout_on(svc: Svc) {
+    let served = start(
+        svc,
+        ServerConfig {
+            read_timeout: Some(Duration::from_millis(150)),
+            ..ServerConfig::default()
+        },
+    );
+    let addr = served.addr;
+    let mut client = patient_client(addr);
     // Send nothing: the server's read timeout must fire, answer with an
     // in-band error, and close the connection.
     let reply = client.read_reply().expect("timeout frame");
@@ -391,16 +499,31 @@ fn idle_connections_time_out_with_an_error_frame() {
         c.call("stats").expect("stats")
     };
     assert!(stats.contains("timeouts 1"), "{stats}");
-    drop(server);
+    drop(served);
 }
 
 #[test]
 fn a_panicking_command_is_isolated_to_an_error_reply() {
-    let (addr, server, _h) = start_server_with(ServerConfig {
-        enable_test_panic: true,
-        ..ServerConfig::default()
-    });
-    let mut client = WireClient::connect(addr).expect("connect");
+    panic_isolation_on(Svc::Shard);
+}
+
+#[test]
+fn a_panicking_command_is_isolated_to_an_error_reply_at_the_router() {
+    panic_isolation_on(Svc::Router);
+}
+
+fn panic_isolation_on(svc: Svc) {
+    let served = start(
+        svc,
+        ServerConfig {
+            enable_test_panic: true,
+            ..ServerConfig::default()
+        },
+    );
+    // The shard that holds the index, served directly or behind the
+    // router.
+    let server = &served.shard;
+    let mut client = WireClient::connect(served.addr).expect("connect");
     let epoch_before = server.reader().epoch();
 
     let reply = client.call("__panic").expect("panic must become a reply");
@@ -432,11 +555,28 @@ fn a_panicking_command_is_isolated_to_an_error_reply() {
 
 #[test]
 fn shutdown_drains_checkpoints_and_stops_the_acceptor() {
+    shutdown_drain_on(Svc::Shard);
+}
+
+#[test]
+fn shutdown_drains_and_stops_the_acceptor_at_the_router() {
+    shutdown_drain_on(Svc::Router);
+}
+
+fn shutdown_drain_on(svc: Svc) {
     let grace = Duration::from_secs(20);
-    let (addr, server, handle) = start_server_with(ServerConfig {
-        drain_grace: grace,
-        ..ServerConfig::default()
-    });
+    let Served {
+        addr,
+        handle,
+        service,
+        ..
+    } = start(
+        svc,
+        ServerConfig {
+            drain_grace: grace,
+            ..ServerConfig::default()
+        },
+    );
     let mut client = WireClient::connect(addr).expect("connect");
     // An idle second connection must not wedge the drain, nor hold it
     // for the grace period.
@@ -446,7 +586,7 @@ fn shutdown_drains_checkpoints_and_stops_the_acceptor() {
     let started = Instant::now();
     let reply = client.call("shutdown").expect("shutdown reply");
     assert!(reply.starts_with("ok draining"), "{reply}");
-    assert!(server.is_shutting_down());
+    assert!(service.front().is_shutting_down());
 
     // The accept loop exits cleanly: exit code 0 material.
     let served = handle.join().expect("acceptor thread");
@@ -517,4 +657,43 @@ fn stats_reports_serving_counters_and_durability() {
     );
     let ckpt = client.call("checkpoint").expect("checkpoint");
     assert!(ckpt.contains("ephemeral"), "{ckpt}");
+}
+
+#[test]
+fn catchup_refuses_a_peer_record_with_a_forged_tree_length() {
+    // A stub peer answers every `walsuffix` with one WAL record whose
+    // tree claims `u32::MAX` nodes (the record checksum is not a
+    // defence: the sender computes it). The catching-up replica must
+    // answer with an error, not abort reserving 16 GiB.
+    let mut forged = Vec::new();
+    forged.extend_from_slice(&1u64.to_le_bytes()); // epoch
+    forged.extend_from_slice(&1u32.to_le_bytes()); // op count
+    forged.push(1); // insert
+    forged.extend_from_slice(&0u32.to_le_bytes()); // node
+    forged.extend_from_slice(&u32::MAX.to_le_bytes()); // tree length
+    let peer = TcpListener::bind("127.0.0.1:0").expect("bind stub peer");
+    let peer_addr = peer.local_addr().expect("peer addr");
+    std::thread::spawn(move || {
+        let (mut stream, _) = peer.accept().expect("accept");
+        let chunk = ned_core::Response::WalChunk {
+            base: 0,
+            epoch: 1,
+            records: vec![forged],
+        };
+        while let Ok(Some(_)) = wire::read_frame(&mut stream) {
+            if wire::write_text_frame(&mut stream, &chunk.to_string()).is_err() {
+                return;
+            }
+        }
+    });
+    let (addr, server) = start_server();
+    let mut client = WireClient::connect(addr).expect("connect");
+    let reply = client
+        .call(&format!("catchup {peer_addr}"))
+        .expect("catchup reply");
+    assert!(reply.starts_with("error: corrupt:"), "{reply}");
+    assert!(reply.contains("undecodable"), "{reply}");
+    assert_eq!(server.reader().epoch(), 0, "nothing applied");
+    let ok = client.call("epoch").expect("the replica still serves");
+    assert!(ok.starts_with("ok epoch=0"), "{ok}");
 }

@@ -35,6 +35,27 @@ use rand::{Rng, SeedableRng};
 use std::path::Path;
 use std::process::ExitCode;
 
+/// `println!` that survives a closed stdout (`ned-cli ... | head -1`):
+/// every stdout line goes through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes to stdout. Once the reader has gone (`BrokenPipe`) output is
+/// dropped and the command runs to its end, so `serve` still
+/// checkpoints, `route` still drains its fleet, and the exit code is 0.
+fn emit(args: std::fmt::Arguments) {
+    use std::io::Write;
+    match std::io::stdout().write_fmt(args) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            panic!("failed printing to stdout: {e}")
+        }
+        _ => {}
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
@@ -65,7 +86,7 @@ fn main() -> ExitCode {
 }
 
 fn print_usage() {
-    println!(
+    out!(
         "NED: inter-graph node similarity based on edit distance (VLDB'17 reproduction)\n\
          \n\
          commands:\n\
@@ -118,7 +139,8 @@ fn print_usage() {
     );
 }
 
-/// Tiny flag parser: positional args first, then `--flag value` pairs.
+/// Tiny flag parser: positional args and `--flag value` pairs, checked
+/// against the flags and switches the command declares.
 struct Args<'a> {
     positional: Vec<&'a str>,
     flags: Vec<(&'a str, &'a str)>,
@@ -126,7 +148,9 @@ struct Args<'a> {
 }
 
 impl<'a> Args<'a> {
-    fn parse(raw: &'a [String], switches: &[&str]) -> Result<Self, String> {
+    /// `flags` take a value, `switches` do not; any other `--name` is an
+    /// error, raised before the command has done anything.
+    fn parse(raw: &'a [String], flags: &[&str], switches: &[&str]) -> Result<Self, String> {
         let mut out = Args {
             positional: Vec::new(),
             flags: Vec::new(),
@@ -138,12 +162,14 @@ impl<'a> Args<'a> {
             if let Some(name) = tok.strip_prefix("--") {
                 if switches.contains(&name) {
                     out.switches.push(name);
-                } else {
+                } else if flags.contains(&name) {
                     let value = raw
                         .get(i + 1)
                         .ok_or_else(|| format!("missing value for --{name}"))?;
                     out.flags.push((name, value.as_str()));
                     i += 1;
+                } else {
+                    return Err(format!("unknown flag --{name}; try `ned-cli help`"));
                 }
             } else {
                 out.positional.push(tok);
@@ -198,7 +224,7 @@ fn parse_node(g: &Graph, s: &str) -> Result<NodeId, String> {
 }
 
 fn cmd_gen(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &[])?;
+    let args = Args::parse(raw, &["scale", "seed"], &[])?;
     let name = args.positional(0, "dataset name")?;
     let out = args.positional(1, "output path")?;
     let scale: f64 = args.get("scale", 0.01)?;
@@ -214,7 +240,7 @@ fn cmd_gen(raw: &[String]) -> Result<(), String> {
     };
     let g = dataset.generate(scale, seed);
     io::write_edge_list(&g, Path::new(out)).map_err(|e| e.to_string())?;
-    println!(
+    out!(
         "{}: wrote {} nodes / {} edges to {out}",
         dataset.abbrev(),
         g.num_nodes(),
@@ -224,24 +250,24 @@ fn cmd_gen(raw: &[String]) -> Result<(), String> {
 }
 
 fn cmd_stats(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &["directed"])?;
+    let args = Args::parse(raw, &[], &["directed"])?;
     let g = load(args.positional(0, "graph path")?, args.has("directed"))?;
     let s = stats::graph_stats(&g);
-    println!("nodes:         {}", s.nodes);
-    println!("edges:         {}", s.edges);
-    println!("avg degree:    {:.3}", s.avg_degree);
-    println!("max degree:    {}", s.max_degree);
-    println!("isolated:      {}", s.isolated);
-    println!("components:    {}", s.components);
+    out!("nodes:         {}", s.nodes);
+    out!("edges:         {}", s.edges);
+    out!("avg degree:    {:.3}", s.avg_degree);
+    out!("max degree:    {}", s.max_degree);
+    out!("isolated:      {}", s.isolated);
+    out!("components:    {}", s.components);
     if !g.is_directed() {
-        println!("triangles:     {}", stats::triangle_count(&g));
-        println!("assortativity: {:.4}", stats::degree_assortativity(&g));
+        out!("triangles:     {}", stats::triangle_count(&g));
+        out!("assortativity: {:.4}", stats::degree_assortativity(&g));
     }
     Ok(())
 }
 
 fn cmd_dist(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &["directed"])?;
+    let args = Args::parse(raw, &["k"], &["directed"])?;
     let directed = args.has("directed");
     let g1 = load(args.positional(0, "first graph")?, directed)?;
     let g2 = load(args.positional(2, "second graph")?, directed)?;
@@ -250,28 +276,34 @@ fn cmd_dist(raw: &[String]) -> Result<(), String> {
     let k: usize = args.get("k", 3)?;
     if directed {
         let d = ned::core::ned_directed(&g1, u, &g2, v, k);
-        println!("directed NED_k={k}({u}, {v}) = {d}");
+        out!("directed NED_k={k}({u}, {v}) = {d}");
     } else {
         let d = ned(&g1, u, &g2, v, k);
-        println!("NED_k={k}({u}, {v}) = {d}");
+        out!("NED_k={k}({u}, {v}) = {d}");
         let t1 = k_adjacent_tree(&g1, u, k);
         let t2 = k_adjacent_tree(&g2, v, k);
-        println!("T({u},{k}): {t1:?}");
-        println!("T({v},{k}): {t2:?}");
-        println!("{}", edit_script::explain(&t1, &t2).describe());
+        out!("T({u},{k}): {t1:?}");
+        out!("T({v},{k}): {t2:?}");
+        out!("{}", edit_script::explain(&t1, &t2).describe());
         if t1.len() <= 24 && t2.len() <= 24 {
             use ned::tree::{ahu, serialize};
-            println!("\nT({u},{k}) canonical:");
-            print!("{}", serialize::render_ascii(&ahu::canonical_form(&t1)));
-            println!("T({v},{k}) canonical:");
-            print!("{}", serialize::render_ascii(&ahu::canonical_form(&t2)));
+            out!("\nT({u},{k}) canonical:");
+            emit(format_args!(
+                "{}",
+                serialize::render_ascii(&ahu::canonical_form(&t1))
+            ));
+            out!("T({v},{k}) canonical:");
+            emit(format_args!(
+                "{}",
+                serialize::render_ascii(&ahu::canonical_form(&t2))
+            ));
         }
     }
     Ok(())
 }
 
 fn cmd_knn(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &[])?;
+    let args = Args::parse(raw, &["k", "top"], &[])?;
     let g1 = load(args.positional(0, "query graph")?, false)?;
     let g2 = load(args.positional(2, "database graph")?, false)?;
     let u = parse_node(&g1, args.positional(1, "query node")?)?;
@@ -281,15 +313,19 @@ fn cmd_knn(raw: &[String]) -> Result<(), String> {
     let db_nodes: Vec<NodeId> = g2.nodes().collect();
     let db = signatures(&g2, &db_nodes, k);
     let hits = batch::knn_batch(&query, &db, top, 0);
-    println!("top-{top} matches for node {u} (k = {k}) in the database graph:");
+    out!("top-{top} matches for node {u} (k = {k}) in the database graph:");
     for (rank, &(d, node)) in hits[0].iter().enumerate() {
-        println!("  {:>2}. node {node:>8}  NED = {d}", rank + 1);
+        out!("  {:>2}. node {node:>8}  NED = {d}", rank + 1);
     }
     Ok(())
 }
 
 fn cmd_deanon(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &[])?;
+    let args = Args::parse(
+        raw,
+        &["k", "top", "samples", "ratio", "seed", "method"],
+        &[],
+    )?;
     let g = load(args.positional(0, "graph path")?, false)?;
     let k: usize = args.get("k", 3)?;
     let top: usize = args.get("top", 5)?;
@@ -334,16 +370,16 @@ fn cmd_deanon(raw: &[String]) -> Result<(), String> {
         })
         .count();
 
-    println!(
+    out!(
         "de-anonymization ({}, ratio {ratio}, k = {k}, top-{top}, {} queries):",
         method.name(),
         sample.len()
     );
-    println!(
+    out!(
         "  NED precision:     {:.3}",
         ned_hits as f64 / sample.len() as f64
     );
-    println!(
+    out!(
         "  Feature precision: {:.3}",
         feat_hits as f64 / sample.len() as f64
     );
@@ -351,13 +387,13 @@ fn cmd_deanon(raw: &[String]) -> Result<(), String> {
 }
 
 fn cmd_classes(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &[])?;
+    let args = Args::parse(raw, &["k", "show"], &[])?;
     let g = load(args.positional(0, "graph path")?, false)?;
     let k: usize = args.get("k", 3)?;
     let show: usize = args.get("show", 5)?;
     let classes = ned::core::equivalence_classes(&g, k);
     let singletons = classes.iter().filter(|c| c.len() == 1).count();
-    println!(
+    out!(
         "{} structural equivalence classes at k = {k} ({} singletons):",
         classes.len(),
         singletons
@@ -370,20 +406,20 @@ fn cmd_classes(raw: &[String]) -> Result<(), String> {
             shape.truncate(57);
             shape.push_str("...");
         }
-        println!("  #{:<3} {:>6} nodes  shape {}", i + 1, class.len(), shape);
+        out!("  #{:<3} {:>6} nodes  shape {}", i + 1, class.len(), shape);
     }
     Ok(())
 }
 
 fn cmd_suggest_k(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &[])?;
+    let args = Args::parse(raw, &["target", "samples", "seed"], &[])?;
     let g = load(args.positional(0, "graph path")?, false)?;
     let target: usize = args.get("target", 30)?;
     let samples: usize = args.get("samples", 50)?;
     let seed: u64 = args.get("seed", 42)?;
     let mut rng = SmallRng::seed_from_u64(seed);
     let k = ned::graph::bfs::suggest_k(&g, target, samples, &mut rng);
-    println!("suggested k = {k} (median sampled tree reaches ~{target} nodes)");
+    out!("suggested k = {k} (median sampled tree reaches ~{target} nodes)");
     Ok(())
 }
 
@@ -398,7 +434,7 @@ fn save_index(index: &ned::index::SignatureIndex, path: &str) -> Result<(), Stri
 }
 
 fn print_index_stats(index: &ned::index::SignatureIndex) {
-    println!(
+    out!(
         "signatures: {} (k = {}), sketch mode {}",
         index.len(),
         index.k(),
@@ -422,7 +458,7 @@ fn cmd_index(raw: &[String]) -> Result<(), String> {
 }
 
 fn cmd_index_build(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &[])?;
+    let args = Args::parse(raw, &["k"], &[])?;
     let out = args.positional(0, "output index path")?;
     let graph_path = args.positional(1, "graph path")?;
     let g = load(graph_path, false)?;
@@ -435,7 +471,7 @@ fn cmd_index_build(raw: &[String]) -> Result<(), String> {
     let index = ned::index::SignatureIndex::from_graph(&g, k, 1024, 42, 0);
     let elapsed = t0.elapsed();
     save_index(&index, out)?;
-    println!(
+    out!(
         "indexed {n} signatures of {graph_path} as ids 0..{n} -> {out} \
          (bulk ingest, {:.1} ms)",
         elapsed.as_secs_f64() * 1e3
@@ -445,7 +481,7 @@ fn cmd_index_build(raw: &[String]) -> Result<(), String> {
 }
 
 fn cmd_index_add(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &[])?;
+    let args = Args::parse(raw, &["out"], &[])?;
     let idx_path = args.positional(0, "index path")?;
     let graph_path = args.positional(1, "graph path")?;
     let out: String = args.get("out", idx_path.to_string())?;
@@ -454,7 +490,7 @@ fn cmd_index_add(raw: &[String]) -> Result<(), String> {
     let nodes: Vec<NodeId> = g.nodes().collect();
     let ids = index.insert_graph(&g, &nodes);
     save_index(&index, &out)?;
-    println!(
+    out!(
         "added {} signatures of {graph_path} as ids {}..{} -> {out}",
         nodes.len(),
         ids.start,
@@ -465,7 +501,7 @@ fn cmd_index_add(raw: &[String]) -> Result<(), String> {
 }
 
 fn cmd_index_query(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &["verify"])?;
+    let args = Args::parse(raw, &["top", "threads", "radius", "sketch"], &["verify"])?;
     let mut index = load_index(args.positional(0, "index path")?)?;
     let g = load(args.positional(1, "query graph")?, false)?;
     let v = parse_node(&g, args.positional(2, "query node")?)?;
@@ -486,7 +522,7 @@ fn cmd_index_query(raw: &[String]) -> Result<(), String> {
             if let Some(top) = top_flag {
                 hits.truncate(top);
             }
-            println!(
+            out!(
                 "signatures within NED <= {r} of node {v} among {} indexed (k = {}):",
                 index.len(),
                 index.k()
@@ -496,7 +532,7 @@ fn cmd_index_query(raw: &[String]) -> Result<(), String> {
         None => {
             let top = top_flag.unwrap_or(5);
             let hits = index.query(&sig, top, threads);
-            println!(
+            out!(
                 "top-{top} of {} indexed signatures for node {v} (k = {}):",
                 index.len(),
                 index.k()
@@ -505,7 +541,7 @@ fn cmd_index_query(raw: &[String]) -> Result<(), String> {
         }
     };
     for (rank, h) in hits.iter().enumerate() {
-        println!("  {:>2}. id {:>8}  NED = {}", rank + 1, h.id, h.distance);
+        out!("  {:>2}. id {:>8}  NED = {}", rank + 1, h.id, h.distance);
     }
     if args.has("verify") {
         let slow = match radius {
@@ -523,7 +559,7 @@ fn cmd_index_query(raw: &[String]) -> Result<(), String> {
             None => index.scan(&sig, top_flag.unwrap_or(5)),
         };
         if hits == slow {
-            println!(
+            out!(
                 "verified: identical to the full scan ({} items)",
                 index.len()
             );
@@ -537,7 +573,7 @@ fn cmd_index_query(raw: &[String]) -> Result<(), String> {
 }
 
 fn cmd_index_save(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &[])?;
+    let args = Args::parse(raw, &[], &[])?;
     let src = args.positional(0, "index path")?;
     let dst = args.positional(1, "output path")?;
     let index = load_index(src)?;
@@ -546,7 +582,7 @@ fn cmd_index_save(raw: &[String]) -> Result<(), String> {
     if back.len() != index.len() || back.k() != index.k() {
         return Err(format!("round-trip mismatch writing {dst}"));
     }
-    println!(
+    out!(
         "re-encoded {src} -> {dst} ({} signatures, verified)",
         back.len()
     );
@@ -554,10 +590,10 @@ fn cmd_index_save(raw: &[String]) -> Result<(), String> {
 }
 
 fn cmd_index_load(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &[])?;
+    let args = Args::parse(raw, &[], &[])?;
     let path = args.positional(0, "index path")?;
     let index = load_index(path)?;
-    println!("{path}:");
+    out!("{path}:");
     print_index_stats(&index);
     Ok(())
 }
@@ -566,7 +602,7 @@ fn cmd_index_load(raw: &[String]) -> Result<(), String> {
 /// standing up a fleet by hand. Prints the `--bounds` vector and
 /// `--next-id` that `route --attach` needs to route over the parts.
 fn cmd_index_split(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &[])?;
+    let args = Args::parse(raw, &["shards", "out-prefix"], &[])?;
     let idx_path = args.positional(0, "index path")?;
     let shards: usize = args.get("shards", 3)?;
     if shards == 0 {
@@ -578,18 +614,18 @@ fn cmd_index_split(raw: &[String]) -> Result<(), String> {
     for (s, part) in parts.iter().enumerate() {
         let out = format!("{prefix}{s}.idx");
         save_index(part, &out)?;
-        println!(
+        out!(
             "shard {s}: {} signatures, ids >= {} -> {out}",
             part.len(),
             map.starts()[s]
         );
     }
-    println!(
+    out!(
         "split {idx_path} ({} signatures) into {shards} shard(s)",
         index.len()
     );
-    println!("  --bounds {map}");
-    println!("  --next-id {}", index.next_id());
+    out!("  --bounds {map}");
+    out!("  --next-id {}", index.next_id());
     Ok(())
 }
 
@@ -609,6 +645,13 @@ fn parse_fsync(mode: &str) -> Result<ned::core::wal::FsyncPolicy, String> {
     }
 }
 
+/// The stdin REPL of `serve` and `route`: one command per line, replies
+/// on stdout, until `quit`, `shutdown`, end of input or a closed stdout.
+fn repl<S: ned::index::Service>(server: &std::sync::Arc<S>) -> Result<(), String> {
+    ned::index::front::repl(server, std::io::stdin().lock(), std::io::stdout())
+        .map_err(|e| e.to_string())
+}
+
 /// Long-lived serving mode. Without `--tcp`, a stdin REPL: one command
 /// per line, answers on stdout. With `--tcp ADDR`, a concurrent
 /// thread-per-connection server speaking the framed batch protocol
@@ -621,8 +664,21 @@ fn parse_fsync(mode: &str) -> Result<ned::core::wal::FsyncPolicy, String> {
 /// write batch is journaled before it is acknowledged, and a checkpoint
 /// runs every `--checkpoint-every` batches plus once at clean shutdown.
 fn cmd_serve(raw: &[String]) -> Result<(), String> {
-    use std::io::BufRead;
-    let args = Args::parse(raw, &[])?;
+    let args = Args::parse(
+        raw,
+        &[
+            "tcp",
+            "threads",
+            "pool",
+            "graph",
+            "wal",
+            "fsync",
+            "checkpoint-every",
+            "max-conns",
+            "sketch",
+        ],
+        &[],
+    )?;
     let idx_path = args.positional(0, "index path")?;
     let tcp: Option<String> = args.opt("tcp")?;
     // Intra-query fan-out: a single-user REPL may as well use every core
@@ -640,7 +696,7 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
             let (durable, report) =
                 ned::index::DurableIndex::recover(Path::new(idx_path), Path::new(wal_path), opts)
                     .map_err(|e| format!("{idx_path} + {wal_path}: {e}"))?;
-            println!("recovery: {report}");
+            out!("recovery: {report}");
             durable
         }
         None => ned::index::DurableIndex::ephemeral(load_index(idx_path)?),
@@ -660,37 +716,27 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
         // per-session `track` command.
         let g = load(&graph_path, false)?;
         let line = server.track(&g).map_err(|e| format!("{graph_path}: {e}"))?;
-        println!("{line}");
+        out!("{line}");
     }
     match tcp {
         Some(addr) => {
             let listener =
                 std::net::TcpListener::bind(&addr).map_err(|e| format!("{addr}: {e}"))?;
             let local = listener.local_addr().map_err(|e| e.to_string())?;
-            println!("serving {idx_path} on tcp://{local}");
-            println!("{}", server.stats_line());
+            out!("serving {idx_path} on tcp://{local}");
+            out!("{}", server.stats_line());
             server.serve_tcp(listener).map_err(|e| e.to_string())
         }
         None => {
-            println!("serving {idx_path}; type `help` for commands");
-            println!("{}", server.stats_line());
-            let stdin = std::io::stdin();
-            for line in stdin.lock().lines() {
-                let line = line.map_err(|e| e.to_string())?;
-                let (reply, quit) = server.handle_payload(&line);
-                if !reply.is_empty() {
-                    println!("{reply}");
-                }
-                if quit {
-                    break;
-                }
-            }
+            out!("serving {idx_path}; type `help` for commands");
+            out!("{}", server.stats_line());
+            repl(&server)?;
             // A clean REPL exit checkpoints too, so the next boot never
             // needs log replay.
             if let Some(epoch) = server.finalize().map_err(|e| e.to_string())? {
-                println!("checkpointed at epoch {epoch}");
+                out!("checkpointed at epoch {epoch}");
             }
-            println!("bye");
+            out!("bye");
             Ok(())
         }
     }
@@ -713,8 +759,22 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
 /// single `serve` process, answers bit-identically to the unsplit
 /// index, and fails over reads (retrying writes) when replicas die.
 fn cmd_route(raw: &[String]) -> Result<(), String> {
-    use std::io::BufRead;
-    let args = Args::parse(raw, &[])?;
+    let args = Args::parse(
+        raw,
+        &[
+            "tcp",
+            "quorum",
+            "attach",
+            "bounds",
+            "k",
+            "next-id",
+            "shards",
+            "replicas",
+            "shard-dir",
+            "wal-dir",
+        ],
+        &[],
+    )?;
     let tcp: Option<String> = args.opt("tcp")?;
     let mut opts = ned::index::RouterOptions {
         // 0 (the default) means a majority of each shard's replicas.
@@ -783,7 +843,7 @@ fn cmd_route(raw: &[String]) -> Result<(), String> {
                         &[],
                     )
                     .map_err(|e| format!("spawning shard {s} replica {r}: {e}"))?;
-                    println!(
+                    out!(
                         "shard {s} replica {r}: {} signatures, pid {}, tcp://{}",
                         part.len(),
                         shard.pid(),
@@ -803,26 +863,14 @@ fn cmd_route(raw: &[String]) -> Result<(), String> {
             let listener =
                 std::net::TcpListener::bind(&addr).map_err(|e| format!("{addr}: {e}"))?;
             let local = listener.local_addr().map_err(|e| e.to_string())?;
-            println!("routing fleet on tcp://{local}");
-            println!("{}", server.router().stats_line());
+            out!("routing fleet on tcp://{local}");
+            out!("{}", server.router().stats_line());
             server.serve_tcp(listener).map_err(|e| e.to_string())
         }
         None => {
-            println!("routing fleet; type `help` for commands");
-            println!("{}", server.router().stats_line());
-            let stdin = std::io::stdin();
-            for line in stdin.lock().lines() {
-                let line = line.map_err(|e| e.to_string())?;
-                let (reply, quit) = server.handle_payload(&line);
-                if !reply.is_empty() {
-                    println!("{reply}");
-                }
-                if quit {
-                    break;
-                }
-            }
-            println!("bye");
-            Ok(())
+            out!("routing fleet; type `help` for commands");
+            out!("{}", server.router().stats_line());
+            repl(&server).map(|()| out!("bye"))
         }
     };
     if !fleet.is_empty() {
@@ -832,13 +880,13 @@ fn cmd_route(raw: &[String]) -> Result<(), String> {
         for shard in &mut fleet {
             let _ = shard.wait_or_kill(std::time::Duration::from_secs(5));
         }
-        println!("fleet down ({acked} replica(s) acknowledged shutdown)");
+        out!("fleet down ({acked} replica(s) acknowledged shutdown)");
     }
     result
 }
 
 fn cmd_hausdorff(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &[])?;
+    let args = Args::parse(raw, &["k", "sample", "seed"], &[])?;
     let g1 = load(args.positional(0, "first graph")?, false)?;
     let g2 = load(args.positional(1, "second graph")?, false)?;
     let k: usize = args.get("k", 3)?;
@@ -863,7 +911,7 @@ fn cmd_hausdorff(raw: &[String]) -> Result<(), String> {
     let n1 = pick(&g1, &mut rng);
     let n2 = pick(&g2, &mut rng);
     let d = ned::core::hausdorff::hausdorff_between(&g1, &n1, &g2, &n2, k);
-    println!(
+    out!(
         "Hausdorff-NED (k = {k}, {}x{} sampled nodes) = {d}",
         n1.len(),
         n2.len()
