@@ -61,13 +61,13 @@
 //! `verify_against` its index, what a server tracking its graph does at
 //! boot.
 //!
-//! Four in-run floors compare two paths timed here:
+//! Five in-run floors compare two paths timed here:
 //! `soa_kernel_speedup_vs_presoa`, `bounded_knn_speedup_vs_unbounded_forest`,
-//! `ingest_bulk_speedup_vs_per_node` and `fleet_overhead_vs_single`. Each
+//! `ingest_bulk_speedup_vs_per_node`, `fleet_overhead_vs_single` and
+//! `loadgen_reader_scaling_4r_vs_1r` (1 against 4 reader threads). Each
 //! times its two sides in alternating rounds and gates on the median of
-//! the per-round ratios (`measure_pair`), so host drift between rounds
-//! cannot decide it. `loadgen_reader_scaling_4r_vs_1r` divides two
-//! throughputs of one path, so it has no alternating form.
+//! the per-round ratios (`measure_pair`, or the reader rounds' own loop),
+//! so host drift between rounds cannot decide it.
 //!
 //! Run with `cargo run --release -p ned-bench --bin perf_snapshot
 //! [output.json]`. Name a `BENCH_<n>.json` only to record a new point of
@@ -139,9 +139,8 @@ fn measure_pair(
 /// [`measure`] applies to scalar entries, extended to latency summaries.
 /// A single run's p99 is one noisy tail sample (the ~2nd-largest of ~120
 /// ops); gating that at 30% would make CI flaky, so each recorded metric
-/// is the median of `runs` independent runs instead.
-fn median_summary(runs: usize, mut run: impl FnMut() -> LatencySummary) -> LatencySummary {
-    let mut all: Vec<LatencySummary> = (0..runs.max(1)).map(|_| run()).collect();
+/// is the median over independent runs instead.
+fn median_summary(mut all: Vec<LatencySummary>) -> LatencySummary {
     let mid = all.len() / 2;
     let median_by = |all: &mut [LatencySummary], f: fn(&LatencySummary) -> f64| -> f64 {
         all.sort_by(|a, b| f(a).partial_cmp(&f(b)).expect("NaN metric"));
@@ -1005,8 +1004,26 @@ fn main() {
     let (_writer, reader) = ConcurrentNedIndex::split(serving);
     // Warm-up: thread scratch arenas + the TED* memo, as in serving.
     knn_read_workload(&reader, &probes, 1, 8, 5);
-    let single = median_summary(3, || knn_read_workload(&reader, &probes, 1, 120, 5));
-    let fleet = median_summary(3, || knn_read_workload(&reader, &probes, 4, 30, 5));
+    // 1-reader and 4-reader runs alternate round by round and the gate
+    // reads the median per-round ratio, as `measure_pair` does: a
+    // scheduler stall during one stretch of time hits one round, not a
+    // whole side.
+    let rounds: Vec<(LatencySummary, LatencySummary)> = (0..7)
+        .map(|_| {
+            (
+                knn_read_workload(&reader, &probes, 1, 120, 5),
+                knn_read_workload(&reader, &probes, 4, 30, 5),
+            )
+        })
+        .collect();
+    let reader_scaling = median(
+        rounds
+            .iter()
+            .map(|(one, four)| one.ns_per_op / four.ns_per_op)
+            .collect(),
+    );
+    let (single, fleet): (Vec<_>, Vec<_>) = rounds.into_iter().unzip();
+    let (single, fleet) = (median_summary(single), median_summary(fleet));
     entries.push(Entry {
         name: "loadgen/ba4000-knn-r1",
         ns_per_op: single.ns_per_op,
@@ -1019,16 +1036,16 @@ fn main() {
         p50_ns: Some(fleet.p50_ns),
         p99_ns: Some(fleet.p99_ns),
     });
-    let reader_scaling = single.ns_per_op / fleet.ns_per_op;
 
     // --- fleet: scatter-gather router over a 3-shard TCP fleet -----------
     // The PR 7 distributed serving layer: the identical BA-4000 signature
     // set split into 3 id-range shards, each behind its own loopback TCP
-    // server, queried through the ShardRouter (shared-radius scatter, one
-    // bounded merge heap). The baseline is the same knn through ONE TCP
+    // server, queried through the ShardRouter (one frame written to every
+    // shard from the calling thread, the replies read in turn, one
+    // bounded merge). The baseline is the same knn through ONE TCP
     // server holding the unsplit index — same wire protocol, no scatter —
     // so the ratio prices exactly the coordination: per-shard framing,
-    // the scatter threads, and the merge.
+    // the replica bookkeeping, and the merge.
     let fleet_index = SignatureIndex::from_signatures(3, 1024, 0xF0, db_sigs);
     let probe_shapes: Vec<String> = probes
         .iter()
@@ -1224,10 +1241,10 @@ fn main() {
          the same journal without fsync ({unsynced_churn_ns:.0} ns/flip) — over the 30% \
          durability budget"
     );
-    // A deliberately loose bound: the scatter pays 3 parallel frames, 3
-    // scatter threads, and a merge per query, but each shard scans a
-    // third of the index — coordination must never cost more than 4x the
-    // single-server wire path on this workload.
+    // A deliberately loose bound: the scatter pays 3 frames out, 3
+    // replies read on one thread, and a merge per query, but each shard
+    // scans a third of the index — coordination must never cost more
+    // than 4x the single-server wire path on this workload.
     assert!(
         fleet_overhead <= 4.0,
         "scatter-gather knn ({fleet_knn_ns:.0} ns/op) is {fleet_overhead:.2}x the \

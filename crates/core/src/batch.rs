@@ -356,12 +356,6 @@ pub fn pairwise_condensed(sigs: &[NodeSignature], threads: usize) -> Vec<u64> {
     rows.into_iter().flatten().collect()
 }
 
-/// Index into a condensed pairwise vector.
-pub fn condensed_index(n: usize, i: usize, j: usize) -> usize {
-    assert!(i < j && j < n, "need i < j < n");
-    i * (2 * n - i - 1) / 2 + (j - i - 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,6 +430,13 @@ mod tests {
                 assert!(*refined <= db.len());
             }
         }
+    }
+
+    /// Index into a condensed pairwise vector: the layout
+    /// [`pairwise_condensed`] documents.
+    fn condensed_index(n: usize, i: usize, j: usize) -> usize {
+        assert!(i < j && j < n, "need i < j < n");
+        i * (2 * n - i - 1) / 2 + (j - i - 1)
     }
 
     #[test]

@@ -80,7 +80,7 @@ impl SignatureFactory {
     }
 
     /// The canonical shape table shared by this factory's extractors.
-    pub fn shape_table(&self) -> &Arc<ShapeTable> {
+    fn shape_table(&self) -> &Arc<ShapeTable> {
         &self.shared.table
     }
 

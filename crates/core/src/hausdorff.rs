@@ -9,7 +9,7 @@ use crate::ned::{signatures, NodeSignature};
 use ned_graph::{Graph, NodeId};
 
 /// Directed Hausdorff term `h(A, B) = max_{a∈A} min_{b∈B} δ_T(a, b)`.
-pub fn directed_hausdorff(a: &[NodeSignature], b: &[NodeSignature]) -> u64 {
+fn directed_hausdorff(a: &[NodeSignature], b: &[NodeSignature]) -> u64 {
     assert!(
         !a.is_empty() && !b.is_empty(),
         "collections must be non-empty"

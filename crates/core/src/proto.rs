@@ -189,16 +189,16 @@ pub enum Request {
         radius: u64,
     },
     /// `sig <parens-tree> [top] [within=<b>]` — k-NN by a literal tree
-    /// shape. `within` is the scatter-gather pushdown: an inclusive upper
-    /// bound on useful distances (the router's shared radius), letting a
-    /// shard abandon candidates that provably cannot enter the global
-    /// top-k. Omitted = unbounded (the classic form).
+    /// shape. `within` is an inclusive upper bound on useful distances:
+    /// the answer is the best `top` of the hits within `b`, and the
+    /// server abandons candidates past it. A router forwards it to every
+    /// shard unchanged. Omitted = unbounded (the classic form).
     Sig {
         /// Nested-parentheses tree shape.
         shape: String,
         /// How many hits.
         top: usize,
-        /// Inclusive distance budget pushed down by a coordinator.
+        /// Inclusive distance budget.
         within: Option<u64>,
     },
     /// `rangesig <parens-tree> <r>` — range query by a literal shape.

@@ -7,13 +7,15 @@
 //! whose start is ≤ `id`), writes route to the healthy replicas of the
 //! owning shard through the idempotent explicit-id `putsig` primitive (the
 //! coordinator owns id assignment), and reads scatter to all shards and
-//! merge through one bounded `(distance, id)` heap — with the shared
-//! distance budget pushed down per shard as `sig ... within=<b>`, which
-//! tightens as shard replies land. Because per-shard results are computed
-//! by the same index code at the same `k`, and the merge is the same
-//! `(distance, id)` top-k the sketch bank's knn runs on (ties kept by
-//! the **inclusive** budget), a fleet answer is bit-identical to
-//! a single-process index holding all the entries — the property the
+//! merge through one bounded `(distance, id)` top-k. A read runs on the
+//! caller's thread: it writes the request to one replica of every shard,
+//! then reads the replies in shard order, so the shards work in parallel
+//! without a thread per shard. Each shard answers the request the router
+//! was given (an upstream `within=<b>` goes to every shard unchanged).
+//! Because per-shard results are computed by the same index code at the
+//! same `k`, and the merge is the same `(distance, id)` top-k the sketch
+//! bank's knn runs on, a fleet answer is bit-identical to a
+//! single-process index holding all the entries — the property the
 //! `fleet.rs` integration tests pin. [`RouterServer`] serves a router
 //! through the shard's own front end ([`crate::front`]).
 //!
@@ -296,36 +298,50 @@ impl Replica {
         }
     }
 
-    /// One request on a pooled connection. In-band `error:` replies are
-    /// surfaced as `Err` so callers see one failure channel; the
-    /// connection is returned to the pool only on success.
+    /// One request on a pooled connection: [`Replica::send`], then
+    /// [`Replica::receive`].
     fn request(&self, opts: &RouterOptions, req: &Request) -> Result<Response, ServerError> {
-        let mut batch = self.request_batch(opts, std::slice::from_ref(req))?;
-        Ok(batch.pop().expect("length checked by request_batch"))
+        self.receive(self.send(opts, &req.to_string())?)
+    }
+
+    /// The send half of a request: leases a connection and writes one
+    /// frame to it. The connection is out of the pool until
+    /// [`Replica::receive`] has read its reply.
+    fn send(&self, opts: &RouterOptions, payload: &str) -> Result<WireClient, ServerError> {
+        let mut client = self.lease(opts)?;
+        client.send_raw(payload.as_bytes())?;
+        Ok(client)
+    }
+
+    /// The receive half: reads and parses the one reply in flight on
+    /// `client`. The connection goes back to the pool once the reply has
+    /// parsed (an in-band `error:` leaves the stream healthy); a dead or
+    /// desynced one is dropped. In-band errors are surfaced as `Err` so
+    /// callers see one failure channel.
+    fn receive(&self, mut client: WireClient) -> Result<Response, ServerError> {
+        let resp = Response::parse(&client.read_reply()?)?;
+        self.give_back(client);
+        match resp {
+            Response::Error(e) => Err(e),
+            resp => Ok(resp),
+        }
     }
 
     /// One multi-command frame on a pooled connection; any in-band
-    /// `error:` element fails the whole call.
+    /// `error:` element fails the whole call. The connection goes back
+    /// to the pool as in [`Replica::receive`].
     fn request_batch(
         &self,
         opts: &RouterOptions,
         reqs: &[Request],
     ) -> Result<Vec<Response>, ServerError> {
         let mut client = self.lease(opts)?;
-        match client.request_batch(reqs) {
-            Ok(resps) => {
-                // A dead or desynced connection must not go back in the
-                // pool; an in-band error leaves the stream healthy.
-                self.give_back(client);
-                for resp in &resps {
-                    if let Response::Error(e) = resp {
-                        return Err(e.clone());
-                    }
-                }
-                Ok(resps)
-            }
-            Err(e) => Err(e),
+        let resps = client.request_batch(reqs)?;
+        self.give_back(client);
+        if let Some(Response::Error(e)) = resps.iter().find(|r| matches!(r, Response::Error(_))) {
+            return Err(e.clone());
         }
+        Ok(resps)
     }
 
     /// [`Replica::request_batch`] with redial-and-retry on retryable
@@ -406,6 +422,16 @@ impl Shard {
             }
         }
     }
+}
+
+/// The first attempt of one shard read, sent by [`ShardRouter::scatter`]:
+/// the rotation it started from, the position in that rotation of the
+/// replica it asked, and the connection whose reply is in flight, or why
+/// the send failed (`None` when every replica was mid catch-up).
+struct FirstAttempt {
+    start: usize,
+    at: usize,
+    sent: Option<Result<WireClient, ServerError>>,
 }
 
 /// The shard state the request paths share with the heal thread, which
@@ -580,8 +606,65 @@ impl ShardRouter {
         *self.next_id.lock().unwrap_or_else(|p| p.into_inner())
     }
 
+    /// One read against every shard, on the calling thread: `req` goes
+    /// to each shard and the replies come back in shard order, each at
+    /// or past that shard's acked epoch. The frame is written to every
+    /// shard — to the replica [`ShardRouter::shard_read`]'s first attempt
+    /// asks — before any reply is read, so the shards work in parallel;
+    /// then [`ShardRouter::shard_read`] reads and judges each reply in
+    /// turn. On an error the connections whose replies were not read yet
+    /// are dropped, never pooled.
+    fn scatter(&self, req: &Request) -> Result<Vec<Response>, ServerError> {
+        let _fleet = self.fleet_lock.read().unwrap_or_else(|p| p.into_inner());
+        let min_epochs = self.acked_epochs();
+        let payload = req.to_string();
+        // Collected before any reply is read: every frame is out first.
+        let firsts: Vec<FirstAttempt> = self
+            .fleet
+            .shards
+            .iter()
+            .map(|shard| {
+                let n = shard.replicas.len();
+                let start = shard.cursor.fetch_add(1, Ordering::Relaxed);
+                let at = (0..n)
+                    .find(|i| shard.replicas[(start + i) % n].health() != CATCHING_UP)
+                    .unwrap_or(n);
+                let sent = (at < n)
+                    .then(|| shard.replicas[(start + at) % n].send(&self.fleet.opts, &payload));
+                FirstAttempt { start, at, sent }
+            })
+            .collect();
+        firsts
+            .into_iter()
+            .enumerate()
+            .map(|(i, first)| self.shard_read(i, req, min_epochs[i], first))
+            .collect()
+    }
+
+    /// [`ShardRouter::scatter`] for a query answered with hits: the
+    /// per-shard epochs and every shard's hits, concatenated.
+    fn scatter_hits(&self, req: &Request) -> Result<(Vec<u64>, Vec<WireHit>), ServerError> {
+        let mut epochs = Vec::with_capacity(self.fleet.shards.len());
+        let mut hits = Vec::new();
+        for (i, resp) in self.scatter(req)?.into_iter().enumerate() {
+            match resp {
+                Response::Hits { epoch, hits: h } => {
+                    epochs.push(epoch);
+                    hits.extend(h);
+                }
+                _ => {
+                    return Err(ServerError::Corrupt(format!(
+                        "shard {i} answered a query with a non-hits reply"
+                    )))
+                }
+            }
+        }
+        Ok((epochs, hits))
+    }
+
     /// One read against shard `shard_idx`, requiring a reply epoch of at
-    /// least `min_epoch` when the reply carries one. Rotates across
+    /// least `min_epoch` when the reply carries one. It reads the reply
+    /// to the scatter's `first` attempt, then goes on rotating across
     /// replicas (skipping ones mid catch-up — they are out of the
     /// rotation until their WAL stream completes); a stale reply or a
     /// retryable error demotes the replica (the next heal pass repairs
@@ -594,21 +677,30 @@ impl ShardRouter {
         shard_idx: usize,
         req: &Request,
         min_epoch: u64,
+        first: FirstAttempt,
     ) -> Result<Response, ServerError> {
         let shard = &self.fleet.shards[shard_idx];
         let n = shard.replicas.len();
+        let FirstAttempt {
+            mut start,
+            at: mut from,
+            mut sent,
+        } = first;
         let mut last: Option<ServerError> = None;
         for round in 0..self.fleet.opts.read_rounds.max(1) {
             if round > 0 {
                 std::thread::sleep(backoff(round - 1));
+                start = shard.cursor.fetch_add(1, Ordering::Relaxed);
+                from = 0;
             }
-            let start = shard.cursor.fetch_add(1, Ordering::Relaxed);
-            for i in 0..n {
+            for i in from..n {
                 let replica = &shard.replicas[(start + i) % n];
-                if replica.health() == CATCHING_UP {
-                    continue;
-                }
-                match replica.request(&self.fleet.opts, req) {
+                let result = match sent.take() {
+                    Some(sent) => sent.and_then(|client| replica.receive(client)),
+                    None if replica.health() == CATCHING_UP => continue,
+                    None => replica.request(&self.fleet.opts, req),
+                };
+                match result {
                     Ok(resp) => match resp.epoch() {
                         Some(epoch) if epoch < min_epoch => {
                             replica
@@ -732,107 +824,38 @@ impl ShardRouter {
     }
 
     /// Scatter-gather k-NN by literal shape: bit-identical to querying a
-    /// single index holding every shard's entries. `within` (when given)
-    /// seeds the shared budget — e.g. a `sig ... within=<b>` forwarded
-    /// from an upstream coordinator.
+    /// single index holding every shard's entries. `within` (e.g. from a
+    /// `sig ... within=<b>` an upstream coordinator sent) goes to every
+    /// shard unchanged, so the fleet answers what one index would: the
+    /// best `top` of the hits within `b`.
     pub fn knn(
         &self,
         shape: &str,
         top: usize,
         within: Option<u64>,
     ) -> Result<FleetHits, ServerError> {
-        let _fleet = self.fleet_lock.read().unwrap_or_else(|p| p.into_inner());
-        let min_epochs = self.acked_epochs();
-        // The shared radius: an inclusive upper bound on distances that
-        // can still enter the global top-k. Starts unbounded (u64::MAX
-        // encodes "no budget") and tightens monotonically as shard
-        // replies fill the merge heap.
-        let budget = AtomicU64::new(within.unwrap_or(u64::MAX));
-        let merge = Mutex::new(TopK::new(top));
-        let epochs = Mutex::new(vec![0u64; self.fleet.shards.len()]);
-        let results: Vec<Result<(), ServerError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.fleet.shards.len())
-                .map(|i| {
-                    let (budget, merge, epochs, min_epochs) =
-                        (&budget, &merge, &epochs, &min_epochs);
-                    scope.spawn(move || -> Result<(), ServerError> {
-                        let b = budget.load(Ordering::Acquire);
-                        let req = Request::Sig {
-                            shape: shape.to_string(),
-                            top,
-                            within: (b != u64::MAX).then_some(b),
-                        };
-                        let resp = self.shard_read(i, &req, min_epochs[i])?;
-                        let Response::Hits { epoch, hits } = resp else {
-                            return Err(ServerError::Corrupt(format!(
-                                "shard {i} answered a sig query with a non-hits reply"
-                            )));
-                        };
-                        let mut m = merge.lock().unwrap_or_else(|p| p.into_inner());
-                        for hit in hits {
-                            m.push(hit);
-                        }
-                        if let Some(bound) = m.bound() {
-                            budget.fetch_min(bound, Ordering::AcqRel);
-                        }
-                        drop(m);
-                        epochs.lock().unwrap_or_else(|p| p.into_inner())[i] = epoch;
-                        Ok(())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scatter worker panicked"))
-                .collect()
-        });
-        for r in results {
-            r?;
+        let (epochs, hits) = self.scatter_hits(&Request::Sig {
+            shape: shape.to_string(),
+            top,
+            within,
+        })?;
+        let mut merge = TopK::new(top);
+        for hit in hits {
+            merge.push(hit);
         }
         Ok(FleetHits {
-            hits: merge
-                .into_inner()
-                .unwrap_or_else(|p| p.into_inner())
-                .into_sorted(),
-            epochs: epochs.into_inner().unwrap_or_else(|p| p.into_inner()),
+            hits: merge.into_sorted(),
+            epochs,
         })
     }
 
     /// Scatter-gather range query by literal shape (all hits with
     /// NED ≤ `radius`), merged into global `(distance, id)` order.
     pub fn range(&self, shape: &str, radius: u64) -> Result<FleetHits, ServerError> {
-        let _fleet = self.fleet_lock.read().unwrap_or_else(|p| p.into_inner());
-        let min_epochs = self.acked_epochs();
-        let results: Vec<Result<(u64, Vec<WireHit>), ServerError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.fleet.shards.len())
-                .map(|i| {
-                    let min_epochs = &min_epochs;
-                    scope.spawn(move || {
-                        let req = Request::RangeSig {
-                            shape: shape.to_string(),
-                            radius,
-                        };
-                        match self.shard_read(i, &req, min_epochs[i])? {
-                            Response::Hits { epoch, hits } => Ok((epoch, hits)),
-                            _ => Err(ServerError::Corrupt(format!(
-                                "shard {i} answered a rangesig query with a non-hits reply"
-                            ))),
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scatter worker panicked"))
-                .collect()
-        });
-        let mut hits: Vec<WireHit> = Vec::new();
-        let mut epochs = Vec::with_capacity(self.fleet.shards.len());
-        for r in results {
-            let (epoch, shard_hits) = r?;
-            epochs.push(epoch);
-            hits.extend(shard_hits);
-        }
+        let (epochs, mut hits) = self.scatter_hits(&Request::RangeSig {
+            shape: shape.to_string(),
+            radius,
+        })?;
         sort_hits(&mut hits);
         Ok(FleetHits { hits, epochs })
     }
@@ -841,22 +864,16 @@ impl ShardRouter {
     /// live sizes — the sums are monotone under writes, which is what a
     /// client polling `epoch` for progress relies on.
     pub fn epoch(&self) -> Result<(u64, u64), ServerError> {
-        let _fleet = self.fleet_lock.read().unwrap_or_else(|p| p.into_inner());
-        let min_epochs = self.acked_epochs();
         let mut epoch_sum = 0u64;
         let mut len_sum = 0u64;
-        for (i, &min_epoch) in min_epochs.iter().enumerate() {
-            match self.shard_read(i, &Request::Epoch, min_epoch)? {
-                Response::Epoch { epoch, len } => {
-                    epoch_sum += epoch;
-                    len_sum += len;
-                }
-                _ => {
-                    return Err(ServerError::Corrupt(format!(
-                        "shard {i} answered `epoch` with a different reply"
-                    )))
-                }
-            }
+        for (i, resp) in self.scatter(&Request::Epoch)?.into_iter().enumerate() {
+            let Response::Epoch { epoch, len } = resp else {
+                return Err(ServerError::Corrupt(format!(
+                    "shard {i} answered `epoch` with a different reply"
+                )));
+            };
+            epoch_sum += epoch;
+            len_sum += len;
         }
         Ok((epoch_sum, len_sum))
     }

@@ -16,8 +16,8 @@
 //! query <graph.edges> <node> [top]    nearest indexed signatures
 //! range <graph.edges> <node> <r>      all signatures with NED <= r
 //! sig <parens-tree> [top] [within=b]  query by a literal tree shape
-//!                                     (within= is the scatter-gather
-//!                                     distance budget pushdown)
+//!                                     (within= is an inclusive
+//!                                     distance budget)
 //! rangesig <parens-tree> <r>          range query by a literal shape
 //! add <graph.edges> <node>            index one more signature
 //! addsig <parens-tree>                index a literal tree shape
@@ -73,12 +73,12 @@ use ned_core::{wire, NodeSignature, PreparedTree, TedMemo};
 use ned_graph::{io as graph_io, Graph, GraphDelta, NodeId};
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Caps one `walsuffix` reply at this many records. The suffix is read
 /// and encoded under the index writer lock, and the whole chunk sits in
@@ -571,11 +571,11 @@ impl NedServer {
                 let sig = parse_sig(shape)?;
                 let (snap, epoch) = self.reader().snapshot_with_epoch();
                 let hits = match within {
-                    // The scatter-gather pushdown: only distances within
-                    // the coordinator's shared radius can make the global
-                    // top-k, so run a (cheaper, budget-bounded) range
-                    // query and keep the best `top` — inclusive bound, so
-                    // ties survive and the fleet merge stays bit-identical.
+                    // Only distances within the caller's inclusive budget
+                    // count: a budget-bounded range query, cut to the best
+                    // `top`. Ties at the budget survive, so a router that
+                    // forwards the same `within` to every shard merges to
+                    // this answer bit for bit.
                     Some(budget) => {
                         let mut hits = snap.range(&sig, *budget, self.query_threads);
                         hits.truncate(*top);
@@ -753,8 +753,8 @@ const HELP_BODY: &str = "commands:\n\
     \x20                                    TED* call - bounded, not\n\
     \x20                                    compute-then-filter)\n\
     \x20 sig <parens-tree> [top] [within=b] query by a literal tree shape\n\
-    \x20                                    (within= caps useful distances\n\
-    \x20                                    - the fleet radius pushdown)\n\
+    \x20                                    (within= caps useful distances,\n\
+    \x20                                    inclusive)\n\
     \x20 rangesig <parens-tree> <r>         range query by a literal shape\n\
     \x20 add <graph.edges> <node>           index one more signature\n\
     \x20 addsig <parens-tree>               index a literal tree shape\n\
@@ -781,37 +781,11 @@ const HELP_BODY: &str = "commands:\n\
     \x20 shutdown                           drain, checkpoint, exit cleanly\n\
     \x20 quit";
 
-/// Hard cap on the total wall-clock a [`WireClient::call_with_retry`]
-/// ladder may spend sleeping-and-retrying. A scatter-gather leg pointed
-/// at a dead replica gives up here and lets the router fail over,
-/// regardless of how many attempts the budget nominally allows.
-pub const RETRY_DEADLINE: Duration = Duration::from_secs(8);
-
-/// The backoff before retry `attempt` (1-based): exponential from 20 ms
-/// doubling to a 2 s ceiling, jittered deterministically into
-/// `[base/2, base]` by an xorshift* mix of `(seed, attempt)`. The seed
-/// is derived from the peer address, so two clients hammering the same
-/// dead replica follow *different* schedules (no thundering herd) while
-/// any one schedule is reproducible in tests.
-fn retry_backoff(attempt: u32, seed: u64) -> Duration {
-    let exp = attempt.saturating_sub(1).min(7);
-    let base_ms = (20u64 << exp).min(2_000);
-    let mut x = seed ^ u64::from(attempt).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    Duration::from_millis(base_ms / 2 + x % (base_ms / 2 + 1))
-}
-
-/// The sleep to take before retry `attempt`, or `None` when taking it
-/// would cross `deadline` — the ladder's hard stop.
-fn retry_sleep(attempt: u32, seed: u64, elapsed: Duration, deadline: Duration) -> Option<Duration> {
-    let delay = retry_backoff(attempt, seed);
-    (elapsed + delay < deadline).then_some(delay)
-}
-
 /// A blocking client for the framed TCP protocol — used by the CLI, the
-/// shard router, the load generator, and the loopback tests.
+/// shard router, the load generator, and the loopback tests. It sends
+/// one frame and reads one reply; it never redials or retries, because
+/// only the caller knows whether a request is safe to send twice (the
+/// router's replica loop decides that for the fleet).
 ///
 /// Configure through [`WireClient::builder`]:
 ///
@@ -821,44 +795,27 @@ fn retry_sleep(attempt: u32, seed: u64, elapsed: Duration, deadline: Duration) -
 ///
 /// let mut client = WireClient::builder()
 ///     .timeouts(Some(Duration::from_secs(5)), Some(Duration::from_secs(5)))
-///     .retry(4)
 ///     .connect("127.0.0.1:7878")?;
 /// let reply = client.call("epoch")?;
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct WireClient {
     stream: TcpStream,
-    /// The resolved peer, remembered for redialing.
-    addr: Option<SocketAddr>,
-    read_timeout: Option<Duration>,
-    write_timeout: Option<Duration>,
-    /// Attempts used by [`WireClient::call_with_retry`].
-    retry_attempts: u32,
 }
 
-/// Configures and connects a [`WireClient`] — the one place connection
-/// policy (timeouts, retry budget) is decided, replacing the deprecated
-/// post-hoc setters.
+/// Configures and connects a [`WireClient`]: its socket timeouts are
+/// decided here, at connect time.
 #[derive(Debug, Clone, Copy)]
 pub struct WireClientBuilder {
     read_timeout: Option<Duration>,
     write_timeout: Option<Duration>,
-    retry_attempts: u32,
 }
 
 impl WireClientBuilder {
-    /// Socket read/write timeouts (`None` = block forever). Applied at
-    /// connect time and re-applied on every internal redial.
+    /// Socket read/write timeouts (`None` = block forever).
     pub fn timeouts(mut self, read: Option<Duration>, write: Option<Duration>) -> Self {
         self.read_timeout = read;
         self.write_timeout = write;
-        self
-    }
-
-    /// Total attempts [`WireClient::call_with_retry`] makes (including
-    /// the first); clamped to at least 1.
-    pub fn retry(mut self, attempts: u32) -> Self {
-        self.retry_attempts = attempts.max(1);
         self
     }
 
@@ -867,68 +824,23 @@ impl WireClientBuilder {
         let stream = TcpStream::connect(addr)?;
         stream.set_read_timeout(self.read_timeout)?;
         stream.set_write_timeout(self.write_timeout)?;
-        let addr = stream.peer_addr().ok();
-        Ok(WireClient {
-            stream,
-            addr,
-            read_timeout: self.read_timeout,
-            write_timeout: self.write_timeout,
-            retry_attempts: self.retry_attempts,
-        })
+        Ok(WireClient { stream })
     }
 }
 
 impl WireClient {
-    /// A builder with no timeouts and a single attempt — the
-    /// configuration entry point.
+    /// A builder with no timeouts — the configuration entry point.
     pub fn builder() -> WireClientBuilder {
         WireClientBuilder {
             read_timeout: None,
             write_timeout: None,
-            retry_attempts: 1,
         }
     }
 
-    /// Connects to a serving `ned-cli serve --tcp` address with the
-    /// default configuration (no timeouts, one attempt).
+    /// Connects to a serving `ned-cli serve --tcp` address with no
+    /// timeouts.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> std::io::Result<Self> {
         Self::builder().connect(addr)
-    }
-
-    /// Applies socket timeouts so a dead or drained server surfaces as a
-    /// timely error instead of a hung client.
-    #[deprecated(note = "configure via `WireClient::builder().timeouts(..)` instead")]
-    pub fn set_timeouts(
-        &self,
-        read: Option<Duration>,
-        write: Option<Duration>,
-    ) -> std::io::Result<()> {
-        self.stream.set_read_timeout(read)?;
-        self.stream.set_write_timeout(write)
-    }
-
-    /// Drops the current stream and dials the remembered peer address
-    /// again. Any reply in flight on the old stream is lost.
-    #[deprecated(note = "redialing is internal to `WireClient::call_with_retry`; \
-                         reconnect by building a new client")]
-    pub fn reconnect(&mut self) -> std::io::Result<()> {
-        self.redial()
-    }
-
-    /// Dials the remembered peer again, re-applying the configured
-    /// timeouts, and replaces the stream.
-    fn redial(&mut self) -> std::io::Result<()> {
-        let addr = self.addr.ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::AddrNotAvailable,
-                "peer address unknown; cannot reconnect",
-            )
-        })?;
-        let stream = TcpStream::connect(addr)?;
-        stream.set_read_timeout(self.read_timeout)?;
-        stream.set_write_timeout(self.write_timeout)?;
-        self.stream = stream;
-        Ok(())
     }
 
     /// Sends one payload (one command, or a newline-separated batch) and
@@ -938,64 +850,9 @@ impl WireClient {
         self.read_reply()
     }
 
-    /// [`WireClient::call`] with bounded exponential-backoff
-    /// reconnect-and-retry using the builder-configured attempt budget,
-    /// for payloads that are safe to send twice — **idempotent reads
-    /// only**. A retried write could double-apply: the server may have
-    /// executed a call whose reply was lost. The backoff before retry
-    /// `n` is exponential from 20 ms (capped at 2 s) with deterministic
-    /// per-peer jitter in `[base/2, base]`, so concurrent scatter-gather
-    /// legs retrying the same dead replica spread out instead of
-    /// thundering in lockstep; the whole ladder is cut off at a hard
-    /// [`RETRY_DEADLINE`] so a dead peer can never stall a leg for the
-    /// full unjittered schedule. Returns the last error if no attempt
-    /// succeeds.
-    pub fn call_with_retry(&mut self, payload: &str) -> Result<String, wire::WireError> {
-        self.retry_inner(payload, self.retry_attempts)
-    }
-
-    /// [`WireClient::call_with_retry`] with an explicit attempt count.
-    #[deprecated(note = "set the attempt budget via `WireClient::builder().retry(..)` \
-                         and use `call_with_retry`")]
-    pub fn call_idempotent(
-        &mut self,
-        payload: &str,
-        attempts: u32,
-    ) -> Result<String, wire::WireError> {
-        self.retry_inner(payload, attempts)
-    }
-
-    fn retry_inner(&mut self, payload: &str, attempts: u32) -> Result<String, wire::WireError> {
-        let seed = self
-            .addr
-            .map(|a| ned_core::store::fnv1a64(a.to_string().as_bytes()))
-            .unwrap_or(0x4e45_4457); // "NEDW": a fixed seed beats none
-        let started = Instant::now();
-        let mut last = None;
-        for attempt in 0..attempts.max(1) {
-            if attempt > 0 {
-                let Some(delay) = retry_sleep(attempt, seed, started.elapsed(), RETRY_DEADLINE)
-                else {
-                    break; // the hard deadline: stop burning time on a dead peer
-                };
-                std::thread::sleep(delay);
-                if let Err(e) = self.redial() {
-                    last = Some(wire::WireError::Io(e));
-                    continue;
-                }
-            }
-            match self.call(payload) {
-                Ok(reply) => return Ok(reply),
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(last.expect("at least one attempt ran"))
-    }
-
-    /// Sends one typed request and parses the typed reply — the
-    /// programmatic surface the shard router drives. Transport failures
-    /// and malformed replies both surface as [`ServerError`], so callers
-    /// branch on one retryability taxonomy.
+    /// Sends one typed request and parses the typed reply. Transport
+    /// failures and malformed replies both surface as [`ServerError`], so
+    /// callers branch on one retryability taxonomy.
     ///
     /// ```
     /// use ned_core::{Request, Response};
@@ -1043,9 +900,10 @@ impl WireClient {
         Ok(responses)
     }
 
-    /// Sends raw payload bytes without reading a reply. Only useful
-    /// together with [`WireClient::read_reply`]; [`WireClient::call`] is
-    /// the normal entry point.
+    /// Sends raw payload bytes without reading a reply, which
+    /// [`WireClient::read_reply`] reads later. The router's scatter
+    /// writes one frame to every shard this way before it reads any
+    /// reply; [`WireClient::call`] is the normal entry point.
     pub fn send_raw(&mut self, payload: &[u8]) -> Result<(), wire::WireError> {
         wire::write_frame(&mut self.stream, payload)?;
         Ok(())
@@ -1075,64 +933,5 @@ impl WireClient {
         let mut out = Vec::new();
         self.stream.read_to_end(&mut out)?;
         Ok(out)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn backoff_jitter_stays_within_the_exponential_envelope() {
-        for attempt in 1..=10u32 {
-            let base_ms = (20u64 << attempt.saturating_sub(1).min(7)).min(2_000);
-            for seed in [0u64, 1, 42, u64::MAX, 0x4e45_4457] {
-                let d = retry_backoff(attempt, seed).as_millis() as u64;
-                assert!(
-                    (base_ms / 2..=base_ms).contains(&d),
-                    "attempt {attempt} seed {seed}: {d}ms outside [{}, {base_ms}]",
-                    base_ms / 2
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn backoff_seeds_desynchronize_concurrent_legs() {
-        // Two legs retrying the same dead replica from different client
-        // addresses must not sleep in lockstep: across a whole ladder,
-        // at least one rung has to differ for distinct seeds.
-        let ladder = |seed: u64| {
-            (1..=6u32)
-                .map(|a| retry_backoff(a, seed))
-                .collect::<Vec<_>>()
-        };
-        assert_ne!(ladder(1), ladder(2));
-        assert_ne!(ladder(0xdead_beef), ladder(0xfeed_face));
-    }
-
-    #[test]
-    fn retry_ladder_respects_the_hard_deadline() {
-        // Simulate an absurd attempt budget against a dead peer: the
-        // planned sleeps must stop before the deadline, and the total
-        // time slept can never cross it.
-        for seed in [7u64, 0x4e45_4457] {
-            let mut elapsed = Duration::ZERO;
-            let mut stopped = false;
-            for attempt in 1..=1_000u32 {
-                match retry_sleep(attempt, seed, elapsed, RETRY_DEADLINE) {
-                    Some(d) => elapsed += d,
-                    None => {
-                        stopped = true;
-                        break;
-                    }
-                }
-            }
-            assert!(stopped, "a 1000-attempt ladder must hit the deadline");
-            assert!(
-                elapsed < RETRY_DEADLINE,
-                "slept {elapsed:?} past the {RETRY_DEADLINE:?} deadline"
-            );
-        }
     }
 }

@@ -612,40 +612,6 @@ fn shutdown_drain_on(svc: Svc) {
 }
 
 #[test]
-fn client_reconnects_and_retries_idempotent_reads() {
-    let (addr, _server) = start_server();
-    let mut client = WireClient::builder()
-        .retry(4)
-        .connect(addr)
-        .expect("connect");
-    // `quit` makes the server hang up; the next plain call fails...
-    assert_eq!(client.call("quit").expect("quit"), "ok bye");
-    assert!(
-        client.call("epoch").is_err(),
-        "closed connection must error"
-    );
-    // ...but the retrying wrapper reconnects and succeeds.
-    let reply = client.call_with_retry("epoch").expect("reconnect + retry");
-    assert!(reply.starts_with("ok epoch="), "{reply}");
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_client_setters_still_work() {
-    // The three pre-builder entry points stay functional for one
-    // deprecation cycle; this is the compatibility pin.
-    let (addr, _server) = start_server();
-    let mut client = WireClient::connect(addr).expect("connect");
-    client
-        .set_timeouts(Some(Duration::from_secs(5)), Some(Duration::from_secs(5)))
-        .expect("set_timeouts");
-    assert_eq!(client.call("quit").expect("quit"), "ok bye");
-    client.reconnect().expect("reconnect");
-    let reply = client.call_idempotent("epoch", 3).expect("call_idempotent");
-    assert!(reply.starts_with("ok epoch="), "{reply}");
-}
-
-#[test]
 fn stats_reports_serving_counters_and_durability() {
     let (addr, _server) = start_server();
     let mut client = WireClient::connect(addr).expect("connect");
