@@ -17,7 +17,11 @@
 //! enter the trajectory the first time their snapshot is committed.
 //! Names the trajectory knows but the fresh snapshot **lacks fail the
 //! gate**: a deleted benchmark silently drops perf coverage, which is a
-//! regression of the pipeline itself.
+//! regression of the pipeline itself. The one way out is [`RETIRED`]: a
+//! series deliberately removed together with the code it measured is
+//! listed there with its reason and reported as `retired`; a retired
+//! name that a fresh snapshot still measures fails the gate, so the list
+//! cannot hide a live series.
 //!
 //! **Latency percentiles are first-class series.** A benchmark object
 //! may carry `p50_ns` / `p99_ns` next to its mean (the serving-layer
@@ -64,6 +68,21 @@ const DIFF_PATH: &str = "perf_gate_diff.json";
 /// Where the human-readable markdown rendering of the same comparison is
 /// written (and mirrored into `$GITHUB_STEP_SUMMARY` when set).
 const DIFF_MD_PATH: &str = "perf_gate_diff.md";
+
+/// Series deliberately removed from `perf_snapshot`, each with the reason
+/// it went. The committed trajectory keeps their history.
+const RETIRED: &[(&str, &str)] = &[(
+    "sketch/ba4000-knn-approx",
+    "approximate sketch mode deleted; the exact lower bound is the only pruning bound",
+)];
+
+/// The reason `name` was retired, if it is listed in [`RETIRED`].
+fn retired_reason(name: &str) -> Option<&'static str> {
+    RETIRED
+        .iter()
+        .find(|&&(n, _)| n == name)
+        .map(|&(_, why)| why)
+}
 
 #[derive(Debug, Clone, PartialEq)]
 struct Bench {
@@ -168,21 +187,38 @@ fn discover_trajectory(exclude: &str) -> Vec<String> {
 
 struct Row {
     name: String,
-    /// `None` for a trajectory benchmark missing from the fresh snapshot.
+    /// `None` for a trajectory benchmark absent from the fresh snapshot.
     fresh: Option<f64>,
     baseline: Option<(f64, String)>,
     ratio: Option<f64>,
     status: &'static str,
+    /// The [`RETIRED`] reason, for a retired series.
+    reason: Option<&'static str>,
+}
+
+/// What fails the gate; each count is a number of series.
+#[derive(Debug, Default, PartialEq)]
+struct Failures {
+    /// Series more than the threshold above their reference.
+    regressions: usize,
+    /// Trajectory series absent from the fresh snapshot and not retired
+    /// (a silently deleted bench is lost perf coverage).
+    missing: usize,
+    /// Retired series the fresh snapshot still measures.
+    revived: usize,
+}
+
+impl Failures {
+    fn any(&self) -> bool {
+        self.regressions + self.missing + self.revived > 0
+    }
 }
 
 /// Compares a fresh snapshot against the baseline history (oldest
-/// first). Returns the report rows plus the failure counts:
-/// `(rows, regressions, missing)` — `missing` counts trajectory
-/// benchmarks absent from the fresh snapshot, each of which fails the
-/// gate (a silently deleted bench is lost perf coverage).
-fn compare(fresh: &[Bench], history: &[(String, Vec<Bench>)]) -> (Vec<Row>, usize, usize) {
+/// first). Returns the report rows plus the failure counts.
+fn compare(fresh: &[Bench], history: &[(String, Vec<Bench>)]) -> (Vec<Row>, Failures) {
     let mut rows: Vec<Row> = Vec::new();
-    let mut regressions = 0usize;
+    let mut failures = Failures::default();
     for bench in fresh {
         let reference = history.iter().rev().find_map(|(path, benches)| {
             benches
@@ -190,16 +226,21 @@ fn compare(fresh: &[Bench], history: &[(String, Vec<Bench>)]) -> (Vec<Row>, usiz
                 .find(|b| b.name == bench.name)
                 .map(|b| (b.ns_per_op, path.clone()))
         });
-        let (ratio, status) = match &reference {
-            None => (None, "new"),
-            Some((base, _)) => {
-                let ratio = bench.ns_per_op / base;
+        let reason = retired_reason(&bench.name);
+        let ratio = reference.as_ref().map(|(base, _)| bench.ns_per_op / base);
+        let status = match (reason, &reference) {
+            (Some(_), _) => {
+                failures.revived += 1;
+                "revived"
+            }
+            (None, None) => "new",
+            (None, Some((base, _))) => {
                 let threshold = (base * (1.0 + MAX_REGRESSION)).max(base + NOISE_FLOOR_NS);
                 if bench.ns_per_op > threshold {
-                    regressions += 1;
-                    (Some(ratio), "regression")
+                    failures.regressions += 1;
+                    "regression"
                 } else {
-                    (Some(ratio), "ok")
+                    "ok"
                 }
             }
         };
@@ -209,12 +250,12 @@ fn compare(fresh: &[Bench], history: &[(String, Vec<Bench>)]) -> (Vec<Row>, usiz
             baseline: reference,
             ratio,
             status,
+            reason,
         });
     }
 
     // Trajectory names the fresh snapshot no longer measures. Most
     // recent baseline wins; each name is reported once.
-    let mut missing = 0usize;
     for (path, benches) in history.iter().rev() {
         for b in benches {
             let seen = fresh.iter().any(|f| f.name == b.name)
@@ -222,30 +263,42 @@ fn compare(fresh: &[Bench], history: &[(String, Vec<Bench>)]) -> (Vec<Row>, usiz
             if seen {
                 continue;
             }
-            missing += 1;
+            let reason = retired_reason(&b.name);
+            let status = if reason.is_some() {
+                "retired"
+            } else {
+                failures.missing += 1;
+                "missing"
+            };
             rows.push(Row {
                 name: b.name.clone(),
                 fresh: None,
                 baseline: Some((b.ns_per_op, path.clone())),
                 ratio: None,
-                status: "missing",
+                status,
+                reason,
             });
         }
     }
-    (rows, regressions, missing)
+    (rows, failures)
 }
 
 /// Renders the comparison as a markdown table, emitted on pass *and*
 /// fail so every CI run documents its drift against the trajectory.
-fn markdown_report(rows: &[Row], fresh_path: &str, regressions: usize, missing: usize) -> String {
-    let verdict = if regressions == 0 && missing == 0 {
-        "✅ pass"
-    } else {
+fn markdown_report(rows: &[Row], fresh_path: &str, failures: &Failures) -> String {
+    let verdict = if failures.any() {
         "❌ fail"
+    } else {
+        "✅ pass"
     };
+    let Failures {
+        regressions,
+        missing,
+        revived,
+    } = failures;
     let mut md = format!(
         "### perf_gate: {verdict}\n\n`{fresh_path}` vs committed trajectory \
-         ({regressions} regression(s), {missing} missing)\n\n\
+         ({regressions} regression(s), {missing} missing, {revived} revived)\n\n\
          | benchmark | fresh ns/op | baseline ns/op | baseline file | ratio | status |\n\
          |---|---:|---:|---|---:|---|\n"
     );
@@ -262,9 +315,13 @@ fn markdown_report(rows: &[Row], fresh_path: &str, regressions: usize, missing: 
             .ratio
             .map(|r| format!("{r:.3}"))
             .unwrap_or_else(|| "—".to_string());
+        let status = match row.reason {
+            Some(why) => format!("{}: {why}", row.status),
+            None => row.status.to_string(),
+        };
         md.push_str(&format!(
-            "| `{}` | {fresh} | {base} | {file} | {ratio} | {} |\n",
-            row.name, row.status
+            "| `{}` | {fresh} | {base} | {file} | {ratio} | {status} |\n",
+            row.name
         ));
     }
     md.push('\n');
@@ -310,7 +367,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let (rows, regressions, missing) = compare(&fresh, &history);
+    let (rows, failures) = compare(&fresh, &history);
 
     let mut report = String::from("{\n  \"schema\": \"ned-perf-gate/1\",\n");
     report.push_str(&format!(
@@ -329,8 +386,12 @@ fn main() -> ExitCode {
             .ratio
             .map(|r| format!("{r:.3}"))
             .unwrap_or_else(|| "null".to_string());
+        let reason = row
+            .reason
+            .map(|why| format!(", \"reason\": {why:?}"))
+            .unwrap_or_default();
         report.push_str(&format!(
-            "    {{\"name\": {:?}, \"fresh_ns\": {}, \"baseline_ns\": {}, \"baseline_file\": {}, \"ratio\": {}, \"status\": {:?}}}{}\n",
+            "    {{\"name\": {:?}, \"fresh_ns\": {}, \"baseline_ns\": {}, \"baseline_file\": {}, \"ratio\": {}, \"status\": {:?}{reason}}}{}\n",
             row.name,
             fresh_val,
             base_val,
@@ -341,13 +402,14 @@ fn main() -> ExitCode {
         ));
     }
     report.push_str(&format!(
-        "  ],\n  \"regressions\": {regressions},\n  \"missing\": {missing}\n}}\n"
+        "  ],\n  \"regressions\": {},\n  \"missing\": {},\n  \"revived\": {}\n}}\n",
+        failures.regressions, failures.missing, failures.revived
     ));
     if let Err(e) = std::fs::write(DIFF_PATH, &report) {
         eprintln!("perf_gate: cannot write {DIFF_PATH}: {e}");
         return ExitCode::FAILURE;
     }
-    let md = markdown_report(&rows, &fresh_path, regressions, missing);
+    let md = markdown_report(&rows, &fresh_path, &failures);
     if let Err(e) = std::fs::write(DIFF_MD_PATH, &md) {
         eprintln!("perf_gate: cannot write {DIFF_MD_PATH}: {e}");
         return ExitCode::FAILURE;
@@ -379,30 +441,39 @@ fn main() -> ExitCode {
                 row.status, row.name
             ),
             (None, Some((base, file)), _) => println!(
-                "  [{:^10}] {:<40} {:>12} vs {base:>12.1} ns ({file})",
-                row.status, row.name, "absent"
+                "  [{:^10}] {:<40} {:>12} vs {base:>12.1} ns ({file}){}",
+                row.status,
+                row.name,
+                "absent",
+                row.reason.map(|why| format!(": {why}")).unwrap_or_default()
             ),
-            (None, None, _) => unreachable!("missing rows always carry a baseline"),
+            (None, None, _) => unreachable!("absent rows always carry a baseline"),
         }
     }
     println!("wrote {DIFF_PATH} and {DIFF_MD_PATH}");
-    let mut failed = false;
-    if regressions > 0 {
+    if failures.regressions > 0 {
         eprintln!(
-            "perf_gate: {regressions} benchmark(s) regressed more than {:.0}%",
+            "perf_gate: {} benchmark(s) regressed more than {:.0}%",
+            failures.regressions,
             MAX_REGRESSION * 100.0
         );
-        failed = true;
     }
-    if missing > 0 {
+    if failures.missing > 0 {
         eprintln!(
-            "perf_gate: {missing} trajectory benchmark(s) missing from {fresh_path} — \
-             deleting a bench drops perf coverage; re-add it or retire it from the \
-             committed trajectory explicitly"
+            "perf_gate: {} trajectory benchmark(s) missing from {fresh_path} — \
+             deleting a bench drops perf coverage; re-add it or list it in RETIRED \
+             with the reason it went",
+            failures.missing
         );
-        failed = true;
     }
-    if failed {
+    if failures.revived > 0 {
+        eprintln!(
+            "perf_gate: {} retired benchmark(s) still measured in {fresh_path} — \
+             drop the series from perf_snapshot or take it off RETIRED",
+            failures.revived
+        );
+    }
+    if failures.any() {
         return ExitCode::FAILURE;
     }
     println!("perf_gate: ok");
@@ -453,6 +524,45 @@ mod tests {
     }
 
     #[test]
+    fn retired_series_absent_from_the_fresh_snapshot_is_retired_not_missing() {
+        let (name, why) = RETIRED[0];
+        let fresh = vec![bench("kept", 100.0)];
+        let history = vec![(
+            "BENCH_10.json".to_string(),
+            vec![bench("kept", 90.0), bench(name, 224_000.0)],
+        )];
+        let (rows, f) = compare(&fresh, &history);
+        assert_eq!(f, Failures::default(), "a retired series fails nothing");
+        let row = rows.iter().find(|r| r.name == name).expect("retired row");
+        assert_eq!((row.status, row.reason), ("retired", Some(why)));
+        let md = markdown_report(&rows, "BENCH_ci.json", &f);
+        assert!(md.contains("✅ pass"), "{md}");
+        assert!(
+            md.contains(&format!(
+                "| `{name}` | absent | 224000.0 | BENCH_10.json | — | retired: {why} |"
+            )),
+            "{md}"
+        );
+    }
+
+    #[test]
+    fn retired_series_still_in_the_fresh_snapshot_fails_the_gate() {
+        let (name, _) = RETIRED[0];
+        let fresh = vec![bench("kept", 100.0), bench(name, 200_000.0)];
+        let history = vec![(
+            "BENCH_10.json".to_string(),
+            vec![bench("kept", 90.0), bench(name, 224_000.0)],
+        )];
+        let (rows, f) = compare(&fresh, &history);
+        assert_eq!((f.regressions, f.missing, f.revived), (0, 0, 1));
+        assert!(f.any());
+        let row = rows.iter().find(|r| r.name == name).expect("revived row");
+        assert_eq!(row.status, "revived");
+        let md = markdown_report(&rows, "BENCH_ci.json", &f);
+        assert!(md.contains("❌ fail"), "{md}");
+    }
+
+    #[test]
     fn percentile_series_regress_independently() {
         // The mean holds steady while p99 blows past 30% + 1µs: the gate
         // must fail on the tail alone.
@@ -469,9 +579,9 @@ mod tests {
                 bench("serve@p99", 200_000.0),
             ],
         )];
-        let (rows, regressions, missing) = compare(&fresh, &history);
-        assert_eq!(missing, 0);
-        assert_eq!(regressions, 1, "only the p99 series regressed");
+        let (rows, f) = compare(&fresh, &history);
+        assert_eq!(f.missing, 0);
+        assert_eq!(f.regressions, 1, "only the p99 series regressed");
         assert_eq!(rows[0].status, "ok");
         assert_eq!(
             rows[1].status, "ok",
@@ -489,9 +599,9 @@ mod tests {
             "BENCH_4.json".to_string(),
             vec![bench("serve", 100_000.0), bench("serve@p99", 150_000.0)],
         )];
-        let (rows, regressions, missing) = compare(&fresh, &history);
-        assert_eq!(regressions, 0);
-        assert_eq!(missing, 1);
+        let (rows, f) = compare(&fresh, &history);
+        assert_eq!(f.regressions, 0);
+        assert_eq!(f.missing, 1);
         let row = rows.iter().find(|r| r.name == "serve@p99").expect("row");
         assert_eq!(row.status, "missing");
     }
@@ -506,9 +616,9 @@ mod tests {
             ),
             ("BENCH_2.json".to_string(), vec![bench("deleted", 50.0)]),
         ];
-        let (rows, regressions, missing) = compare(&fresh, &history);
-        assert_eq!(regressions, 0);
-        assert_eq!(missing, 1, "one deleted bench, one failure");
+        let (rows, f) = compare(&fresh, &history);
+        assert_eq!(f.regressions, 0);
+        assert_eq!(f.missing, 1, "one deleted bench, one failure");
         let row = rows
             .iter()
             .find(|r| r.name == "deleted")
@@ -531,9 +641,9 @@ mod tests {
                 vec![bench("x", 100_000.0), bench("y", 99_000.0)],
             ),
         ];
-        let (rows, regressions, missing) = compare(&fresh, &history);
-        assert_eq!(missing, 0);
-        assert_eq!(regressions, 1, "135µs vs 100µs is a >30% regression");
+        let (rows, f) = compare(&fresh, &history);
+        assert_eq!(f.missing, 0);
+        assert_eq!(f.regressions, 1, "135µs vs 100µs is a >30% regression");
         assert_eq!(rows[0].status, "regression");
         assert_eq!(rows[1].status, "ok");
     }
@@ -542,8 +652,8 @@ mod tests {
     fn markdown_report_renders_pass_and_fail_verdicts() {
         let fresh = vec![bench("kept", 100.0), bench("brand_new", 5.0)];
         let history = vec![("BENCH_1.json".to_string(), vec![bench("kept", 90.0)])];
-        let (rows, regressions, missing) = compare(&fresh, &history);
-        let md = markdown_report(&rows, "BENCH_ci.json", regressions, missing);
+        let (rows, f) = compare(&fresh, &history);
+        let md = markdown_report(&rows, "BENCH_ci.json", &f);
         assert!(md.contains("✅ pass"), "{md}");
         assert!(
             md.contains("| `kept` | 100.0 | 90.0 | BENCH_1.json |"),
@@ -558,8 +668,8 @@ mod tests {
             "BENCH_2.json".to_string(),
             vec![bench("kept", 90.0), bench("deleted", 70.0)],
         )];
-        let (rows, regressions, missing) = compare(&fresh, &gone_history);
-        let md = markdown_report(&rows, "BENCH_ci.json", regressions, missing);
+        let (rows, f) = compare(&fresh, &gone_history);
+        let md = markdown_report(&rows, "BENCH_ci.json", &f);
         assert!(md.contains("❌ fail"), "{md}");
         assert!(md.contains("| `deleted` | absent | 70.0 |"), "{md}");
     }
@@ -574,8 +684,8 @@ mod tests {
             "BENCH_3.json".to_string(),
             vec![bench("memo_hit", 25.0), bench("sweep", 25_000.0)],
         )];
-        let (rows, regressions, _) = compare(&fresh, &history);
-        assert_eq!(regressions, 1);
+        let (rows, f) = compare(&fresh, &history);
+        assert_eq!(f.regressions, 1);
         assert_eq!(rows[0].status, "ok", "nanosecond drift is not a regression");
         assert_eq!(rows[1].status, "regression");
     }

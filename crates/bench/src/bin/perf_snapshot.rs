@@ -33,9 +33,7 @@
 //! is priced too: `sketch/ba4000-knn` runs the identical knn workload
 //! through the flat sketch bank (linear lower-bound scan + shared-radius
 //! exact refine), asserted bit-identical to the forest first and gated
-//! in-run at ≥ 1.5x over the PR 3 bounded forest path, and
-//! `sketch/ba4000-knn-approx` prices the estimate-filtered mode with its
-//! measured recall gated at ≥ 0.95. Since PR 10 the sketch bank clones
+//! in-run at ≥ 1.5x over the bounded forest path. The sketch bank clones
 //! **copy-on-write** (chunk-shared `Arc` rows), clawing back the per-
 //! publication bank copy the PR 9 trajectory recorded on
 //! `delta/ba4000-edge-churn`. `sketch/ba4000-scan` prices the bank's
@@ -535,13 +533,13 @@ fn main() {
 
     // --- sketch: flat-bank filter tier in front of the exact kernel ------
     // The PR 9 candidate-generation tier on the identical workload: the
-    // same 4000 signatures behind a SignatureIndex whose default
-    // SketchMode::Exact routes knn through the SoA sketch bank — a linear
-    // autovectorized lower-bound scan ordered by (bound, id), refined by
-    // the budgeted kernel under the shared pruning radius. Bit-identical
-    // to the forest by construction (and asserted here before timing);
-    // measured with the same memo discipline as the bounded entry, and
-    // gated in-run at ≥ 1.5x over it.
+    // same 4000 signatures behind a SignatureIndex, which routes knn
+    // through the SoA sketch bank — a linear autovectorized lower-bound
+    // scan ordered by (bound, id), refined by the budgeted kernel under
+    // the shared pruning radius. Bit-identical to the forest by
+    // construction (and asserted here before timing); measured with the
+    // same memo discipline as the bounded entry, and gated in-run at
+    // ≥ 1.5x over it.
     let sketch_index = SignatureIndex::from_signatures(3, 1024, 0xF0, db_sigs.clone());
     for q in &probes {
         assert_eq!(
@@ -590,14 +588,14 @@ fn main() {
         .iter()
         .map(|q| {
             let before = bank.stats();
-            bank.knn(q, 5, 1, ned_index::SketchMode::Exact);
+            bank.knn(q, 5, 1);
             let after = bank.stats();
             (after.refined - before.refined + u64::from(after.pruned > before.pruned)) as usize
         })
         .collect();
     let scan_ns = measure(7, 4, || {
         for (q, &rows) in probes.iter().zip(&visited) {
-            let bounds = bank.scan_bounds(q, 1, ned_index::SketchMode::Exact);
+            let bounds = bank.scan_bounds(q, 1);
             std::hint::black_box(
                 order_by_bound(&bounds, |r| bank.id_at(r))
                     .take(rows)
@@ -630,41 +628,12 @@ fn main() {
     };
     let scan_dense_ns = measure(7, 4, || {
         for q in &probes {
-            std::hint::black_box(dense.scan_bounds(q, 1, ned_index::SketchMode::Exact));
+            std::hint::black_box(dense.scan_bounds(q, 1));
         }
     }) / probes.len() as f64;
     entries.push(Entry {
         name: "sketch/ba4000-scan-dense",
         ns_per_op: scan_dense_ns,
-        p50_ns: None,
-        p99_ns: None,
-    });
-
-    // Approximate mode: the estimate over-counts (levels summed, not
-    // maxed), so it prunes harder and may drop true neighbors — its
-    // recall is a *measured* figure, not a guarantee, recorded into the
-    // trajectory and gated at ≥ 0.95 on this workload.
-    let mut approx_index = sketch_index.clone();
-    approx_index.set_sketch_mode(ned_index::SketchMode::Approx);
-    let mut recall_hits = 0usize;
-    let mut recall_total = 0usize;
-    for q in &probes {
-        let exact: std::collections::HashSet<u64> =
-            sketch_index.query(q, 5, 0).iter().map(|h| h.id).collect();
-        let approx = approx_index.query(q, 5, 0);
-        recall_total += exact.len();
-        recall_hits += approx.iter().filter(|h| exact.contains(&h.id)).count();
-    }
-    let sketch_recall = recall_hits as f64 / recall_total as f64;
-    TedMemo::global().clear();
-    let sketch_approx_ns = measure(7, 2, || {
-        for q in &probes {
-            std::hint::black_box(approx_index.query(q, 5, 0));
-        }
-    }) / probes.len() as f64;
-    entries.push(Entry {
-        name: "sketch/ba4000-knn-approx",
-        ns_per_op: sketch_approx_ns,
         p50_ns: None,
         p99_ns: None,
     });
@@ -1180,7 +1149,7 @@ fn main() {
         ));
     }
     json.push_str(&format!(
-        "  ],\n  \"comparisons\": {{\n    \"ned_pair_collapsed_speedup_vs_dense\": {ned_pair_speedup:.2},\n    \"soa_kernel_speedup_vs_presoa\": {soa_speedup:.2},\n    \"sharded_knn_speedup_vs_linear\": {sharded_speedup:.2},\n    \"bounded_knn_speedup_vs_unbounded_forest\": {bounded_speedup:.2},\n    \"sketch_knn_speedup_vs_bounded\": {sketch_speedup:.2},\n    \"sketch_approx_recall\": {sketch_recall:.3},\n    \"memo_warm_speedup_vs_cold\": {:.2},\n    \"loadgen_reader_scaling_4r_vs_1r\": {reader_scaling:.2},\n    \"ingest_bulk_speedup_vs_per_node\": {ingest_speedup:.2},\n    \"delta_flip_speedup_vs_rebuild\": {delta_speedup_vs_rebuild:.2},\n    \"delta_wal_overhead_vs_in_memory\": {wal_overhead:.2},\n    \"delta_wal_group_commit_vs_unsynced\": {group_commit_overhead:.2},\n    \"fleet_overhead_vs_single\": {fleet_overhead:.2}\n  }}\n}}\n",
+        "  ],\n  \"comparisons\": {{\n    \"ned_pair_collapsed_speedup_vs_dense\": {ned_pair_speedup:.2},\n    \"soa_kernel_speedup_vs_presoa\": {soa_speedup:.2},\n    \"sharded_knn_speedup_vs_linear\": {sharded_speedup:.2},\n    \"bounded_knn_speedup_vs_unbounded_forest\": {bounded_speedup:.2},\n    \"sketch_knn_speedup_vs_bounded\": {sketch_speedup:.2},\n    \"memo_warm_speedup_vs_cold\": {:.2},\n    \"loadgen_reader_scaling_4r_vs_1r\": {reader_scaling:.2},\n    \"ingest_bulk_speedup_vs_per_node\": {ingest_speedup:.2},\n    \"delta_flip_speedup_vs_rebuild\": {delta_speedup_vs_rebuild:.2},\n    \"delta_wal_overhead_vs_in_memory\": {wal_overhead:.2},\n    \"delta_wal_group_commit_vs_unsynced\": {group_commit_overhead:.2},\n    \"fleet_overhead_vs_single\": {fleet_overhead:.2}\n  }}\n}}\n",
         cold_ns / warm_ns
     ));
     std::fs::write(&out_path, &json).expect("write benchmark snapshot");
@@ -1208,11 +1177,6 @@ fn main() {
         sketch_speedup >= 1.5,
         "sketch-filtered kNN ({sketch_ns:.0} ns/op) is only {sketch_speedup:.2}x the \
          PR 3 bounded forest path ({bounded_ns:.0} ns/op) — below the 1.5x floor"
-    );
-    assert!(
-        sketch_recall >= 0.95,
-        "approximate sketch mode recalled {sketch_recall:.3} of the exact top-5 — \
-         below the 0.95 floor"
     );
     let reader_floor = scaling_floor(4);
     assert!(

@@ -42,21 +42,6 @@ pub struct EditSummary {
 }
 
 impl EditSummary {
-    /// Total leaf insertions across levels.
-    pub fn total_inserts(&self) -> u64 {
-        self.ops.iter().map(|o| o.insert_leaves).sum()
-    }
-
-    /// Total leaf deletions across levels.
-    pub fn total_deletes(&self) -> u64 {
-        self.ops.iter().map(|o| o.delete_leaves).sum()
-    }
-
-    /// Total same-level moves across levels.
-    pub fn total_moves(&self) -> u64 {
-        self.ops.iter().map(|o| o.moves).sum()
-    }
-
     /// Renders a short human-readable description, e.g. for CLI output.
     pub fn describe(&self) -> String {
         if self.ops.is_empty() {
@@ -458,6 +443,13 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
+    /// Leaf insertions, leaf deletions and moves, summed over levels.
+    fn totals(s: &EditSummary) -> [u64; 3] {
+        s.ops.iter().fold([0; 3], |[i, d, m], o| {
+            [i + o.insert_leaves, d + o.delete_leaves, m + o.moves]
+        })
+    }
+
     #[test]
     fn isomorphic_trees_empty_summary() {
         let t = Tree::from_parents(&[0, 0, 1]).unwrap();
@@ -470,16 +462,14 @@ mod tests {
     #[test]
     fn growth_is_all_inserts() {
         let s = explain(&Tree::singleton(), &star_tree(4));
-        assert_eq!(s.total_inserts(), 3);
-        assert_eq!(s.total_deletes(), 0);
+        assert_eq!(totals(&s), [3, 0, 0]);
         assert_eq!(s.distance, 3);
     }
 
     #[test]
     fn shrink_is_all_deletes() {
         let s = explain(&path_tree(5), &path_tree(2));
-        assert_eq!(s.total_deletes(), 3);
-        assert_eq!(s.total_inserts(), 0);
+        assert_eq!(totals(&s), [0, 3, 0]);
     }
 
     #[test]
@@ -488,7 +478,7 @@ mod tests {
         let t1 = Tree::from_parents(&[0, 0, 0, 1, 1]).unwrap();
         let t2 = Tree::from_parents(&[0, 0, 0, 1, 2]).unwrap();
         let s = explain(&t1, &t2);
-        assert_eq!(s.total_moves(), 1);
+        assert_eq!(totals(&s)[2], 1);
         assert_eq!(s.ops.len(), 1);
         assert_eq!(s.ops[0].level, 2);
         assert!(s.describe().contains("move 1 node(s) at level 2"));
@@ -501,10 +491,7 @@ mod tests {
             let a = random_bounded_depth_tree(20, 4, &mut rng);
             let b = random_bounded_depth_tree(14, 3, &mut rng);
             let s = explain(&a, &b);
-            assert_eq!(
-                s.total_inserts() + s.total_deletes() + s.total_moves(),
-                ted_star(&a, &b)
-            );
+            assert_eq!(totals(&s).iter().sum::<u64>(), ted_star(&a, &b));
         }
     }
 
@@ -514,7 +501,7 @@ mod tests {
         let b = star_tree(3);
         let ab = explain(&a, &b);
         let ba = explain(&b, &a);
-        assert_eq!(ab.total_deletes(), ba.total_inserts());
+        assert_eq!(totals(&ab)[1], totals(&ba)[0]);
         assert_eq!(ab.distance, ba.distance);
     }
 

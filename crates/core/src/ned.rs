@@ -105,13 +105,6 @@ impl NodeSignature {
         &self.prepared
     }
 
-    /// Consumes the signature, returning the prepared tree (used by the
-    /// snapshot machinery in [`crate::store`]); clones only if the tree
-    /// is still shared.
-    pub fn into_prepared(self) -> PreparedTree {
-        std::sync::Arc::try_unwrap(self.prepared).unwrap_or_else(|arc| (*arc).clone())
-    }
-
     /// `TED*` between two signatures = NED between the two nodes.
     pub fn distance(&self, other: &NodeSignature) -> u64 {
         ted_star_prepared(&self.prepared, &other.prepared)

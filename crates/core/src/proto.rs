@@ -115,7 +115,7 @@ impl ServerError {
     /// Parses the text after an `error: ` prefix back into the variant.
     /// Untagged messages (including every pre-typed-protocol error ever
     /// emitted) parse as [`ServerError::BadRequest`].
-    pub fn parse_tail(tail: &str) -> Self {
+    fn parse_tail(tail: &str) -> Self {
         if let Some(m) = tail.strip_prefix("overloaded: ") {
             ServerError::Overloaded(m.to_string())
         } else if let Some(m) = tail.strip_prefix("shutting down: ") {
@@ -761,7 +761,7 @@ fn is_walrec_line(line: &str) -> bool {
 
 /// Lowercase hex encoding for WAL record payloads on the wire. The text
 /// protocol is line-oriented UTF-8, so raw record bytes cannot ride it.
-pub fn hex_encode(bytes: &[u8]) -> String {
+fn hex_encode(bytes: &[u8]) -> String {
     use fmt::Write;
     let mut s = String::with_capacity(bytes.len() * 2);
     for b in bytes {
@@ -771,7 +771,7 @@ pub fn hex_encode(bytes: &[u8]) -> String {
 }
 
 /// Inverse of [`hex_encode`]. `None` on odd length or non-hex bytes.
-pub fn hex_decode(s: &str) -> Option<Vec<u8>> {
+fn hex_decode(s: &str) -> Option<Vec<u8>> {
     if !s.is_ascii() || !s.len().is_multiple_of(2) {
         return None;
     }

@@ -24,10 +24,9 @@
 //! checksum u64      FNV-1a64 over every preceding byte
 //! ```
 //!
-//! [`encode_snapshot_into`] streams the same bytes into any `io::Write`
-//! sink, and [`put_snapshot_block`] embeds them as a block of an
+//! [`put_snapshot_block`] embeds the same bytes as a block of an
 //! enclosing file; [`Writer`] keeps the running checksums as bytes go
-//! out, so neither builds the encoding in memory first.
+//! out, so the encoding is never built in memory first.
 //!
 //! Shapes are stored **once per distinct isomorphism class** (the on-disk
 //! analogue of the in-memory interning above); entries reference them by
@@ -388,7 +387,7 @@ impl<W: Write> Writer<W> {
     /// opens with `magic` and keeps its own running checksum, which
     /// [`Writer::end_block`] appends as its footer. `len` counts the
     /// magic and the footer.
-    pub fn begin_framed_block(&mut self, len: usize, magic: &[u8; 8]) {
+    fn begin_framed_block(&mut self, len: usize, magic: &[u8; 8]) {
         self.begin_block(len);
         if let Some(block) = self.block.as_mut() {
             block.sum = Some(FNV_OFFSET);
@@ -565,36 +564,22 @@ impl Snapshot {
 /// Serializes `(id, node, prepared-tree)` triples — typically
 /// signatures — into the NEDSNAP1 format. Shapes are deduplicated by
 /// isomorphism class, so a million structurally-equal signatures cost one
-/// tree record plus a million 16-byte entries. The in-memory form of
-/// [`encode_snapshot_into`].
+/// tree record plus a million 16-byte entries.
 pub fn encode_snapshot<'a, I>(k: usize, entries: I) -> Vec<u8>
 where
     I: IntoIterator<Item = (u64, NodeId, &'a PreparedTree)>,
 {
     let entries: Vec<_> = entries.into_iter().collect();
-    encode_snapshot_into(k, entries.iter().copied(), Vec::new())
-        .expect("an in-memory snapshot writer cannot fail")
-}
-
-/// Streams the NEDSNAP1 encoding of `entries` into `sink` and hands the
-/// sink back. Nothing the size of the output is buffered: `entries` is
-/// walked twice, once to deduplicate shapes and once to write, so it
-/// must yield the same sequence both times.
-pub fn encode_snapshot_into<'a, I, W>(k: usize, entries: I, sink: W) -> io::Result<W>
-where
-    I: IntoIterator<Item = (u64, NodeId, &'a PreparedTree)> + Clone,
-    W: Write,
-{
-    let plan = SnapshotPlan::new(entries.clone());
-    let mut w = Writer::new(sink, &SNAPSHOT_MAGIC);
-    plan.write_body(&mut w, k, entries);
-    w.close()
+    let plan = SnapshotPlan::new(entries.iter().copied());
+    let mut w = Writer::new(Vec::new(), &SNAPSHOT_MAGIC);
+    plan.write_body(&mut w, k, entries.iter().copied());
+    w.close().expect("an in-memory snapshot writer cannot fail")
 }
 
 /// Writes the NEDSNAP1 encoding of `entries` as one length-prefixed
 /// block of `w`, the form a container file embeds it in. The block's
-/// length is computed before its first byte goes out; `entries` is
-/// walked twice, as in [`encode_snapshot_into`].
+/// length is computed before its first byte goes out, so `entries` is
+/// walked twice and must yield the same sequence both times.
 pub fn put_snapshot_block<'a, I, W>(w: &mut Writer<W>, k: usize, entries: I)
 where
     I: IntoIterator<Item = (u64, NodeId, &'a PreparedTree)> + Clone,
@@ -856,8 +841,6 @@ mod tests {
             .iter()
             .map(|s| (u64::from(s.node) * 2, s.node, s.prepared()));
         let image = encode_snapshot(3, entries.clone());
-        let streamed = encode_snapshot_into(3, entries.clone(), Vec::new()).expect("stream");
-        assert_eq!(streamed, image);
 
         let mut embedded = Writer::with_magic(b"OUTER001");
         embedded.put_u32(9);

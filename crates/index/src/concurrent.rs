@@ -252,11 +252,6 @@ impl IndexWriter {
         self.wal.as_mut()
     }
 
-    /// Detaches and returns the log, leaving the writer ephemeral.
-    pub fn detach_wal(&mut self) -> Option<WalWriter> {
-        self.wal.take()
-    }
-
     /// The writer's current (already published) state. Between batches
     /// the master and the published snapshot are identical; use this for
     /// persistence (`save`) and stats without racing readers.
@@ -333,14 +328,6 @@ impl IndexWriter {
         }
         self.publish();
         Ok(outcomes)
-    }
-
-    /// Switches the sketch routing mode of the served index and publishes
-    /// the change. A serving knob, not data: it is not journaled, but the
-    /// next checkpoint snapshot persists it like any other index state.
-    pub fn set_sketch_mode(&mut self, mode: crate::sketch::SketchMode) {
-        self.master.set_sketch_mode(mode);
-        self.publish();
     }
 
     /// Single-op convenience: [`WriteOp::Insert`] as its own batch.

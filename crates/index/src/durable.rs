@@ -428,11 +428,6 @@ impl DurableIndex {
         &self.index
     }
 
-    /// `true` when a WAL and checkpoint path are attached.
-    pub fn is_durable(&self) -> bool {
-        self.index_path.is_some()
-    }
-
     /// The checkpoint file path, when durable.
     pub fn index_path(&self) -> Option<&Path> {
         self.index_path.as_deref()

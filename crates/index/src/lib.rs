@@ -38,4 +38,4 @@ pub use maintain::{DeltaReport, GraphMaintainer, MaterializedBatch};
 pub use router::{FleetHits, RouterOptions, RouterServer, ShardMap, ShardRouter};
 pub use server::{NedServer, WireClient, WireClientBuilder};
 pub use signatures::SignatureIndex;
-pub use sketch::{Sketch, SketchBank, SketchMode, SketchStats};
+pub use sketch::{Sketch, SketchBank, SketchStats};

@@ -437,11 +437,10 @@ impl NedServer {
             None => "none".to_string(),
         };
         format!(
-            "signatures: {} (k = {}), epoch {epoch}, tracking {tracking}\nsketch: mode {}, {}\n\
+            "signatures: {} (k = {}), epoch {epoch}, tracking {tracking}\nsketch: {}\n\
              memo: {}\n{}, checkpoint failures {}\n{}",
             snap.len(),
             snap.k(),
-            snap.sketch_mode(),
             snap.sketch_stats(),
             TedMemo::global().stats(),
             self.front.counters_line(),
@@ -870,7 +869,7 @@ impl WireClient {
     ///
     /// let mut client = WireClient::connect(addr)?;
     /// match client.request(&Request::Stats)? {
-    ///     Response::Info { body } => assert!(body.contains("sketch: mode exact")),
+    ///     Response::Info { body } => assert!(body.contains("sketch: rows 0,")),
     ///     other => panic!("unexpected reply: {other:?}"),
     /// }
     /// # Ok::<(), Box<dyn std::error::Error>>(())

@@ -13,12 +13,10 @@
 //! Queries scan the bank's quantized per-level feature vectors for a
 //! provable lower bound on NED and refine the survivors, in ascending
 //! bound order, with the budgeted TED\* kernel
-//! ([`NodeSignature::distance_within`], see [`crate::sketch`]).
-//! [`SketchMode`] picks the bound: `Exact` (the default) never drops a
-//! true neighbor, `Approx` prunes harder with measured recall. Files written with the retired
-//! `off` mode load as `Exact`, which it routed like.
-//! [`SignatureIndex::scan`] is the exhaustive reference every mode is
-//! tested against.
+//! ([`NodeSignature::distance_within`], see [`crate::sketch`]). The
+//! bound never drops a true neighbor, so every answer is bit-identical
+//! to [`SignatureIndex::scan`], the exhaustive reference the query
+//! paths are tested against.
 //!
 //! Every publication of the concurrent serving layer clones the index;
 //! the bank's copy-on-write layout makes that clone cost one reference
@@ -27,7 +25,7 @@
 //! Version-3 index files persist the bank next to the signature
 //! snapshot; older files load fine and rebuild it on the way in.
 
-use crate::sketch::{self, SketchBank, SketchMode, SketchStats};
+use crate::sketch::{self, SketchBank, SketchStats};
 use crate::topk::sort_hits;
 use ned_core::store::{self, CodecError, Reader, Writer};
 use ned_core::{NodeSignature, WireHit};
@@ -46,19 +44,24 @@ pub const INDEX_VERSION: u32 = 1;
 /// (a version-1 file reads back as epoch 0).
 pub const INDEX_VERSION_EPOCH: u32 = 2;
 /// Index file format version carrying the sketch tier: an always-present
-/// epoch field (0 for plain saves), the serving [`SketchMode`], and the
-/// persisted sketch bank rows, so a load answers sketch-filtered queries
-/// without re-sketching the corpus. Decoding still accepts versions 1
-/// and 2 — their banks are rebuilt from the decoded signatures during
-/// load.
+/// epoch field (0 for plain saves), a reserved mode word (always written
+/// as `1`), and the persisted sketch bank rows, so a load answers
+/// sketch-filtered queries without re-sketching the corpus. Decoding
+/// still accepts versions 1 and 2 — their banks are rebuilt from the
+/// decoded signatures during load.
 pub const INDEX_VERSION_SKETCH: u32 = 3;
+
+/// The mode word every version-3 file is written with. It once named
+/// the serving sketch bound; files also carry the retired words `0`
+/// (`off`) and `2` (`approx`), which load and serve exactly like `1`.
+/// Any other word is malformed.
+const SKETCH_MODE_WORD: u32 = 1;
 
 /// A dynamic, persistent k-NN index over node signatures. See the
 /// [module docs](self).
 #[derive(Debug, Clone)]
 pub struct SignatureIndex {
     bank: SketchBank,
-    sketch_mode: SketchMode,
     k: usize,
     /// `threshold` and `seed` only ride through the NEDIDX header, which
     /// keeps saved files byte-identical; nothing reads them.
@@ -76,7 +79,6 @@ impl SignatureIndex {
     pub fn new(k: usize, threshold: usize, seed: u64) -> Self {
         SignatureIndex {
             bank: SketchBank::new(),
-            sketch_mode: SketchMode::default(),
             k,
             threshold: threshold.max(1),
             seed,
@@ -133,7 +135,6 @@ impl SignatureIndex {
             .unwrap_or(0);
         SignatureIndex {
             bank: SketchBank::bulk(&entries, 0),
-            sketch_mode: SketchMode::default(),
             k,
             threshold: threshold.max(1),
             seed,
@@ -175,18 +176,6 @@ impl SignatureIndex {
     /// this so explicit-id puts never collide with historical ids.
     pub fn next_id(&self) -> u64 {
         self.next_id
-    }
-
-    /// The serving sketch routing mode.
-    pub fn sketch_mode(&self) -> SketchMode {
-        self.sketch_mode
-    }
-
-    /// Switches which sketch bound [`SignatureIndex::query`] /
-    /// [`SignatureIndex::range`] prune with. Switching is instant in
-    /// either direction.
-    pub fn set_sketch_mode(&mut self, mode: SketchMode) {
-        self.sketch_mode = mode;
     }
 
     /// Sketch bank shape and work counters (the `sketch:` stats line).
@@ -310,25 +299,22 @@ impl SignatureIndex {
     /// `threads = 0` uses all cores for the bound scan.
     ///
     /// The bank scans every row's sketch bound and refines candidates in
-    /// ascending bound order with the budgeted kernel. In
-    /// [`SketchMode::Exact`] (the default) the bound is
+    /// ascending bound order with the budgeted kernel. The bound is
     /// provable, so the result is bit-identical to
-    /// [`SignatureIndex::scan`]; [`SketchMode::Approx`] prunes by the
-    /// sketch estimate (faster, measured rather than guaranteed recall).
+    /// [`SignatureIndex::scan`].
     pub fn query(&self, sig: &NodeSignature, top: usize, threads: usize) -> Vec<WireHit> {
-        self.bank.knn(sig, top, threads, self.sketch_mode)
+        self.bank.knn(sig, top, threads)
     }
 
     /// Every indexed signature within `radius` of `sig`, pruned by the
-    /// serving [`SketchMode`]'s bound exactly like
-    /// [`SignatureIndex::query`].
+    /// sketch bound exactly like [`SignatureIndex::query`].
     pub fn range(&self, sig: &NodeSignature, radius: u64, threads: usize) -> Vec<WireHit> {
-        self.bank.range(sig, radius, threads, self.sketch_mode)
+        self.bank.range(sig, radius, threads)
     }
 
     /// Exhaustive reference over the same live set: the full TED\*
     /// distance to every live signature, sorted by `(distance, id)` and
-    /// cut to `top`. No bound, no budget — what every query mode is
+    /// cut to `top`. No bound, no budget — what every query path is
     /// tested against.
     pub fn scan(&self, sig: &NodeSignature, top: usize) -> Vec<WireHit> {
         let mut hits: Vec<WireHit> = self
@@ -386,7 +372,7 @@ impl SignatureIndex {
         w.put_u64(self.seed);
         w.put_u64(self.next_id);
         w.put_u64(epoch);
-        w.put_u32(self.sketch_mode.to_u32());
+        w.put_u32(SKETCH_MODE_WORD);
         store::put_snapshot_block(
             &mut w,
             self.k,
@@ -446,13 +432,14 @@ impl SignatureIndex {
         } else {
             0
         };
-        let sketch_mode = if version >= INDEX_VERSION_SKETCH {
+        if version >= INDEX_VERSION_SKETCH {
+            // The words `0`, `1` and `2` all serve the exact bound (see
+            // `SKETCH_MODE_WORD`).
             let raw = r.u32()?;
-            SketchMode::from_u32(raw)
-                .ok_or_else(|| CodecError::Malformed(format!("unknown sketch mode {raw}")))?
-        } else {
-            SketchMode::default()
-        };
+            if raw > 2 {
+                return Err(CodecError::Malformed(format!("unknown sketch mode {raw}")));
+            }
+        }
         let snapshot = store::decode_nested_snapshot(r.block()?)?;
         if snapshot.k != k {
             return Err(CodecError::Malformed(format!(
@@ -483,7 +470,6 @@ impl SignatureIndex {
         Ok((
             SignatureIndex {
                 bank,
-                sketch_mode,
                 k,
                 threshold,
                 seed,
@@ -573,9 +559,8 @@ fn decode_bank_block(
     // particular) is an in-process convention, not part of the file
     // format contract, so a snapshot written by a binary with a
     // different layout would silently inflate lower bounds and drop
-    // true neighbors in exact mode. Spot-check a deterministic sample
-    // of rows and rebuild the whole bank from the signatures if any
-    // disagree.
+    // true neighbors. Spot-check a deterministic sample of rows and
+    // rebuild the whole bank from the signatures if any disagree.
     let sample = [0, rows / 3, 2 * rows / 3, rows.saturating_sub(1)];
     let stale = sample.iter().filter(|&&r| r < rows).any(|&r| {
         let mut fresh = [0u16; sketch::SKETCH_DIM];
@@ -750,10 +735,8 @@ mod tests {
         let mut index = SignatureIndex::new(3, 48, 9);
         index.insert_graph(&g, &g.nodes().collect::<Vec<_>>());
         index.remove(11);
-        index.set_sketch_mode(SketchMode::Approx);
 
         let back = SignatureIndex::from_bytes(&index.to_bytes()).expect("round trip");
-        assert_eq!(back.sketch_mode(), SketchMode::Approx);
         assert_eq!(back.sketch_stats().rows, index.len());
         // Persisted rows are bit-identical to the live bank's.
         for (id, _) in index.entries() {
@@ -774,8 +757,7 @@ mod tests {
                 SignatureIndex::decode_with_epoch(&bytes).expect("legacy decode");
             assert_eq!(got_epoch, epoch, "version {version}");
             // The bank was rebuilt from the decoded signatures: identical
-            // rows, default serving mode, and identical query results.
-            assert_eq!(back.sketch_mode(), SketchMode::Exact);
+            // rows and identical query results.
             assert_eq!(back.sketch_stats().rows, index.len());
             for (id, _) in index.entries() {
                 assert_eq!(back.bank.lanes_of(id), index.bank.lanes_of(id), "id {id}");
@@ -807,7 +789,7 @@ mod tests {
         w.put_u64(index.seed);
         w.put_u64(index.next_id);
         w.put_u64(0);
-        w.put_u32(SketchMode::Exact.to_u32());
+        w.put_u32(SKETCH_MODE_WORD);
         let mut entries: Vec<(u64, &NodeSignature)> = index.entries().collect();
         entries.sort_unstable_by_key(|&(id, _)| id);
         let snapshot = store::encode_snapshot(
@@ -829,14 +811,15 @@ mod tests {
         // A well-formed v3 file whose lanes were computed by a binary
         // with a different sketch layout must not be trusted: decode
         // spot-checks persisted rows against fresh sketches and rebuilds
-        // the bank, so exact-mode queries stay exact.
+        // the bank, so queries stay exact.
         let mut rng = SmallRng::seed_from_u64(33);
         let g = generators::barabasi_albert(120, 3, &mut rng);
         let mut index = SignatureIndex::new(3, 32, 9);
         index.insert_graph(&g, &g.nodes().collect::<Vec<_>>());
 
-        // Mode word 0, the retired `off` mode, loads as `Exact`.
-        for mode_word in [SketchMode::Exact.to_u32(), 0] {
+        // The retired mode words 0 (`off`) and 2 (`approx`) load and
+        // serve like 1; any other word is malformed.
+        for mode_word in [1, 0, 2, 3] {
             let mut w = Writer::with_magic(&INDEX_MAGIC);
             w.put_u32(INDEX_VERSION_SKETCH);
             w.put_u32(index.k as u32);
@@ -875,12 +858,12 @@ mod tests {
             }
             w.put_block(&bank);
 
-            let (back, _) = SignatureIndex::decode_with_epoch(&w.finish()).expect("decode");
-            assert_eq!(
-                back.sketch_mode(),
-                SketchMode::Exact,
-                "mode word {mode_word}"
-            );
+            let decoded = SignatureIndex::decode_with_epoch(&w.finish());
+            if mode_word == 3 {
+                assert!(matches!(decoded, Err(CodecError::Malformed(_))));
+                continue;
+            }
+            let (back, _) = decoded.expect("decode");
             for (id, _) in index.entries() {
                 assert_eq!(back.bank.lanes_of(id), index.bank.lanes_of(id), "id {id}");
             }

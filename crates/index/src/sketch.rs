@@ -65,20 +65,9 @@
 //! `max(L1(size lanes), max_l ceil(L1(hist lanes of l) / 4))`, which by
 //! the two points above never exceeds NED — so pruning candidates whose
 //! bound exceeds the current radius drops **nothing** the exact scan
-//! would keep. Exact mode is property-tested bit-identical to a full
-//! scan and to an independently built VP forest
-//! (`tests/sketch_filter.rs`).
-//!
-//! # Approximate mode
-//!
-//! [`sketch_estimate`] replaces the per-level max with the L1 over
-//! *all* histogram lanes divided by 4 — a sharper, cheaper, fully
-//! vectorizable scalar that may exceed NED (an edit shifts every
-//! level's histogram on its ancestor path, so summing levels
-//! over-counts up to the tree depth). Used as the pruning bound it
-//! trades a measured recall (`sketch_approx_recall` in the benchmark
-//! trajectory, asserted ≥ 0.95 on the BA-4000 workload) for fewer
-//! exact refinements.
+//! would keep. This is the only bound the bank prunes with; its answers
+//! are property-tested bit-identical to a full scan and to an
+//! independently built VP forest (`tests/sketch_filter.rs`).
 //!
 //! # The scan image
 //!
@@ -93,8 +82,8 @@
 //! query's own value to its group's L1 as a constant. The bound pass
 //! ([`SketchBank::scan_bounds`], [`SketchBank::range`]) scores all rows
 //! of a chunk at once from the image, bit-identical to
-//! [`sketch_lower_bound`] and [`sketch_estimate`] per row; at k = 3 it
-//! reads ~1.8 KB per chunk instead of 9.2 KB.
+//! [`sketch_lower_bound`] per row; at k = 3 it reads ~1.8 KB per chunk
+//! instead of 9.2 KB.
 
 use crate::topk::{sort_hits, TopK};
 use ned_core::{NodeSignature, PreparedTree, WireHit};
@@ -248,17 +237,6 @@ pub fn sketch_lower_bound(a: &[u16], b: &[u16]) -> u64 {
     size.max(u64::from(worst).div_ceil(4))
 }
 
-/// The approximate estimator:
-/// `max(L1(sizes), ceil(L1(all hist lanes) / 4))`. Sharper and fully
-/// vectorizable, but **may exceed** NED (see the [module docs](self))
-/// — exact mode never uses it.
-#[inline]
-pub fn sketch_estimate(a: &[u16], b: &[u16]) -> u64 {
-    let size = u64::from(lane_l1(&a[..SKETCH_LEVELS], &b[..SKETCH_LEVELS]));
-    let hist = u64::from(lane_l1(&a[SKETCH_LEVELS..], &b[SKETCH_LEVELS..]));
-    size.max(hist.div_ceil(4))
-}
-
 /// One signature's sketch as an owned value — the unit the property
 /// tests and the bank's rows are built from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -277,70 +255,9 @@ impl Sketch {
         sketch_lower_bound(&self.0, &other.0)
     }
 
-    /// [`sketch_estimate`] against another sketch.
-    pub fn estimate(&self, other: &Sketch) -> u64 {
-        sketch_estimate(&self.0, &other.0)
-    }
-
     /// The raw lanes.
     pub fn lanes(&self) -> &[u16; SKETCH_DIM] {
         &self.0
-    }
-}
-
-/// Which sketch bound [`crate::SignatureIndex`] prunes its bank scan
-/// with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SketchMode {
-    /// Pre-filter by [`sketch_lower_bound`] — results stay bit-identical
-    /// to a full scan (no false drops; the default).
-    #[default]
-    Exact,
-    /// Pre-filter by [`sketch_estimate`] — faster, with measured (not
-    /// guaranteed) recall.
-    Approx,
-}
-
-impl SketchMode {
-    /// Stable wire/codec encoding (`1/2`).
-    pub fn to_u32(self) -> u32 {
-        match self {
-            SketchMode::Exact => 1,
-            SketchMode::Approx => 2,
-        }
-    }
-
-    /// Inverse of [`SketchMode::to_u32`]; `None` for unknown values.
-    /// `0` is the retired `off` mode, which routed like `Exact`, so
-    /// files that carry it load as `Exact`.
-    pub fn from_u32(v: u32) -> Option<SketchMode> {
-        match v {
-            0 | 1 => Some(SketchMode::Exact),
-            2 => Some(SketchMode::Approx),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for SketchMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SketchMode::Exact => "exact",
-            SketchMode::Approx => "approx",
-        })
-    }
-}
-
-impl std::str::FromStr for SketchMode {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "exact" => Ok(SketchMode::Exact),
-            "approx" => Ok(SketchMode::Approx),
-            other => Err(format!(
-                "unknown sketch mode '{other}' (expected exact|approx)"
-            )),
-        }
     }
 }
 
@@ -423,10 +340,6 @@ const EXACT_GROUPS: [(usize, usize); 1 + SKETCH_LEVELS] = {
     groups
 };
 
-/// The lane groups [`sketch_estimate`] combines: the size lanes, then
-/// every histogram lane as one group.
-const APPROX_GROUPS: [(usize, usize); 2] = [(0, SKETCH_LEVELS), (SKETCH_LEVELS, SKETCH_DIM)];
-
 // A chunk's live mask has one bit per lane, and masks the lanes below
 // any lane index up to `SKETCH_DIM` by a shift.
 const _: () = assert!(SKETCH_DIM < 128);
@@ -434,31 +347,19 @@ const _: () = assert!(SKETCH_DIM < 128);
 /// A query's lanes, prepared once per scan for [`Chunk::bounds`].
 struct ScanQuery {
     lanes: [u16; SKETCH_DIM],
-    /// The lane groups of the mode's bound ([`EXACT_GROUPS`] or
-    /// [`APPROX_GROUPS`]); the first is the size lanes.
-    groups: &'static [(usize, usize)],
-    /// The query's lane sum over each group.
+    /// The query's lane sum over each of [`EXACT_GROUPS`].
     sums: [u32; 1 + SKETCH_LEVELS],
 }
 
 impl ScanQuery {
-    fn new(query: &NodeSignature, mode: SketchMode) -> ScanQuery {
+    fn new(query: &NodeSignature) -> ScanQuery {
         let mut lanes = [0u16; SKETCH_DIM];
         sketch_cached(query.prepared(), &mut lanes);
-        let groups: &[(usize, usize)] = if mode == SketchMode::Approx {
-            &APPROX_GROUPS
-        } else {
-            &EXACT_GROUPS
-        };
         let mut sums = [0u32; 1 + SKETCH_LEVELS];
-        for (sum, &(s, e)) in sums.iter_mut().zip(groups) {
+        for (sum, &(s, e)) in sums.iter_mut().zip(&EXACT_GROUPS) {
             *sum = lanes[s..e].iter().map(|&v| u32::from(v)).sum();
         }
-        ScanQuery {
-            lanes,
-            groups,
-            sums,
-        }
+        ScanQuery { lanes, sums }
     }
 }
 
@@ -588,8 +489,8 @@ impl Chunk {
     }
 
     /// Every row's sketch bound to `q` into `out` (`out.len() ==
-    /// self.len()`), bit-identical to [`sketch_lower_bound`] (or, for an
-    /// approximate query, [`sketch_estimate`]) against the row's lanes.
+    /// self.len()`), bit-identical to [`sketch_lower_bound`] against the
+    /// row's lanes.
     ///
     /// From the image, all rows are scored at once, one column at a time.
     /// Each lane group's L1 is the sum over its live columns plus a
@@ -610,7 +511,7 @@ impl Chunk {
         let mut worst = [0u32; CHUNK_ROWS];
         // The largest L1 among histogram groups with no live lane.
         let mut floor = 0u32;
-        for (g, (&(s, e), &sum)) in q.groups.iter().zip(&q.sums).enumerate() {
+        for (g, (&(s, e), &sum)) in EXACT_GROUPS.iter().zip(&q.sums).enumerate() {
             let cols = below(s)..below(e);
             let qs = &qcol[cols.clone()];
             let k = sum - qs.iter().map(|&v| u32::from(v)).sum::<u32>();
@@ -844,7 +745,7 @@ impl<F: Fn(u32) -> u64> Iterator for BoundOrder<'_, F> {
 /// ```
 /// use ned_core::NodeSignature;
 /// use ned_graph::Graph;
-/// use ned_index::sketch::{SketchBank, SketchMode};
+/// use ned_index::sketch::SketchBank;
 ///
 /// // Index a 6-cycle's nodes, then query with a node of an 8-cycle.
 /// let hexagon =
@@ -860,7 +761,7 @@ impl<F: Fn(u32) -> u64> Iterator for BoundOrder<'_, F> {
 ///     &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 0)],
 /// );
 /// let probe = NodeSignature::extract(&octagon, 0, 3);
-/// let hits = bank.knn(&probe, 3, 1, SketchMode::Exact);
+/// let hits = bank.knn(&probe, 3, 1);
 /// // Within 3 hops every cycle node looks like a path — distance 0.
 /// assert_eq!(hits.len(), 3);
 /// assert!(hits.iter().all(|h| h.distance == 0.0));
@@ -1044,13 +945,12 @@ impl SketchBank {
     }
 
     /// Every row's sketch bound to `query`, in row order: the
-    /// [`sketch_lower_bound`] (or, in [`SketchMode::Approx`], the
-    /// [`sketch_estimate`]) against the query's sketch. One pass streams
+    /// [`sketch_lower_bound`] against the query's sketch. One pass streams
     /// the chunks' scan images (see the [module docs](self)) into a
     /// single buffer; with `threads > 1` the chunk groups (1024 rows
     /// each) are split over scoped threads.
-    pub fn scan_bounds(&self, query: &NodeSignature, threads: usize, mode: SketchMode) -> Vec<u32> {
-        let q = ScanQuery::new(query, mode);
+    pub fn scan_bounds(&self, query: &NodeSignature, threads: usize) -> Vec<u32> {
+        let q = ScanQuery::new(query);
         let mut bounds = vec![0u32; self.len];
         ned_core::batch::par_chunks_mut(&mut bounds, GROUP_ROWS, threads, |g, out| {
             for (chunk, out) in self.groups[g].iter().zip(out.chunks_mut(CHUNK_ROWS)) {
@@ -1060,24 +960,17 @@ impl SketchBank {
         bounds
     }
 
-    /// The `k` nearest rows to `query`, sorted by `(distance, id)`.
-    /// In [`SketchMode::Exact`] the result is bit-identical to a full
-    /// scan: rows are refined in ascending `(bound, id)` order
+    /// The `k` nearest rows to `query`, sorted by `(distance, id)`,
+    /// bit-identical to a full scan: rows are refined in ascending `(bound, id)` order
     /// ([`order_by_bound`]) and the loop stops once
     /// the bound alone exceeds the current k-th best distance; every
     /// exact call runs the budgeted kernel with that radius. Only the
     /// buckets the loop reaches are ever sorted.
-    pub fn knn(
-        &self,
-        query: &NodeSignature,
-        k: usize,
-        threads: usize,
-        mode: SketchMode,
-    ) -> Vec<WireHit> {
+    pub fn knn(&self, query: &NodeSignature, k: usize, threads: usize) -> Vec<WireHit> {
         if k == 0 || self.len == 0 {
             return Vec::new();
         }
-        let bounds = self.scan_bounds(query, threads, mode);
+        let bounds = self.scan_bounds(query, threads);
         let mut top = TopK::new(k);
         let mut refined = 0u64;
         let mut cut = 0u64;
@@ -1109,17 +1002,11 @@ impl SketchBank {
     /// Every row within `radius` of `query` (inclusive), sorted by
     /// `(distance, id)`. The radius is fixed, so survivors refine in
     /// parallel, one chunk group per task.
-    pub fn range(
-        &self,
-        query: &NodeSignature,
-        radius: u64,
-        threads: usize,
-        mode: SketchMode,
-    ) -> Vec<WireHit> {
+    pub fn range(&self, query: &NodeSignature, radius: u64, threads: usize) -> Vec<WireHit> {
         if self.len == 0 {
             return Vec::new();
         }
-        let q = ScanQuery::new(query, mode);
+        let q = ScanQuery::new(query);
         let refined = AtomicU64::new(0);
         let per_group = ned_core::batch::par_map(self.groups.len(), threads, |g| {
             let mut out = Vec::new();
@@ -1216,7 +1103,7 @@ mod tests {
                 .collect();
             naive.sort_unstable();
             for k in [1usize, 4, 9] {
-                let hits = bank.knn(q, k, 1, SketchMode::Exact);
+                let hits = bank.knn(q, k, 1);
                 assert_eq!(hits.len(), k);
                 for (h, &(d, id)) in hits.iter().zip(&naive) {
                     assert_eq!((h.distance as u64, h.id), (d, id));
@@ -1239,25 +1126,15 @@ mod tests {
         }
         let q = &sigs(5, 3, 13)[2];
         let qs = Sketch::of(q);
-        for mode in [SketchMode::Exact, SketchMode::Approx] {
-            let want: Vec<u32> = bank
-                .entries()
-                .map(|(id, _)| {
-                    let row = bank.lanes_of(id).expect("live id");
-                    let b = match mode {
-                        SketchMode::Approx => sketch_estimate(qs.lanes(), row),
-                        _ => sketch_lower_bound(qs.lanes(), row),
-                    };
-                    b as u32
-                })
-                .collect();
-            for threads in [1usize, 2, 3] {
-                assert_eq!(
-                    bank.scan_bounds(q, threads, mode),
-                    want,
-                    "{mode}, {threads} threads"
-                );
-            }
+        let want: Vec<u32> = bank
+            .entries()
+            .map(|(id, _)| {
+                let row = bank.lanes_of(id).expect("live id");
+                sketch_lower_bound(qs.lanes(), row) as u32
+            })
+            .collect();
+        for threads in [1usize, 2, 3] {
+            assert_eq!(bank.scan_bounds(q, threads), want, "{threads} threads");
         }
     }
 
@@ -1322,58 +1199,52 @@ mod tests {
                 }
                 for (qi, q) in queries.iter().enumerate() {
                     let qs = Sketch::of(q);
-                    for mode in [SketchMode::Exact, SketchMode::Approx] {
-                        let want: Vec<u32> = bank
-                            .entries()
-                            .map(|(id, _)| {
-                                let row = bank.lanes_of(id).expect("live id");
-                                let b = match mode {
-                                    SketchMode::Approx => sketch_estimate(qs.lanes(), row),
-                                    _ => sketch_lower_bound(qs.lanes(), row),
-                                };
-                                b as u32
-                            })
-                            .collect();
-                        for threads in [1usize, 2, 3] {
-                            assert_eq!(
-                                bank.scan_bounds(q, threads, mode),
-                                want,
-                                "seed {seed}, round {round}, query {qi}, {mode}, {threads} threads"
-                            );
-                        }
-                        if qi % 4 != 0 {
-                            continue;
-                        }
-                        // `range` refines exactly the rows whose reference
-                        // bound is within the radius, and keeps those
-                        // within it by distance.
-                        let mut sorted = want.clone();
-                        sorted.sort_unstable();
-                        let radius = u64::from(sorted[sorted.len() / 50]);
-                        let survivors: Vec<(u64, &NodeSignature)> = bank
-                            .entries()
-                            .zip(&want)
-                            .filter(|&(_, &b)| u64::from(b) <= radius)
-                            .map(|(e, _)| e)
-                            .collect();
-                        let mut hits: Vec<(u64, u64)> = survivors
+                    let want: Vec<u32> = bank
+                        .entries()
+                        .map(|(id, _)| {
+                            let row = bank.lanes_of(id).expect("live id");
+                            sketch_lower_bound(qs.lanes(), row) as u32
+                        })
+                        .collect();
+                    for threads in [1usize, 2, 3] {
+                        assert_eq!(
+                            bank.scan_bounds(q, threads),
+                            want,
+                            "seed {seed}, round {round}, query {qi}, {threads} threads"
+                        );
+                    }
+                    if qi % 4 != 0 {
+                        continue;
+                    }
+                    // `range` refines exactly the rows whose reference
+                    // bound is within the radius, and keeps those
+                    // within it by distance.
+                    let mut sorted = want.clone();
+                    sorted.sort_unstable();
+                    let radius = u64::from(sorted[sorted.len() / 50]);
+                    let survivors: Vec<(u64, &NodeSignature)> = bank
+                        .entries()
+                        .zip(&want)
+                        .filter(|&(_, &b)| u64::from(b) <= radius)
+                        .map(|(e, _)| e)
+                        .collect();
+                    let mut hits: Vec<(u64, u64)> = survivors
+                        .iter()
+                        .map(|&(id, s)| (q.distance(s), id))
+                        .filter(|&(d, _)| d <= radius)
+                        .collect();
+                    hits.sort_unstable();
+                    for threads in [1usize, 2, 3] {
+                        let before = bank.stats().refined;
+                        let got: Vec<(u64, u64)> = bank
+                            .range(q, radius, threads)
                             .iter()
-                            .map(|&(id, s)| (q.distance(s), id))
-                            .filter(|&(d, _)| d <= radius)
+                            .map(|h| (h.distance as u64, h.id))
                             .collect();
-                        hits.sort_unstable();
-                        for threads in [1usize, 2, 3] {
-                            let before = bank.stats().refined;
-                            let got: Vec<(u64, u64)> = bank
-                                .range(q, radius, threads, mode)
-                                .iter()
-                                .map(|h| (h.distance as u64, h.id))
-                                .collect();
-                            let refined = bank.stats().refined - before;
-                            let at = format!("seed {seed}, round {round}, query {qi}, {mode}");
-                            assert_eq!(refined, survivors.len() as u64, "{at}");
-                            assert_eq!(got, hits, "{at}");
-                        }
+                        let refined = bank.stats().refined - before;
+                        let at = format!("seed {seed}, round {round}, query {qi}");
+                        assert_eq!(refined, survivors.len() as u64, "{at}");
+                        assert_eq!(got, hits, "{at}");
                     }
                 }
             }
@@ -1414,7 +1285,7 @@ mod tests {
             bank.upsert(i as u64, s);
         }
         for radius in [0u64, 2, 5, 20] {
-            let hits = bank.range(q, radius, 2, SketchMode::Exact);
+            let hits = bank.range(q, radius, 2);
             let naive: Vec<(u64, u64)> = {
                 let mut v: Vec<(u64, u64)> = db
                     .iter()
@@ -1452,7 +1323,7 @@ mod tests {
         assert_eq!(bank.len(), 38);
         // Surviving rows still answer exactly.
         let q = &db[20];
-        let hits = bank.knn(q, 38, 1, SketchMode::Exact);
+        let hits = bank.knn(q, 38, 1);
         assert_eq!(hits.len(), 38);
         assert!(hits.iter().all(|h| h.id != 17 && h.id != 39));
         // Row 3 now carries db[10]'s signature.
@@ -1530,26 +1401,5 @@ mod tests {
         assert_eq!(bank.lanes_of(2099), snapshot.lanes_of(2099));
         assert_eq!(snapshot.get(40), Some(&db[40]));
         assert_eq!(bank.get(40), None);
-    }
-
-    #[test]
-    fn approx_mode_estimates_dominate_lower_bound() {
-        let a = sigs(30, 4, 11);
-        for x in a.iter().step_by(3) {
-            for y in a.iter().step_by(5) {
-                let (sx, sy) = (Sketch::of(x), Sketch::of(y));
-                assert!(sx.estimate(&sy) >= sx.lower_bound(&sy) / SKETCH_LEVELS as u64);
-            }
-        }
-    }
-
-    #[test]
-    fn mode_round_trips() {
-        for m in [SketchMode::Exact, SketchMode::Approx] {
-            assert_eq!(SketchMode::from_u32(m.to_u32()), Some(m));
-            assert_eq!(m.to_string().parse::<SketchMode>().unwrap(), m);
-        }
-        assert_eq!(SketchMode::from_u32(9), None);
-        assert!("fast".parse::<SketchMode>().is_err());
     }
 }

@@ -9,7 +9,7 @@
 
 use ned_core::NodeSignature;
 use ned_graph::generators;
-use ned_index::{SketchBank, SketchMode};
+use ned_index::SketchBank;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -56,9 +56,9 @@ fn knn_allocations(bank: &SketchBank, probes: &[NodeSignature]) -> Vec<u64> {
     probes
         .iter()
         .map(|q| {
-            bank.knn(q, 5, 1, SketchMode::Exact);
+            bank.knn(q, 5, 1);
             let before = allocations();
-            let hits = bank.knn(q, 5, 1, SketchMode::Exact);
+            let hits = bank.knn(q, 5, 1);
             let count = allocations() - before;
             assert_eq!(hits.len(), 5);
             count

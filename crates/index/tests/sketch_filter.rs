@@ -5,9 +5,9 @@
 //! 1. **Soundness of the bound** — the scalar sketch distance never
 //!    exceeds NED, on every graph family the paper benchmarks (BA, ER,
 //!    road grids) and every extraction depth `k ∈ 1..=5`. A violated
-//!    bound would mean silent false drops in exact mode.
-//! 2. **Bit-identical exact mode** — with [`SketchMode::Exact`] (the
-//!    default), `query`/`range` return exactly what an independently
+//!    bound would mean silent false drops.
+//! 2. **Bit-identical answers** — `query`/`range` return exactly what
+//!    an independently
 //!    built [`ShardedVpForest`] over the same entries and the full scan
 //!    return — ids *and* distances — under arbitrary insert/remove churn
 //!    and across a save/load round trip of the sketch-carrying snapshot
@@ -19,8 +19,8 @@
 
 use ned_core::{ted_star_degree_lower_bound, NodeSignature};
 use ned_graph::{generators, Graph};
-use ned_index::sketch::{sketch_estimate, sketch_lower_bound, Sketch, SketchStats, BOUND_CAP};
-use ned_index::{SignatureIndex, SketchBank, SketchMode};
+use ned_index::sketch::{sketch_lower_bound, Sketch, SketchStats, BOUND_CAP};
+use ned_index::{SignatureIndex, SketchBank};
 use ned_metric_index::{ShardedVpForest, SignatureMetric};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -75,7 +75,7 @@ proptest! {
         }
     }
 
-    /// Invariant 2: exact-mode results are bit-identical to the
+    /// Invariant 2: sketch-filtered results are bit-identical to the
     /// unfiltered forest and the full scan, under churn and across a
     /// save/load round trip.
     #[test]
@@ -90,7 +90,6 @@ proptest! {
         let mut index = SignatureIndex::new(3, threshold, seed);
         index.insert_graph(&g1, &g1.nodes().collect::<Vec<_>>());
         index.insert_graph(&g2, &g2.nodes().collect::<Vec<_>>());
-        prop_assert_eq!(index.sketch_mode(), SketchMode::Exact);
 
         // Interleaved removes and re-inserts so the bank tracks swaps,
         // replacements, and tombstones — not just the bulk build.
@@ -131,7 +130,6 @@ proptest! {
         }
         prop_assert_eq!(forest.len(), index.len());
         let reloaded = SignatureIndex::from_bytes(&index.to_bytes()).expect("round trip");
-        prop_assert_eq!(reloaded.sketch_mode(), SketchMode::Exact);
 
         for probe in [0u32, 39, 79] {
             let q = NodeSignature::extract(&g1, probe, 3);
@@ -176,9 +174,7 @@ fn star(leaves: usize) -> Graph {
 /// A bank shaped to stress the refine order, plus its signatures by id:
 /// ids inserted in shuffled order and then swap-removed, so they no
 /// longer follow row order; a BA tree (`m = 1`) at `k = 3`, so many rows
-/// share a bound and the approximate estimate often overshoots NED
-/// (which makes approx-mode results depend on the order within a tie);
-/// and wide stars (two of equal width), whose bounds to ordinary probes
+/// share a bound; and wide stars (two of equal width), whose bounds to ordinary probes
 /// land in the overflow bucket.
 fn order_stress_bank(seed: u64) -> (SketchBank, HashMap<u64, NodeSignature>) {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -219,7 +215,6 @@ fn reference_knn(
     by_id: &HashMap<u64, NodeSignature>,
     q: &NodeSignature,
     k: usize,
-    mode: SketchMode,
 ) -> (Vec<(u64, u64)>, SketchStats, u64) {
     let qs = Sketch::of(q);
     let mut order: Vec<(u64, u64, usize)> = bank
@@ -227,11 +222,7 @@ fn reference_knn(
         .enumerate()
         .map(|(row, (id, _))| {
             let lanes = bank.lanes_of(id).expect("live id");
-            let bound = match mode {
-                SketchMode::Approx => sketch_estimate(qs.lanes(), lanes),
-                _ => sketch_lower_bound(qs.lanes(), lanes),
-            };
-            (bound, id, row)
+            (sketch_lower_bound(qs.lanes(), lanes), id, row)
         })
         .collect();
     order.sort_unstable();
@@ -270,9 +261,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Invariant 3: the bucketed refine order is exactly the full
-    /// `(bound, id)` sort — same hits and same counter deltas in both
-    /// filtering modes, including when the loop reaches the overflow
-    /// bucket.
+    /// `(bound, id)` sort — same hits and same counter deltas, including
+    /// when the loop reaches the overflow bucket.
     #[test]
     fn knn_visits_rows_in_full_sort_order(seed in any::<u64>()) {
         let (bank, by_id) = order_stress_bank(seed);
@@ -287,49 +277,28 @@ proptest! {
         let mut reached_overflow = false;
         for q in &probes {
             for k in [1, 4, 9, ordinary + 1, ordinary + 4] {
-                for mode in [SketchMode::Exact, SketchMode::Approx] {
-                    let before = bank.stats();
-                    let hits: Vec<(u64, u64)> = bank
-                        .knn(q, k, 1, mode)
-                        .iter()
-                        .map(|h| (h.distance as u64, h.id))
-                        .collect();
-                    let after = bank.stats();
-                    let delta = SketchStats {
-                        rows: after.rows,
-                        queries: after.queries - before.queries,
-                        scanned: after.scanned - before.scanned,
-                        refined: after.refined - before.refined,
-                        pruned: after.pruned - before.pruned,
-                    };
-                    let (want_hits, want_stats, top_bound) =
-                        reference_knn(&bank, &by_id, q, k, mode);
-                    reached_overflow |= top_bound >= BOUND_CAP as u64;
-                    prop_assert_eq!(&hits, &want_hits, "hits, k = {}, {}", k, mode);
-                    prop_assert_eq!(delta, want_stats, "counters, k = {}, {}", k, mode);
-                }
+                let before = bank.stats();
+                let hits: Vec<(u64, u64)> = bank
+                    .knn(q, k, 1)
+                    .iter()
+                    .map(|h| (h.distance as u64, h.id))
+                    .collect();
+                let after = bank.stats();
+                let delta = SketchStats {
+                    rows: after.rows,
+                    queries: after.queries - before.queries,
+                    scanned: after.scanned - before.scanned,
+                    refined: after.refined - before.refined,
+                    pruned: after.pruned - before.pruned,
+                };
+                let (want_hits, want_stats, top_bound) =
+                    reference_knn(&bank, &by_id, q, k);
+                reached_overflow |= top_bound >= BOUND_CAP as u64;
+                prop_assert_eq!(&hits, &want_hits, "hits, k = {}", k);
+                prop_assert_eq!(delta, want_stats, "counters, k = {}", k);
             }
         }
         prop_assert!(reached_overflow, "no query refined an overflow-bucket row");
-    }
-}
-
-/// Approximate mode must stay a subset story, not a correctness story:
-/// every hit it returns carries the true distance, even when it drops
-/// neighbors. (Recall itself is measured in the benchmark harness.)
-#[test]
-fn approx_mode_returns_true_distances() {
-    let mut rng = SmallRng::seed_from_u64(99);
-    let g = generators::barabasi_albert(150, 3, &mut rng);
-    let mut index = SignatureIndex::new(3, 64, 7);
-    index.insert_graph(&g, &g.nodes().collect::<Vec<_>>());
-    index.set_sketch_mode(SketchMode::Approx);
-    for probe in [2u32, 50, 149] {
-        let q = NodeSignature::extract(&g, probe, 3);
-        for hit in index.query(&q, 8, 0) {
-            let sig = index.get(hit.id).expect("hit is live");
-            assert_eq!(hit.distance as u64, q.distance(sig), "id {}", hit.id);
-        }
     }
 }
 
@@ -398,7 +367,7 @@ fn degree_bound_rejects_the_cold_refines_that_would_abandon() {
         }
         // The replay is the bank's loop: same answer.
         let hits: Vec<(u64, u64)> = bank
-            .knn(q, TOP, 1, SketchMode::Exact)
+            .knn(q, TOP, 1)
             .iter()
             .map(|h| (h.distance as u64, h.id))
             .collect();

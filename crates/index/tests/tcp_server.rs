@@ -211,7 +211,7 @@ fn commands_round_trip_over_the_socket() {
 
     let stats = client.call("stats").expect("stats");
     assert!(stats.contains("signatures: 120"), "{stats}");
-    assert!(stats.contains("sketch: mode exact, rows 120"), "{stats}");
+    assert!(stats.contains("\nsketch: rows 120, queries "), "{stats}");
     assert!(stats.ends_with("ok"), "{stats}");
 
     let hits = client.call("sig (()()) 3").expect("sig query");

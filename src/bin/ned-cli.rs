@@ -11,13 +11,13 @@
 //! ned-cli index build <out.idx> <graph.edges> [--k N]
 //! ned-cli index add <idx> <graph.edges> [--out PATH]
 //! ned-cli index query <idx> <graph.edges> <node> [--top N] [--radius R]
-//!                     [--threads N] [--verify] [--sketch exact|approx]
+//!                     [--threads N] [--verify]
 //! ned-cli index save <idx> <out.idx>
 //! ned-cli index load <idx>
 //! ned-cli index split <idx> --shards N [--out-prefix P]
 //! ned-cli serve <idx> [--tcp ADDR] [--threads N] [--pool N] [--graph PATH]
 //!                     [--wal PATH] [--checkpoint-every N] [--fsync MODE]
-//!                     [--max-conns N] [--sketch exact|approx]
+//!                     [--max-conns N]
 //! ned-cli route <idx> --shards N [--replicas R] [--tcp ADDR]
 //!                     [--shard-dir D] [--wal-dir D] [--quorum Q]
 //! ned-cli route --attach a1|a2,b1,... --bounds 0,x,... [--next-id N]
@@ -103,10 +103,9 @@ fn print_usage() {
          \x20                                                    (shared-frontier hash-consed ingest)\n\
          \x20 index add <idx> <graph> [--out PATH]               index another graph's signatures\n\
          \x20 index query <idx> <graph> <node> [--top N] [--radius R] [--threads N] [--verify]\n\
-         \x20       [--sketch exact|approx]                      --radius R: bounded threshold query;\n\
-         \x20                                                    --sketch routes through the sketch filter\n\
-         \x20                                                    tier (exact, the default, is bit-identical\n\
-         \x20                                                    to a full scan; approx trades recall)\n\
+         \x20                                                    --radius R: bounded threshold query;\n\
+         \x20                                                    answers come through the sketch filter\n\
+         \x20                                                    tier, bit-identical to a full scan\n\
          \x20 index save <idx> <out.idx>                         re-encode (verifies the file round-trips)\n\
          \x20 index load <idx>                                   load + print index stats\n\
          \x20 index split <idx> --shards N [--out-prefix P]      partition into N per-shard indexes by id\n\
@@ -114,8 +113,6 @@ fn print_usage() {
          \x20                                                    detached `route --attach` needs\n\
          \x20 serve <idx> [--tcp ADDR] [--threads N] [--pool N]  long-lived serving: stdin REPL, or a\n\
          \x20       [--graph PATH] [--wal PATH]                  concurrent TCP server with --tcp;\n\
-         \x20       [--sketch exact|approx]                      --sketch overrides the persisted query\n\
-         \x20                                                    routing mode for this serving run;\n\
          \x20       [--checkpoint-every N] [--fsync MODE]        --graph pre-tracks a mutating graph\n\
          \x20       [--max-conns N]                              for addedge/deledge deltas;\n\
          \x20                                                    --wal makes writes crash-safe: replay\n\
@@ -434,12 +431,7 @@ fn save_index(index: &ned::index::SignatureIndex, path: &str) -> Result<(), Stri
 }
 
 fn print_index_stats(index: &ned::index::SignatureIndex) {
-    out!(
-        "signatures: {} (k = {}), sketch mode {}",
-        index.len(),
-        index.k(),
-        index.sketch_mode()
-    );
+    out!("signatures: {} (k = {})", index.len(), index.k());
 }
 
 fn cmd_index(raw: &[String]) -> Result<(), String> {
@@ -501,16 +493,13 @@ fn cmd_index_add(raw: &[String]) -> Result<(), String> {
 }
 
 fn cmd_index_query(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &["top", "threads", "radius", "sketch"], &["verify"])?;
-    let mut index = load_index(args.positional(0, "index path")?)?;
+    let args = Args::parse(raw, &["top", "threads", "radius"], &["verify"])?;
+    let index = load_index(args.positional(0, "index path")?)?;
     let g = load(args.positional(1, "query graph")?, false)?;
     let v = parse_node(&g, args.positional(2, "query node")?)?;
     let top_flag: Option<usize> = args.opt("top")?;
     let threads: usize = args.get("threads", 0)?;
     let radius: Option<u64> = args.opt("radius")?;
-    if let Some(mode) = args.opt::<String>("sketch")? {
-        index.set_sketch_mode(mode.parse()?);
-    }
     let sig = NodeSignature::extract(&g, v, index.k());
     let hits = match radius {
         // Threshold query: the radius is the abandonment budget of every
@@ -675,7 +664,6 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
             "fsync",
             "checkpoint-every",
             "max-conns",
-            "sketch",
         ],
         &[],
     )?;
@@ -705,9 +693,6 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
         max_conns: args.get("max-conns", 256)?,
         ..Default::default()
     };
-    if let Some(mode) = args.opt::<String>("sketch")? {
-        durable.writer().set_sketch_mode(mode.parse()?);
-    }
     let server = std::sync::Arc::new(
         ned::index::NedServer::with_durability(durable, threads, pool).with_config(config),
     );

@@ -65,6 +65,34 @@ fn an_unknown_flag_fails_before_any_side_effect() {
     ]);
     assert!(ok.status.success(), "{ok:?}");
     assert!(out.exists());
+
+    // The retired sketch-mode flag: refused before a query runs or a
+    // server boots (no WAL created, no checkpoint rewriting the index).
+    let before = std::fs::read(&out).expect("read index");
+    let wal = dir.join("x.wal");
+    let (idx, g) = (out.to_str().unwrap(), graph.to_str().unwrap());
+    for args in [
+        &["index", "query", idx, g, "0", "--sketch", "approx"][..],
+        &[
+            "serve",
+            idx,
+            "--wal",
+            wal.to_str().unwrap(),
+            "--sketch",
+            "exact",
+        ][..],
+    ] {
+        let refused = run(args);
+        assert!(!refused.status.success(), "{args:?}");
+        let stderr = String::from_utf8_lossy(&refused.stderr);
+        assert!(
+            stderr.contains("unknown flag --sketch"),
+            "{args:?}: {stderr}"
+        );
+        assert!(refused.stdout.is_empty(), "{args:?}: {refused:?}");
+        assert!(!wal.exists(), "{args:?}");
+        assert_eq!(std::fs::read(&out).expect("read index"), before, "{args:?}");
+    }
     let _ = std::fs::remove_dir_all(dir);
 }
 
