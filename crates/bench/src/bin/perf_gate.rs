@@ -71,10 +71,24 @@ const DIFF_MD_PATH: &str = "perf_gate_diff.md";
 
 /// Series deliberately removed from `perf_snapshot`, each with the reason
 /// it went. The committed trajectory keeps their history.
-const RETIRED: &[(&str, &str)] = &[(
-    "sketch/ba4000-knn-approx",
-    "approximate sketch mode deleted; the exact lower bound is the only pruning bound",
-)];
+const RETIRED: &[(&str, &str)] = &[
+    (
+        "sketch/ba4000-knn-approx",
+        "approximate sketch mode deleted; the exact lower bound is the only pruning bound",
+    ),
+    (
+        "sharded_knn/ba4000-k3-forest",
+        "sharded VP forest deleted; the sketch bank is the only dynamic index",
+    ),
+    (
+        "sharded_knn/ba4000-k3-linear",
+        "sharded VP forest deleted; the sketch bank is the only dynamic index",
+    ),
+    (
+        "sharded_knn/ba4000-k3-bounded",
+        "sharded VP forest deleted; the sketch bank is the only dynamic index",
+    ),
+];
 
 /// The reason `name` was retired, if it is listed in [`RETIRED`].
 fn retired_reason(name: &str) -> Option<&'static str> {

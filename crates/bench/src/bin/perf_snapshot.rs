@@ -2,10 +2,8 @@
 //! pipeline's hot paths to the JSON file named on the command line
 //! (default `BENCH_ci.json`, the file `perf_gate` reads by default) — the
 //! production TED\*/NED kernel against the frozen dense Hungarian
-//! baseline, the sharded
-//! forest against the linear scan, the budget-aware bounded kernel
-//! against the frozen PR 2 unbounded forest path, a memo-cold/memo-warm
-//! pair for the cross-pair distance memo, the PR 4 concurrent serving
+//! baseline, a memo-cold/memo-warm pair for the cross-pair distance
+//! memo, the PR 4 concurrent serving
 //! layer's reader-fleet throughput (1 vs 4 reader threads over one
 //! published snapshot, with p50/p99 latency percentiles as their own
 //! `perf_gate` series), and (since PR 5) whole-graph **ingest** —
@@ -30,10 +28,12 @@
 //! `ted_star`, `ned_pair/width192/dense-legacy` the frozen engine's dense
 //! per-slot Hungarian), with a per-phase `kernel_phase/*` time split recorded
 //! from the instrumented sweep. Since PR 9 the candidate-generation tier
-//! is priced too: `sketch/ba4000-knn` runs the identical knn workload
+//! is priced too: `sketch/ba4000-knn` runs a BA-4000 knn workload
 //! through the flat sketch bank (linear lower-bound scan + shared-radius
-//! exact refine), asserted bit-identical to the forest first and gated
-//! in-run at ≥ 1.5x over the bounded forest path. The sketch bank clones
+//! exact refine), and `sketch_knn_speedup_vs_budgeted_scan` gates the
+//! bank, memo-cold and on one thread, against the same rows refined by
+//! the budgeted kernel with no sketch (both asserted bit-identical to
+//! `SignatureIndex::scan` first). The sketch bank clones
 //! **copy-on-write** (chunk-shared `Arc` rows), clawing back the per-
 //! publication bank copy the PR 9 trajectory recorded on
 //! `delta/ba4000-edge-churn`. `sketch/ba4000-scan` prices the bank's
@@ -60,7 +60,7 @@
 //! boot.
 //!
 //! Five in-run floors compare two paths timed here:
-//! `soa_kernel_speedup_vs_presoa`, `bounded_knn_speedup_vs_unbounded_forest`,
+//! `soa_kernel_speedup_vs_presoa`, `sketch_knn_speedup_vs_budgeted_scan`,
 //! `ingest_bulk_speedup_vs_per_node`, `fleet_overhead_vs_single` and
 //! `loadgen_reader_scaling_4r_vs_1r` (1 against 4 reader threads). Each
 //! times its two sides in alternating rounds and gates on the median of
@@ -74,14 +74,13 @@
 
 use ned_bench::frozen::{ted_star_with, Matcher, TedStarConfig};
 use ned_bench::loadgen::{knn_read_workload, scaling_floor, LatencySummary};
-use ned_bench::util::ClassicSignatureMetric;
 use ned_core::{ned_with_extractors, ted_star, KernelProfile, PreparedTree, TedMemo};
 use ned_graph::bfs::TreeExtractor;
 use ned_graph::generators;
 use ned_index::sketch::order_by_bound;
 use ned_index::{ConcurrentNedIndex, SignatureIndex};
 use ned_matching::{collapsed_hungarian, hungarian, CostMatrix};
-use ned_metric_index::{FnMetric, ShardedVpForest, SignatureMetric, VpTree};
+use ned_metric_index::{FnMetric, VpTree};
 use ned_tree::Tree;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -131,6 +130,41 @@ fn measure_pair(
         median(timed.iter().map(|t| t.1).collect()),
         median(timed.iter().map(|t| t.0 / t.1).collect()),
     )
+}
+
+/// In-run floor on `sketch_knn_speedup_vs_budgeted_scan`: memo-cold
+/// sketch-filtered knn against [`budgeted_scan`] over the same rows.
+const SKETCH_FLOOR: f64 = 2.5;
+
+/// The sketch tier's comparator: the index's rows in row order, each
+/// refined by the budgeted kernel under the current `k`-th best distance,
+/// with no sketch bound to order or skip them. Equal to
+/// `SignatureIndex::scan(q, k)`: the budget is inclusive, so ties at the
+/// `k`-th distance are kept and the final `(distance, id)` order decides.
+fn budgeted_scan(
+    index: &SignatureIndex,
+    q: &ned_core::NodeSignature,
+    k: usize,
+) -> Vec<ned_core::WireHit> {
+    let mut best: Vec<(u64, u64)> = Vec::with_capacity(k + 1);
+    for (id, sig) in index.entries() {
+        let tau = if best.len() < k {
+            u64::MAX
+        } else {
+            best[k - 1].0
+        };
+        if let Some(d) = q.distance_within(sig, tau) {
+            best.push((d, id));
+            best.sort_unstable();
+            best.truncate(k);
+        }
+    }
+    best.into_iter()
+        .map(|(d, id)| ned_core::WireHit {
+            id,
+            distance: d as f64,
+        })
+        .collect()
 }
 
 /// Per-metric median over repeated fleet runs — the drift discipline
@@ -443,111 +477,62 @@ fn main() {
         p99_ns: None,
     });
 
-    // --- sharded_knn: dynamic forest vs full scan on BA-4000 ------------
-    // The serving-layer workload: 4000 interned BA signatures in a
-    // sharded VP forest (incremental inserts, so the logarithmic merge
-    // machinery is what gets measured), queried from a *different* BA
-    // graph. The linear baseline pays one exact TED* per live signature;
-    // the forest prunes with the interned-class lower bound and the
-    // duplicate buckets before any exact call.
+    // --- sketch: flat-bank filter tier in front of the exact kernel ------
+    // The serving knn: 4000 interned BA signatures behind a
+    // SignatureIndex, queried from a *different* BA graph. knn runs
+    // through the SoA sketch bank — a linear autovectorized lower-bound
+    // scan ordered by (bound, id), refined by the budgeted kernel under
+    // the shared pruning radius.
     let gdb = generators::barabasi_albert(4000, 3, &mut rng);
     let gq = generators::barabasi_albert(4000, 3, &mut rng);
     let db_nodes: Vec<u32> = gdb.nodes().collect();
     let db_sigs = ned_core::signatures(&gdb, &db_nodes, 3);
-    let mut forest = ShardedVpForest::new(1024, 0xF0);
-    for (i, sig) in db_sigs.iter().enumerate() {
-        forest.insert(&SignatureMetric, i as u64, sig.clone());
-    }
     let probe_nodes: Vec<u32> = (0..6u32).map(|i| i * 577 % 4000).collect();
     let probes = ned_core::signatures(&gq, &probe_nodes, 3);
-    // sanity: the forest is exact before it is fast — through the frozen
-    // PR 2 metric *and* the bounded kernel, which must agree bit-for-bit
+    let sketch_index = SignatureIndex::from_signatures(3, 1024, 0xF0, db_sigs.clone());
+
+    // The sketch tier against the same rows refined with no sketch: the
+    // bank's knn and `budgeted_scan`, both one thread, both bit-identical
+    // to the full scan (asserted first), timed in alternating rounds with
+    // the memo cleared before every pass. Cold because that is where the
+    // sketch pays: with a warm memo nearly every refine is a memo hit and
+    // the two sides sit within ~1.4x of each other.
     for q in &probes {
-        let reference = forest.scan_knn(&ClassicSignatureMetric, q, 5);
+        let reference = sketch_index.scan(q, 5);
         assert_eq!(
-            forest.knn(&ClassicSignatureMetric, q, 5, 0),
+            sketch_index.query(q, 5, 1),
             reference,
-            "classic forest kNN diverged from the linear scan"
+            "sketch-filtered kNN diverged from the full scan"
         );
         assert_eq!(
-            forest.knn(&SignatureMetric, q, 5, 0),
+            budgeted_scan(&sketch_index, q, 5),
             reference,
-            "bounded forest kNN diverged from the linear scan"
+            "budgeted linear kNN diverged from the full scan"
         );
     }
-    // The frozen path and the bounded one below (whose gate this ratio
-    // is) are timed in alternating rounds, memo cleared first: the
-    // bounded side's warm-up warms it, the serving regime it prices.
-    TedMemo::global().clear();
-    let (forest_ns, bounded_ns, bounded_speedup) = measure_pair(
+    let (budgeted_ns, sketch_pair_ns, sketch_speedup) = measure_pair(
         7,
         2,
         || {
+            TedMemo::global().clear();
             for q in &probes {
-                std::hint::black_box(forest.knn(&ClassicSignatureMetric, q, 5, 0));
+                std::hint::black_box(budgeted_scan(&sketch_index, q, 5));
             }
         },
         || {
+            TedMemo::global().clear();
             for q in &probes {
-                std::hint::black_box(forest.knn(&SignatureMetric, q, 5, 0));
+                std::hint::black_box(sketch_index.query(q, 5, 1));
             }
         },
     );
-    let (forest_ns, bounded_ns) = (
-        forest_ns / probes.len() as f64,
-        bounded_ns / probes.len() as f64,
+    let (budgeted_ns, sketch_pair_ns) = (
+        budgeted_ns / probes.len() as f64,
+        sketch_pair_ns / probes.len() as f64,
     );
-    entries.push(Entry {
-        name: "sharded_knn/ba4000-k3-forest",
-        ns_per_op: forest_ns,
-        p50_ns: None,
-        p99_ns: None,
-    });
-    let linear_ns = measure(3, 1, || {
-        for q in &probes {
-            std::hint::black_box(forest.scan_knn(&ClassicSignatureMetric, q, 5));
-        }
-    }) / probes.len() as f64;
-    entries.push(Entry {
-        name: "sharded_knn/ba4000-k3-linear",
-        ns_per_op: linear_ns,
-        p50_ns: None,
-        p99_ns: None,
-    });
-    let sharded_speedup = linear_ns / forest_ns;
 
-    // --- sharded_knn bounded: budget-aware kernel + scratch arena + memo -
-    // The serving configuration this PR ships: every exact TED* call in
-    // the fan-out takes the current pruning radius as its abandonment
-    // budget, runs allocation-free on the thread-local scratch, and
-    // repeated (query class, candidate class) pairs hit the cross-pair
-    // memo. Steady state (memo warm across repeat queries — the serving
-    // regime) must beat the frozen PR 2 path by ≥ 1.5×; timed above,
-    // interleaved with the frozen path.
-    entries.push(Entry {
-        name: "sharded_knn/ba4000-k3-bounded",
-        ns_per_op: bounded_ns,
-        p50_ns: None,
-        p99_ns: None,
-    });
-
-    // --- sketch: flat-bank filter tier in front of the exact kernel ------
-    // The PR 9 candidate-generation tier on the identical workload: the
-    // same 4000 signatures behind a SignatureIndex, which routes knn
-    // through the SoA sketch bank — a linear autovectorized lower-bound
-    // scan ordered by (bound, id), refined by the budgeted kernel under
-    // the shared pruning radius. Bit-identical to the forest by
-    // construction (and asserted here before timing); measured with the
-    // same memo discipline as the bounded entry, and gated in-run at
-    // ≥ 1.5x over it.
-    let sketch_index = SignatureIndex::from_signatures(3, 1024, 0xF0, db_sigs.clone());
-    for q in &probes {
-        assert_eq!(
-            sketch_index.query(q, 5, 0),
-            forest.knn(&SignatureMetric, q, 5, 0),
-            "sketch-filtered kNN diverged from the bounded forest"
-        );
-    }
+    // The same knn with the memo warm from the warm-up pass, and the
+    // fan-out left to the bank (`threads = 0`).
     TedMemo::global().clear();
     let sketch_ns = measure(7, 2, || {
         for q in &probes {
@@ -560,7 +545,6 @@ fn main() {
         p50_ns: None,
         p99_ns: None,
     });
-    let sketch_speedup = bounded_ns / sketch_ns;
 
     // The same knn memo-cold: the memo is cleared at the start of every
     // timed pass, as `ted_within/ba4000-memo-cold` does. After its
@@ -1149,7 +1133,7 @@ fn main() {
         ));
     }
     json.push_str(&format!(
-        "  ],\n  \"comparisons\": {{\n    \"ned_pair_collapsed_speedup_vs_dense\": {ned_pair_speedup:.2},\n    \"soa_kernel_speedup_vs_presoa\": {soa_speedup:.2},\n    \"sharded_knn_speedup_vs_linear\": {sharded_speedup:.2},\n    \"bounded_knn_speedup_vs_unbounded_forest\": {bounded_speedup:.2},\n    \"sketch_knn_speedup_vs_bounded\": {sketch_speedup:.2},\n    \"memo_warm_speedup_vs_cold\": {:.2},\n    \"loadgen_reader_scaling_4r_vs_1r\": {reader_scaling:.2},\n    \"ingest_bulk_speedup_vs_per_node\": {ingest_speedup:.2},\n    \"delta_flip_speedup_vs_rebuild\": {delta_speedup_vs_rebuild:.2},\n    \"delta_wal_overhead_vs_in_memory\": {wal_overhead:.2},\n    \"delta_wal_group_commit_vs_unsynced\": {group_commit_overhead:.2},\n    \"fleet_overhead_vs_single\": {fleet_overhead:.2}\n  }}\n}}\n",
+        "  ],\n  \"comparisons\": {{\n    \"ned_pair_collapsed_speedup_vs_dense\": {ned_pair_speedup:.2},\n    \"soa_kernel_speedup_vs_presoa\": {soa_speedup:.2},\n    \"sketch_knn_speedup_vs_budgeted_scan\": {sketch_speedup:.2},\n    \"memo_warm_speedup_vs_cold\": {:.2},\n    \"loadgen_reader_scaling_4r_vs_1r\": {reader_scaling:.2},\n    \"ingest_bulk_speedup_vs_per_node\": {ingest_speedup:.2},\n    \"delta_flip_speedup_vs_rebuild\": {delta_speedup_vs_rebuild:.2},\n    \"delta_wal_overhead_vs_in_memory\": {wal_overhead:.2},\n    \"delta_wal_group_commit_vs_unsynced\": {group_commit_overhead:.2},\n    \"fleet_overhead_vs_single\": {fleet_overhead:.2}\n  }}\n}}\n",
         cold_ns / warm_ns
     ));
     std::fs::write(&out_path, &json).expect("write benchmark snapshot");
@@ -1165,18 +1149,10 @@ fn main() {
          pre-SoA engine ({presoa_ns:.0} ns/pair) — below the 2x rebuild floor"
     );
     assert!(
-        sharded_speedup >= 5.0,
-        "sharded kNN speedup {sharded_speedup:.2}x below the 5x target"
-    );
-    assert!(
-        bounded_speedup >= 1.5,
-        "bounded forest kNN speedup {bounded_speedup:.2}x below the 1.5x floor \
-         over the PR 2 unbounded path"
-    );
-    assert!(
-        sketch_speedup >= 1.5,
-        "sketch-filtered kNN ({sketch_ns:.0} ns/op) is only {sketch_speedup:.2}x the \
-         PR 3 bounded forest path ({bounded_ns:.0} ns/op) — below the 1.5x floor"
+        sketch_speedup >= SKETCH_FLOOR,
+        "memo-cold sketch-filtered kNN ({sketch_pair_ns:.0} ns/op) is only \
+         {sketch_speedup:.2}x the budgeted linear scan ({budgeted_ns:.0} ns/op) — \
+         below the {SKETCH_FLOOR}x floor"
     );
     let reader_floor = scaling_floor(4);
     assert!(

@@ -1,11 +1,9 @@
 //! The frozen Algorithm 1: the configurable, allocating level sweep that
 //! `ned-core`'s budget-aware kernel replaced. Nothing serves from it; it
-//! is the timing baseline behind `ned_pair/width192/dense-legacy`,
-//! `ned_pair/ba4000-k4-presoa` and
-//! [`ClassicSignatureMetric`](crate::util::ClassicSignatureMetric), the
-//! matcher ablation, and the independent reference
-//! `tests/frozen_algorithm1.rs` pins the kernel's distances and per-level
-//! reports to. With [`Matcher::Hungarian`] the matching feeding
+//! is the timing baseline behind `ned_pair/width192/dense-legacy` and
+//! `ned_pair/ba4000-k4-presoa`, the matcher ablation, and the
+//! independent reference `tests/frozen_algorithm1.rs` pins the kernel's
+//! distances and per-level reports to. With [`Matcher::Hungarian`] the matching feeding
 //! re-canonization (step 6) comes from one canonical transportation
 //! solution over duplicate classes ordered by their smallest member slot,
 //! the kernel's own choice, so the two agree bit for bit.

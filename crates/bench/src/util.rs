@@ -1,37 +1,9 @@
 //! Shared experiment utilities: timing, statistics, table rendering,
-//! sampling, lightweight parallel map, CLI argument parsing, and the
-//! frozen pre-memo metric baseline.
+//! sampling, lightweight parallel map and CLI argument parsing.
 
-use crate::frozen::{ted_star_prepared_report, TedStarConfig};
-use ned_core::NodeSignature;
-use ned_metric_index::{BoundedMetric, Metric};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::{Duration, Instant};
-
-/// The PR 2 exact query stack, frozen in time: the classic (allocating)
-/// Algorithm 1 engine of [`crate::frozen`] — no scratch
-/// arena, no cross-pair memo, no budget threading (`distance_within`
-/// stays on the trait's compute-then-filter default). This is the
-/// honest unbounded baseline for benchmarking the bounded kernel:
-/// `ned_metric_index::UnboundedSignatureMetric` only disables the budget, but
-/// still routes through the memoized kernel, so it cannot serve as a
-/// compute-cost baseline once the memo is warm.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ClassicSignatureMetric;
-
-impl Metric<NodeSignature> for ClassicSignatureMetric {
-    fn distance(&self, a: &NodeSignature, b: &NodeSignature) -> f64 {
-        ted_star_prepared_report(a.prepared(), b.prepared(), &TedStarConfig::standard()).distance
-            as f64
-    }
-}
-
-impl BoundedMetric<NodeSignature> for ClassicSignatureMetric {
-    fn lower_bound(&self, a: &NodeSignature, b: &NodeSignature) -> f64 {
-        a.distance_lower_bound(b) as f64
-    }
-}
 
 /// Times a closure once.
 pub fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {

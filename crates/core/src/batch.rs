@@ -23,9 +23,8 @@ fn thread_count(requested: usize, work_items: usize) -> usize {
 /// Generic indexed parallel map (work-stealing over an atomic cursor):
 /// `out[i] = f(i)` for `i in 0..n`, computed on up to `threads` scoped
 /// threads (`0` = all available parallelism). This is the thread pool the
-/// batch workloads — and the sharded metric index in `ned-index` — fan
-/// out on; it allocates nothing beyond the result slots and never
-/// outlives the call.
+/// batch workloads fan out on; it allocates nothing beyond the result
+/// slots and never outlives the call.
 pub fn par_map<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
     indexed_par_map(n, threads, f)
 }

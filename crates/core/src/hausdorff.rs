@@ -27,7 +27,7 @@ fn directed_hausdorff(a: &[NodeSignature], b: &[NodeSignature]) -> u64 {
 
 /// Hausdorff distance between two signature collections:
 /// `H(A, B) = max(h(A, B), h(B, A))` (Equation 22).
-pub fn hausdorff_signatures(a: &[NodeSignature], b: &[NodeSignature]) -> u64 {
+fn hausdorff_signatures(a: &[NodeSignature], b: &[NodeSignature]) -> u64 {
     directed_hausdorff(a, b).max(directed_hausdorff(b, a))
 }
 

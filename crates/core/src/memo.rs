@@ -3,10 +3,9 @@
 //!
 //! Query workloads compare one signature against many candidates, and on
 //! scale-free graphs the candidates repeat a handful of neighborhood
-//! shapes — the interned store deduplicates them, the VP forest buckets
-//! exact duplicates *within* a shard, but the same `(query class,
-//! candidate class)` sub-problem still reappears across shards, across
-//! the mutable buffer, and across successive queries. TED\* is a pure
+//! shapes — the interned store deduplicates them, but the same `(query
+//! class, candidate class)` sub-problem still reappears across the rows
+//! of one scan and across successive queries. TED\* is a pure
 //! function of the two isomorphism classes, and every
 //! [`PreparedTree`](crate::PreparedTree) already carries its class as a
 //! dense process-wide interner id
@@ -86,7 +85,7 @@ pub struct MemoStats {
 
 impl MemoStats {
     /// Hits as a fraction of all consults (`0.0` when none happened).
-    pub fn hit_rate(&self) -> f64 {
+    fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
             0.0

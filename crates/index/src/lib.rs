@@ -13,8 +13,8 @@
 //! by `(distance, id)`.
 //!
 //! The paper's generic metric access methods (VP-tree, BK-tree,
-//! filter-and-refine, the sharded VP forest) live in `ned-metric-index`;
-//! this crate does not depend on them.
+//! filter-and-refine) live in `ned-metric-index`; this crate does not
+//! depend on them.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

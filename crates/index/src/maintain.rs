@@ -115,7 +115,7 @@ impl GraphMaintainer {
     }
 
     /// Whether `v` is a live node.
-    pub fn is_alive(&self, v: NodeId) -> bool {
+    fn is_alive(&self, v: NodeId) -> bool {
         (v as usize) < self.alive.len() && self.alive[v as usize]
     }
 

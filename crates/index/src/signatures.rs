@@ -417,7 +417,7 @@ impl SignatureIndex {
     /// Decodes either framing version, returning the index together with
     /// its persisted epoch (`0` for version-1 files, which predate the
     /// epoch field).
-    pub fn decode_with_epoch(bytes: &[u8]) -> Result<(Self, u64), CodecError> {
+    fn decode_with_epoch(bytes: &[u8]) -> Result<(Self, u64), CodecError> {
         let mut r = Reader::open(bytes, &INDEX_MAGIC)?;
         let version = r.u32()?;
         if !(INDEX_VERSION..=INDEX_VERSION_SKETCH).contains(&version) {
@@ -505,7 +505,8 @@ impl SignatureIndex {
         Self::load_with_epoch(path).map(|(index, _)| index)
     }
 
-    /// [`SignatureIndex::decode_with_epoch`] straight from a file.
+    /// [`SignatureIndex::load`], returning the persisted epoch too (`0`
+    /// for version-1 files, which predate the epoch field).
     pub fn load_with_epoch(path: &Path) -> Result<(Self, u64), LoadError> {
         let mut bytes = Vec::new();
         std::fs::File::open(path)?.read_to_end(&mut bytes)?;

@@ -66,8 +66,8 @@
 //! the two points above never exceeds NED — so pruning candidates whose
 //! bound exceeds the current radius drops **nothing** the exact scan
 //! would keep. This is the only bound the bank prunes with; its answers
-//! are property-tested bit-identical to a full scan and to an
-//! independently built VP forest (`tests/sketch_filter.rs`).
+//! are property-tested bit-identical to a full scan and to a reference
+//! computed from a model of the live set (`tests/sketch_filter.rs`).
 //!
 //! # The scan image
 //!

@@ -7,21 +7,20 @@
 //!    road grids) and every extraction depth `k ∈ 1..=5`. A violated
 //!    bound would mean silent false drops.
 //! 2. **Bit-identical answers** — `query`/`range` return exactly what
-//!    an independently
-//!    built [`ShardedVpForest`] over the same entries and the full scan
-//!    return — ids *and* distances — under arbitrary insert/remove churn
-//!    and across a save/load round trip of the sketch-carrying snapshot
-//!    format.
+//!    a reference computed from a model of the live set returns (NED
+//!    through the per-level report, sorted by `(distance, id)`), and
+//!    what the full scan returns — ids *and* distances — under arbitrary
+//!    insert/remove churn and across a save/load round trip of the
+//!    sketch-carrying snapshot format.
 //!
 //! A third suite pins the bank's refine order: [`SketchBank::knn`]
 //! visits rows in exactly ascending `(bound, id)` order — the order a
 //! full sort gives — whatever the row layout, ties, or bucket cap.
 
-use ned_core::{ted_star_degree_lower_bound, NodeSignature};
+use ned_core::{signatures, ted_star_degree_lower_bound, NodeSignature, WireHit};
 use ned_graph::{generators, Graph};
 use ned_index::sketch::{sketch_lower_bound, Sketch, SketchStats, BOUND_CAP};
 use ned_index::{SignatureIndex, SketchBank};
-use ned_metric_index::{ShardedVpForest, SignatureMetric};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -34,6 +33,24 @@ fn sample_graph(kind: u8, rng: &mut SmallRng) -> Graph {
         1 => generators::erdos_renyi_gnm(50, 110, rng),
         _ => generators::road_network(8, 6, 0.4, 0.05, rng),
     }
+}
+
+/// The reference answer for invariant 2: NED through the per-level
+/// report to every live signature of the model, sorted by `(distance,
+/// id)`. The report runs an unbudgeted sweep, so the reference shares no
+/// memo, budget or bound with the index it checks.
+fn model_reference(model: &HashMap<u64, NodeSignature>, q: &NodeSignature) -> Vec<WireHit> {
+    let mut hits: Vec<(u64, u64)> = model
+        .iter()
+        .map(|(&id, sig)| (q.distance_report(sig).distance, id))
+        .collect();
+    hits.sort_unstable();
+    hits.into_iter()
+        .map(|(d, id)| WireHit {
+            id,
+            distance: d as f64,
+        })
+        .collect()
 }
 
 proptest! {
@@ -76,10 +93,10 @@ proptest! {
     }
 
     /// Invariant 2: sketch-filtered results are bit-identical to the
-    /// unfiltered forest and the full scan, under churn and across a
+    /// model's reference and the full scan, under churn and across a
     /// save/load round trip.
     #[test]
-    fn exact_mode_is_bit_identical_to_the_forest(
+    fn sketch_filtered_answers_equal_the_model_reference(
         seed in any::<u64>(),
         threshold in 1..48usize,
         churn in 10..60usize,
@@ -117,39 +134,29 @@ proptest! {
             .map(|(id, sig)| (id, sig.clone()))
             .collect();
         live.sort_by_key(|&(id, _)| id);
-        let mut want: Vec<(u64, NodeSignature)> = model.into_iter().collect();
+        let mut want: Vec<(u64, NodeSignature)> =
+            model.iter().map(|(&id, sig)| (id, sig.clone())).collect();
         want.sort_by_key(|&(id, _)| id);
         prop_assert_eq!(&live, &want, "entries() diverged from the model");
-
-        // The reference forest is built from the live entries alone, with
-        // the generated freeze threshold, so it shares no state with the
-        // bank it checks.
-        let mut forest = ShardedVpForest::new(threshold, seed);
-        for (id, sig) in live {
-            forest.insert(&SignatureMetric, id, sig);
-        }
-        prop_assert_eq!(forest.len(), index.len());
         let reloaded = SignatureIndex::from_bytes(&index.to_bytes()).expect("round trip");
 
         for probe in [0u32, 39, 79] {
             let q = NodeSignature::extract(&g1, probe, 3);
+            let reference = model_reference(&model, &q);
             for k in [1usize, 5, 12] {
                 let sketched = index.query(&q, k, 0);
-                prop_assert_eq!(
-                    &sketched,
-                    &forest.knn(&SignatureMetric, &q, k, 0),
-                    "forest k = {}", k
-                );
+                prop_assert_eq!(&sketched[..], &reference[..k], "model k = {}", k);
                 prop_assert_eq!(&sketched, &index.scan(&q, k), "scan k = {}", k);
                 prop_assert_eq!(&sketched, &reloaded.query(&q, k, 0), "reload k = {}", k);
             }
             for radius in [0u64, 3, 10] {
                 let sketched = index.range(&q, radius, 0);
-                prop_assert_eq!(
-                    &sketched,
-                    &forest.range(&SignatureMetric, &q, radius as f64, 0),
-                    "forest range r = {}", radius
-                );
+                let within: Vec<WireHit> = reference
+                    .iter()
+                    .filter(|h| h.distance <= radius as f64)
+                    .copied()
+                    .collect();
+                prop_assert_eq!(&sketched, &within, "model range r = {}", radius);
                 let mut scanned = index.scan(&q, index.len());
                 scanned.retain(|h| h.distance <= radius as f64);
                 prop_assert_eq!(&sketched, &scanned, "scan range r = {}", radius);
@@ -160,6 +167,50 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// A save/load round trip answers like the saved index, and the
+    /// restored index stays exact under further churn.
+    #[test]
+    fn save_load_round_trip_is_query_identical(
+        seed in any::<u64>(),
+        threshold in 1..40usize,
+        removals in 0..30usize,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let g = generators::barabasi_albert(120, 2, &mut rng);
+        let nodes: Vec<u32> = g.nodes().collect();
+        let mut index = SignatureIndex::new(3, threshold, seed);
+        index.insert_graph(&g, &nodes);
+        for _ in 0..removals {
+            index.remove(rng.gen_range(0..120u64));
+        }
+        let bytes = index.to_bytes();
+        let back = SignatureIndex::from_bytes(&bytes).expect("round trip");
+        prop_assert_eq!(back.len(), index.len());
+
+        // Queries after the round trip are bit-identical to before — and
+        // both are the linear scan's answer.
+        let probes = signatures(&g, &[0, 13, 77, 119], 3);
+        for q in &probes {
+            let k = rng.gen_range(1..12usize);
+            let before = index.query(q, k, 0);
+            let after = back.query(q, k, 0);
+            let scan = index.scan(q, k);
+            prop_assert_eq!(&before, &scan);
+            prop_assert_eq!(&after, &scan);
+        }
+
+        // ... and the restored index stays exact under further churn.
+        let mut back = back;
+        let mut extra = signatures(&g, &[5, 6, 7], 3).into_iter();
+        let new_id = back.insert(extra.next().expect("three sigs"));
+        prop_assert!(back.remove(new_id));
+        back.insert(extra.next().expect("three sigs"));
+        let q = extra.next().expect("three sigs");
+        let fast = back.query(&q, 6, 0);
+        let slow = back.scan(&q, 6);
+        prop_assert_eq!(fast, slow);
     }
 }
 

@@ -16,27 +16,6 @@ use crate::{Hit, Metric};
 pub trait BoundedMetric<T: ?Sized>: Metric<T> {
     /// The cheap lower bound.
     fn lower_bound(&self, a: &T, b: &T) -> f64;
-
-    /// Budgeted exact distance: `Some(d)` **iff** the exact distance `d`
-    /// is `<= budget`, `None` otherwise.
-    ///
-    /// The default falls back to a full [`Metric::distance`] call and
-    /// filters — correct for any metric, with no early-abandoning
-    /// benefit. Metrics whose exact computation can abandon mid-flight
-    /// (TED\* sweeps a budget through its level loop and its
-    /// transportation solves) override this;
-    /// [`VpTree::search`](crate::VpTree::search) and the sharded forest
-    /// then pass their current pruning radius as the budget of **every**
-    /// exact call, so
-    /// candidates destined for rejection stop paying the moment they are
-    /// provably out.
-    ///
-    /// Implementations must keep `Some`-results bit-identical to
-    /// [`Metric::distance`]: a returned distance is the exact distance.
-    fn distance_within(&self, a: &T, b: &T, budget: f64) -> Option<f64> {
-        let d = self.distance(a, b);
-        (d <= budget).then_some(d)
-    }
 }
 
 /// Wraps a pair of closures `(exact, lower_bound)` as a [`BoundedMetric`].

@@ -5,28 +5,23 @@
 //! shows nearest-neighbor queries running orders of magnitude faster than
 //! the full scans that non-metric measures (Feature-based, HITS-based)
 //! require. [`VpTree`] is that index; [`linear_knn`] is the full-scan
-//! baseline it is compared against. [`BkTree`] (integer metrics),
-//! [`filter_refine_knn`] (lower-bound filtering) and the dynamic
-//! [`ShardedVpForest`] are the other access methods the benchmarks and
-//! ablations compare.
+//! baseline it is compared against. [`BkTree`] (integer metrics) and
+//! [`filter_refine_knn`] (lower-bound filtering) are the other access
+//! methods the benchmarks and ablations compare.
 //!
-//! The structures work for any item type and any [`Metric`];
-//! [`SignatureMetric`] is NED over `ned_core::NodeSignature`. The serving
-//! index (`ned-index`) answers queries through its sketch bank and does
-//! not depend on this crate.
+//! The structures work for any item type and any [`Metric`]; NED over
+//! `ned_core::NodeSignature` plugs in through [`FnMetric`] or
+//! [`FnBoundedMetric`]. The serving index (`ned-index`) answers queries
+//! through its sketch bank and does not depend on this crate.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod bk_tree;
 pub mod filter;
-pub mod forest;
-mod signature;
 
 pub use bk_tree::{BkTree, IntFnMetric, IntMetric};
 pub use filter::{filter_refine_knn, BoundedMetric, FilteredKnn, FnBoundedMetric};
-pub use forest::{ForestStats, ShardedVpForest};
-pub use signature::{SignatureMetric, UnboundedSignatureMetric};
 
 use rand::Rng;
 use std::cell::Cell;
@@ -239,12 +234,6 @@ impl<T> VpTree<T> {
         &self.items
     }
 
-    /// Consumes the tree, returning the items (original order). Used by
-    /// [`forest::ShardedVpForest`] when merging shards.
-    pub fn into_items(self) -> Vec<T> {
-        self.items
-    }
-
     /// The `k` nearest items to `query`, closest first (ties broken by
     /// traversal order). `metric` must be the one used at build time (or
     /// an equivalent wrapper such as [`CountingMetric`]).
@@ -257,7 +246,7 @@ impl<T> VpTree<T> {
             heap: BinaryHeap::with_capacity(k + 1),
             k,
         };
-        self.search(&ZeroBound(metric), query, &mut collector);
+        self.search(self.root, metric, query, &mut collector);
         let mut hits: Vec<Hit> = collector.heap.into_iter().map(|h| h.0).collect();
         hits.sort_by(|a, b| a.distance.partial_cmp(&b.distance).expect("NaN distance"));
         hits
@@ -275,47 +264,18 @@ impl<T> VpTree<T> {
             radius,
             out: Vec::new(),
         };
-        self.search(&ZeroBound(metric), query, &mut collector);
+        self.search(self.root, metric, query, &mut collector);
         collector.out
     }
 
-    /// Streaming filter-and-refine search, the engine behind
-    /// [`forest::ShardedVpForest`] queries.
-    ///
-    /// At every visited node the cheap [`BoundedMetric::lower_bound`] is
-    /// evaluated **before** the exact distance; when the bound already
-    /// exceeds the collector's current [`SearchCollector::tau`], the exact
-    /// computation is skipped entirely and both sub-trees are scanned
-    /// (each getting its own bound check) — the annulus test needs the
-    /// exact distance, so pruning degrades gracefully into a
-    /// lower-bound-filtered scan instead of paying for exact distances.
-    ///
-    /// Surviving candidates are refined through
-    /// [`BoundedMetric::distance_within`] under the budget
-    /// `node radius + tau`: that budget is loose enough to answer every
-    /// question the traversal asks — a hit needs `d <= tau`, pruning the
-    /// inside sub-tree needs to know whether `d - tau <= radius` — so an
-    /// abandoned computation (`None`) simultaneously proves "not a hit"
-    /// and "inside annulus unreachable", and the search recurses outside
-    /// only. No pruning power is lost relative to computing the exact
-    /// distance. Every candidate that survives is handed to
-    /// [`SearchCollector::offer`]; duplicate-bucket items are offered at
-    /// their vantage point's distance without further metric calls.
-    ///
-    /// The collector decides what "tau" means: a k-NN collector returns
-    /// its current k-th best distance (shrinking as hits arrive), a range
-    /// collector a fixed radius. Results are exact for any collector whose
-    /// `tau` never excludes a candidate it would still accept.
-    pub fn search<M: BoundedMetric<T>, C: SearchCollector>(
-        &self,
-        metric: &M,
-        query: &T,
-        collector: &mut C,
-    ) {
-        self.search_rec(self.root, metric, query, collector);
-    }
-
-    fn search_rec<M: BoundedMetric<T>, C: SearchCollector>(
+    /// Annulus-pruned traversal shared by [`VpTree::knn`] and
+    /// [`VpTree::range`]: one exact distance per visited vantage point,
+    /// which is then offered (with its duplicate bucket, at the same
+    /// distance and no further metric calls) when it is within the
+    /// collector's current [`SearchCollector::tau`]. A sub-tree is
+    /// skipped only when the triangle inequality proves its ball cannot
+    /// meet the query ball of radius `tau`.
+    fn search<M: Metric<T>, C: SearchCollector>(
         &self,
         node: Option<usize>,
         metric: &M,
@@ -324,82 +284,39 @@ impl<T> VpTree<T> {
     ) {
         let Some(idx) = node else { return };
         let n = self.nodes[idx];
-        let tau = collector.tau();
-        let lb = metric.lower_bound(query, &self.items[n.item]);
-        if lb > tau {
-            // The vantage point (and its duplicates) provably cannot beat
-            // the bound; without its exact distance the annulus test is
-            // unavailable, so scan both sides under their own bounds.
-            self.search_rec(n.inside, metric, query, collector);
-            self.search_rec(n.outside, metric, query, collector);
-            return;
-        }
-        // Budget = radius + tau: covers the hit test (d <= tau) *and* the
-        // only annulus question a too-far vantage can still influence
-        // (is d <= radius + tau, i.e. can the inside ball intersect the
-        // query ball). Ties at the budget are returned, not abandoned,
-        // preserving deterministic (distance, id) ordering downstream.
-        match metric.distance_within(query, &self.items[n.item], n.radius + tau) {
-            None => {
-                // d > radius + tau >= tau: neither the vantage point nor
-                // its duplicates can be hits, and the inside ball
-                // (all within `radius` of the vantage) lies strictly
-                // beyond tau of the query. Only the outside remains.
-                self.search_rec(n.outside, metric, query, collector);
+        let d = metric.distance(query, &self.items[n.item]);
+        if d <= collector.tau() {
+            collector.offer(n.item, d);
+            for &dup in self.dups(&n) {
+                collector.offer(dup as usize, d);
             }
-            Some(d) => {
-                collector.offer(n.item, d);
-                for &dup in self.dups(&n) {
-                    collector.offer(dup as usize, d);
-                }
-                if d <= n.radius {
-                    self.search_rec(n.inside, metric, query, collector);
-                    if d + collector.tau() >= n.radius {
-                        self.search_rec(n.outside, metric, query, collector);
-                    }
-                } else {
-                    self.search_rec(n.outside, metric, query, collector);
-                    if d - collector.tau() <= n.radius {
-                        self.search_rec(n.inside, metric, query, collector);
-                    }
-                }
+        }
+        if d <= n.radius {
+            self.search(n.inside, metric, query, collector);
+            if d + collector.tau() >= n.radius {
+                self.search(n.outside, metric, query, collector);
+            }
+        } else {
+            self.search(n.outside, metric, query, collector);
+            if d - collector.tau() <= n.radius {
+                self.search(n.inside, metric, query, collector);
             }
         }
     }
 }
 
-/// Consumer driving [`VpTree::search`]: receives surviving candidates and
-/// exposes the current pruning bound.
-pub trait SearchCollector {
+/// Consumer driving [`VpTree::search`]: receives candidates and exposes
+/// the current pruning bound.
+trait SearchCollector {
     /// A candidate item (index into the tree's item slice) at its exact
-    /// distance from the query. May be called with distances above
-    /// [`SearchCollector::tau`]; the collector filters.
+    /// distance from the query, no greater than [`SearchCollector::tau`].
     fn offer(&mut self, index: usize, distance: f64);
 
-    /// Current pruning bound: the search may skip any computation that
-    /// provably cannot produce a distance `<= tau()`. Must never shrink
-    /// below a value that would have excluded a candidate the collector
-    /// still wants (for k-NN: the current k-th best; for range: the
-    /// radius).
+    /// Current pruning bound: the search skips any sub-tree that provably
+    /// holds no item within `tau()` of the query. Must never shrink below
+    /// a value that would have excluded a candidate the collector still
+    /// wants (for k-NN: the current k-th best; for range: the radius).
     fn tau(&self) -> f64;
-}
-
-/// Views a plain [`Metric`] as a [`BoundedMetric`] with the trivial (but
-/// sound) lower bound 0 — the bound check never fires and [`VpTree::search`]
-/// degenerates to the classic annulus-pruned traversal, which is how
-/// [`VpTree::knn`] and [`VpTree::range`] share its implementation.
-struct ZeroBound<'m, M>(&'m M);
-
-impl<T, M: Metric<T>> Metric<T> for ZeroBound<'_, M> {
-    fn distance(&self, a: &T, b: &T) -> f64 {
-        self.0.distance(a, b)
-    }
-}
-
-impl<T, M: Metric<T>> BoundedMetric<T> for ZeroBound<'_, M> {
-    fn lower_bound(&self, _a: &T, _b: &T) -> f64 {
-        0.0
-    }
 }
 
 /// [`VpTree::knn`]'s collector: bounded max-heap by distance.
@@ -646,50 +563,6 @@ mod tests {
                 .map(|(i, _)| i)
                 .collect();
             assert_eq!(got, want, "range q={q} r={r}");
-        }
-    }
-
-    #[test]
-    fn search_collector_matches_knn() {
-        struct TopK {
-            k: usize,
-            hits: Vec<Hit>,
-        }
-        impl SearchCollector for TopK {
-            fn offer(&mut self, index: usize, distance: f64) {
-                self.hits.push(Hit { index, distance });
-                self.hits
-                    .sort_by(|a, b| a.distance.partial_cmp(&b.distance).expect("NaN"));
-                self.hits.truncate(self.k);
-            }
-            fn tau(&self) -> f64 {
-                if self.hits.len() < self.k {
-                    f64::INFINITY
-                } else {
-                    self.hits[self.k - 1].distance
-                }
-            }
-        }
-        let points = random_points(400, 21);
-        let tree = VpTree::build(points.clone(), &AbsDiff, &mut SmallRng::seed_from_u64(22));
-        // A sound lower bound for |a-b|: the distance between coarse bins.
-        let m = FnBoundedMetric(
-            |a: &f64, b: &f64| (a - b).abs(),
-            |a: &f64, b: &f64| ((a - b).abs() / 16.0).floor() * 16.0,
-        );
-        let mut qrng = SmallRng::seed_from_u64(23);
-        for _ in 0..30 {
-            let q: f64 = qrng.gen_range(-50.0..1050.0);
-            let mut c = TopK {
-                k: 7,
-                hits: Vec::new(),
-            };
-            tree.search(&m, &q, &mut c);
-            let want = linear_knn(&points, &m, &q, 7);
-            assert_eq!(c.hits.len(), want.len());
-            for (x, y) in c.hits.iter().zip(&want) {
-                assert_eq!(x.distance, y.distance, "q={q}");
-            }
         }
     }
 

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example index_persistence`
 
-use ned::index::{ShardedVpForest, SignatureIndex, SignatureMetric};
+use ned::index::SignatureIndex;
 use ned::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -80,16 +80,24 @@ fn main() {
     );
 
     // NED is a metric, so any metric index answers the same query: here
-    // a VP-forest built from the restored entries.
-    let mut forest = ShardedVpForest::new(256, 7);
-    for (id, sig) in restored.entries() {
-        forest.insert(&SignatureMetric, id, sig.clone());
-    }
-    let nearest = forest.knn(&SignatureMetric, &probe, 1, 0);
-    assert_eq!(nearest, restored.query(&probe, 1, 0));
+    // the paper's VP-tree, built over the restored entries. Its hits index
+    // the item slice, so `ids` maps them back to index ids.
+    let (ids, sigs): (Vec<u64>, Vec<NodeSignature>) = restored
+        .entries()
+        .map(|(id, sig)| (id, sig.clone()))
+        .unzip();
+    let metric = FnMetric(|a: &NodeSignature, b: &NodeSignature| a.distance(b) as f64);
+    let tree = VpTree::build(sigs, &metric, &mut rng);
+    let nearest = tree.knn(&metric, &probe, 1)[0];
+    let want = restored.query(&probe, 1, 0)[0];
+    assert_eq!(nearest.distance, want.distance);
+    // The tree breaks ties by traversal order, the index by id: among the
+    // items tied at the nearest distance, the smallest id is the index's.
+    let tied = tree.range(&metric, &probe, nearest.distance);
+    assert_eq!(tied.iter().map(|h| ids[h.index]).min(), Some(want.id));
     println!(
-        "nearest id via a VP-forest over the same entries: {:?}",
-        nearest[0]
+        "nearest via a VP-tree over the same entries: id {} at NED {}",
+        ids[nearest.index], nearest.distance
     );
 
     std::fs::remove_file(&path).ok();

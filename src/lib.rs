@@ -18,8 +18,8 @@
 //! * [`index`] — both index crates under one path: `ned-index`, the
 //!   serving layer around the persistent [`index::SignatureIndex`]
 //!   (sketch bank, WAL durability, server, shard router), and
-//!   `ned-metric-index`, the paper's metric access methods (VP-tree,
-//!   BK-tree, filter-and-refine, the dynamic [`index::ShardedVpForest`]).
+//!   `ned-metric-index`, the paper's metric access methods
+//!   ([`index::VpTree`], BK-tree, filter-and-refine).
 //! * [`datasets`] (`ned-datasets`) — the six Table 2 dataset stand-ins.
 //!
 //! ## Quick start
@@ -65,6 +65,6 @@ pub mod prelude {
     pub use ned_graph::bfs::{k_adjacent_tree, TreeExtractor};
     pub use ned_graph::{Graph, GraphBuilder, NodeId};
     pub use ned_index::SignatureIndex;
-    pub use ned_metric_index::{FnMetric, Metric, ShardedVpForest, VpTree};
+    pub use ned_metric_index::{FnMetric, Metric, VpTree};
     pub use ned_tree::{Tree, TreeBuilder};
 }

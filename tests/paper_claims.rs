@@ -69,6 +69,34 @@ fn weighted_ted_star_triangle() {
     }
 }
 
+/// Section 12 on nodes: weighted NED compares nodes of different graphs
+/// and stays a metric (Lemma 6) under the paper's root-heavy scheme;
+/// unit weights give plain NED.
+#[test]
+fn weighted_ned_is_an_inter_graph_node_metric() {
+    use ned::core::weighted::{root_heavy_weights, weighted_ned};
+    use ned::graph::generators;
+    let mut rng = SmallRng::seed_from_u64(12);
+    let g1 = generators::barabasi_albert(60, 2, &mut rng);
+    let g2 = generators::road_network(6, 6, 0.4, 0.05, &mut rng);
+    let g3 = generators::erdos_renyi_gnm(50, 100, &mut rng);
+    let unit = |_: usize| LevelWeights { pad: 1.0, mov: 1.0 };
+    let heavy = root_heavy_weights(0.5);
+    for i in 0..12u32 {
+        let (u, v, w) = (i * 5 % 60, i * 3 % 36, i * 4 % 50);
+        assert_eq!(
+            weighted_ned(&g1, u, &g2, v, 3, unit),
+            ned(&g1, u, &g2, v, 3) as f64
+        );
+        assert_eq!(weighted_ned(&g1, u, &g1, u, 3, &heavy), 0.0);
+        let uv = weighted_ned(&g1, u, &g2, v, 3, &heavy);
+        let vw = weighted_ned(&g2, v, &g3, w, 3, &heavy);
+        let uw = weighted_ned(&g1, u, &g3, w, 3, &heavy);
+        assert!((uv - weighted_ned(&g2, v, &g1, u, 3, &heavy)).abs() < 1e-9);
+        assert!(uw <= uv + vw + 1e-9, "triangle: {uw} > {uv} + {vw}");
+    }
+}
+
 /// Section 13.1 / Figure 6: TED* tracks exact TED closely on the paper's
 /// distribution — k-adjacent trees of road networks. (On adversarial
 /// random trees the two measures diverge more; the paper's ">50% exactly
